@@ -33,9 +33,9 @@ func Aggregate(sc *Scenario, opts AggregateOptions) (*Demand, error) {
 // Aggregated eligibility is conservative, so the deployment always satisfies
 // every individual user's rate and range constraints; when each demand
 // cell's members are co-located (e.g. generated with a snap grid), the
-// aggregated solve is exactly the per-user solve. The reference oracle,
-// RefineAssignment, DeployOptimal and the baselines require per-user
-// instances and reject aggregated ones with an error.
+// aggregated solve is exactly the per-user solve. RefineAssignment,
+// DeployOptimal and the baselines require per-user instances and reject
+// aggregated ones with an error.
 func NewAggregateInstance(sc *Scenario, opts AggregateOptions) (*Instance, error) {
 	return core.NewAggregateInstance(sc, opts)
 }

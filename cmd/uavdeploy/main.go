@@ -17,7 +17,7 @@
 // fingerprint (see uavgen -agg-cell) and refuse to resume under a different
 // cell side or the per-user path.
 //
-// Run control (approAlg only):
+// Run control (approAlg, enumeration or -solver):
 //
 //	uavdeploy -scenario big.json -timeout 30s -checkpoint run.ckpt
 //	uavdeploy -scenario big.json -resume run.ckpt     # continue to completion
@@ -43,8 +43,9 @@
 // budgeted local search (anneal | tabu | grasp | genetic | portfolio = race
 // all four). -budget caps the anchor-subset evaluations per member (0 = a
 // sensible default); same seed + same budget reproduces the deployment
-// byte-for-byte. -timeout/-checkpoint/-resume work as for the enumeration —
-// a portfolio checkpoint freezes every member's search state.
+// byte-for-byte. -timeout/-checkpoint/-resume work as for the enumeration:
+// the checkpoint file is the same format, tagged "portfolio", and freezes
+// every member's search state.
 package main
 
 import (
@@ -88,7 +89,7 @@ func run() error {
 		timeout      = flag.Duration("timeout", 0, "abort the run after this long, keeping the best-so-far deployment (0 = none)")
 		progressIntv = flag.Duration("progress", 0, "print approAlg progress to stderr at this interval (0 = off)")
 		ckptPath     = flag.String("checkpoint", "", "write a resumable checkpoint here when the run is stopped early")
-		resumePath   = flag.String("resume", "", "resume an approAlg run from this checkpoint file")
+		resumePath   = flag.String("resume", "", "resume an approAlg run (enumeration or -solver) from this checkpoint file")
 		aggCell      = flag.Float64("agg-cell", 0, "aggregate users into weighted demand cells with this side in meters before solving (approAlg only; 0 = per-user)")
 		outPath      = flag.String("out", "", "write the final deployment as JSON here")
 	)
@@ -187,54 +188,21 @@ func run() error {
 		opts.ProgressInterval = *progressIntv
 		opts.Progress = printProgress
 	}
-	var portfolioResume *uavnet.PortfolioCheckpoint
 	if *resumePath != "" {
-		if solverIsEnum {
-			cp, err := uavnet.LoadCheckpoint(*resumePath)
-			if err != nil {
-				return err
-			}
-			opts.Resume = cp
-			fmt.Printf("resuming from %s: cursor %d / %d subsets\n", *resumePath, cp.Cursor, cp.Total)
-		} else {
-			portfolioResume, err = uavnet.LoadPortfolioCheckpoint(*resumePath)
-			if err != nil {
-				return err
-			}
-			var spent int64
-			for _, m := range portfolioResume.Members {
-				spent += m.Evals
-			}
-			fmt.Printf("resuming from %s: %d members, %d evaluations spent\n",
-				*resumePath, len(portfolioResume.Members), spent)
+		cp, err := uavnet.LoadCheckpoint(*resumePath)
+		if err != nil {
+			return err
 		}
+		opts.Resume = cp
+		done, total := cp.Frontier()
+		fmt.Printf("resuming %s checkpoint %s at %d / %d\n", cp.Algorithm, *resumePath, done, total)
 	}
 
 	var runErr error
 	for _, name := range names {
 		start := time.Now()
 		var dep *uavnet.Deployment
-		portfolioCkptSaved := false
 		switch {
-		case name == "approAlg" && !solverIsEnum:
-			// Metaheuristic path: the race returns its own checkpoint type
-			// (per-member search states), saved here because dep.Checkpoint
-			// only carries enumeration checkpoints.
-			d, pcp, err := uavnet.DeployPortfolioContext(ctx, in, opts, portfolioResume)
-			if pcp != nil && *ckptPath != "" {
-				if serr := uavnet.SavePortfolioCheckpoint(*ckptPath, pcp); serr != nil {
-					return fmt.Errorf("%s: checkpoint: %w", name, serr)
-				}
-				portfolioCkptSaved = true
-			}
-			if err != nil && d == nil {
-				if portfolioCkptSaved {
-					fmt.Printf("run stopped before any feasible deployment; resume with -resume %s\n", *ckptPath)
-				}
-				return fmt.Errorf("%s (-solver %s): %w", name, *solver, err)
-			}
-			dep = d
-			runErr = errors.Join(runErr, err)
 		case *gatewayAt != "" && name == "approAlg":
 			// approAlg plans the gateway in: its cells become required anchors.
 			gw, err := parseGateway(*gatewayAt)
@@ -294,11 +262,8 @@ func run() error {
 				if err := uavnet.SaveCheckpoint(*ckptPath, dep.Checkpoint); err != nil {
 					return fmt.Errorf("%s: checkpoint: %w", name, err)
 				}
-				fmt.Printf("run stopped at subset %d / %d; resume with -resume %s\n\n",
-					dep.Checkpoint.Cursor, dep.Checkpoint.Total, *ckptPath)
-			case portfolioCkptSaved:
-				fmt.Printf("run stopped after %d evaluations; resume with -resume %s\n\n",
-					dep.SubsetsEvaluated, *ckptPath)
+				done, total := dep.Checkpoint.Frontier()
+				fmt.Printf("run stopped at %d / %d; resume with -resume %s\n\n", done, total, *ckptPath)
 			default:
 				fmt.Printf("run stopped early; pass -checkpoint to make it resumable\n\n")
 			}
@@ -338,14 +303,15 @@ func maxI64(a, b int64) int64 {
 }
 
 // isSolverAlg reports whether the deployment came from the metaheuristic
-// portfolio ("anneal" .. "genetic" when a single member ran, or
-// "portfolio/<member>" naming the race's winner).
+// portfolio ("anneal" .. "genetic" when a single member ran,
+// "portfolio/<member>" naming the race's winner, or "portfolio" for a race
+// stopped before any member found a feasible subset).
 func isSolverAlg(name string) bool {
 	if strings.HasPrefix(name, "portfolio/") {
 		return true
 	}
 	switch name {
-	case "anneal", "tabu", "grasp", "genetic":
+	case "anneal", "tabu", "grasp", "genetic", "portfolio":
 		return true
 	}
 	return false

@@ -10,7 +10,7 @@ import (
 )
 
 // These tests pin the re-entrancy contract the uavserve worker pool depends
-// on: any number of DeployContext / DeployPortfolioContext jobs may run
+// on: any number of DeployContext jobs, enumeration or portfolio, may run
 // simultaneously — over distinct scenarios or over one shared scenario and
 // instance — and each must produce a deployment byte-identical to the same
 // solve run alone. Run them under -race (CI does): the assertion here is as
@@ -134,7 +134,7 @@ func TestConcurrentPortfolioAndEnum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	soloPort, _, err := uavnet.DeployPortfolioContext(context.Background(), in, portOpts, nil)
+	soloPort, err := uavnet.DeployInstanceContext(context.Background(), in, portOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestConcurrentPortfolioAndEnum(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		go func(i int) {
 			defer wg.Done()
-			dep, _, err := uavnet.DeployPortfolioContext(context.Background(), in, portOpts, nil)
+			dep, err := uavnet.DeployInstanceContext(context.Background(), in, portOpts)
 			if err != nil {
 				errs[i+1] = err
 				return

@@ -11,10 +11,10 @@
 // in the network size instead of re-solving from scratch.
 //
 // The greedy placement loop of Algorithm 2 now runs on internal/match's
-// specialized bipartite matcher by default; Solve and Evaluator are the
-// flow-based reference implementation it is verified against
-// (core.Options.ReferenceOracle, FuzzAssignDifferential, and the
-// internal/verify oracle-equivalence test).
+// specialized bipartite matcher; Solve computes the final assignments, and
+// Evaluator is the flow-based reference engine the matcher is verified
+// against (FuzzAssignDifferential and internal/core's test-only
+// TestOracleEquivalence, which drives the whole enumeration through it).
 package assign
 
 import (

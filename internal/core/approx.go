@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -44,13 +43,6 @@ type Options struct {
 	// deployed network. The gateway extension uses this to guarantee that
 	// some UAV hovers within relay range of the gateway (Fig. 1).
 	RequiredCells []int
-	// ReferenceOracle switches the greedy's marginal-gain oracle from the
-	// incremental bipartite matcher (internal/match) to the flow-based
-	// reference evaluator (assign.Evaluator over Dinic in internal/flow).
-	// Both oracles are exact, so the deployment is identical either way —
-	// internal/verify asserts as much on its seed corpus; the switch exists
-	// for differential verification and benchmarking.
-	ReferenceOracle bool
 	// GroundLeftovers keeps UAVs beyond the q_j network members grounded,
 	// which is what Algorithm 2's pseudocode literally states. By default
 	// (false) the implementation extends the network greedily with the
@@ -87,7 +79,9 @@ type Options struct {
 	// the same Shard, an unsharded or merged one only without); Approx
 	// rejects any mismatch. A merged checkpoint's Remaining holes are
 	// re-enumerated exactly. A resumed run that finishes yields a
-	// deployment byte-identical to an uninterrupted one.
+	// deployment byte-identical to an uninterrupted one. A portfolio race
+	// (Solver) resumes from a KindPortfolio checkpoint the same way; each
+	// solver rejects the other's kind.
 	Resume *Checkpoint
 	// Progress, when non-nil, receives periodic Progress snapshots from a
 	// monitor goroutine every ProgressInterval, plus one final synchronous
@@ -221,6 +215,12 @@ func (a subsetResult) better(b subsetResult) bool {
 // cancellation as plain failure can keep the usual "if err != nil" shape. A
 // nil ctx is treated as context.Background().
 func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error) {
+	return approx(ctx, in, opts, newPlacementOracle)
+}
+
+// approx is Approx with the per-worker placement-oracle constructor as a
+// parameter, so tests can run the enumeration over a reference gain engine.
+func approx(ctx context.Context, in *Instance, opts Options, newOracle func(*Instance, []int) (*placementOracle, error)) (*Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background() //uavlint:allow ctxthread -- nil-ctx normalization at the API boundary
 	}
@@ -338,7 +338,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 			defer func() { results <- out }()
 			// One oracle per worker, reset per subset, so the matcher's
 			// memory is reused across the whole enumeration.
-			oracle, err := newPlacementOracle(in, caps, opts.ReferenceOracle)
+			oracle, err := newOracle(in, caps)
 			if err != nil {
 				out.err = err
 				return
@@ -412,10 +412,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 		}()
 	}
 
-	// Progress monitor: samples the shared counters on a ticker and reports
-	// through the hook. It never touches worker state, so it adds no
-	// contention to the evaluation path; Approx joins it before returning.
-	snapshot := func() Progress {
+	stopProgress := MonitorProgress(start, opts, func() Progress {
 		scopeDone := progDone.Load()
 		evaluated := progEvaluated.Load()
 		bestServed := progBestServed.Load()
@@ -423,47 +420,16 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 			bestServed = 0
 		}
 		done := baseDone + scopeDone
-		p := Progress{
+		return Progress{
 			Done:       done,
 			Total:      scope.Len(),
 			Evaluated:  evaluated,
 			Pruned:     done - evaluated,
 			BestServed: int(bestServed),
-			Elapsed:    time.Since(start), //uavlint:allow timenow -- progress snapshot output only
 			ScopeDone:  scopeDone,
 			ScopeTotal: stopV,
 		}
-		// The rate and the remaining work both count only this run's own
-		// scope: a resumed prefix contributes no elapsed time, and work
-		// beyond a StopAfter budget will not be done this run, so neither
-		// may skew the ETA.
-		if scopeDone > 0 && scopeDone < stopV {
-			p.ETA = time.Duration(float64(p.Elapsed) / float64(scopeDone) * float64(stopV-scopeDone))
-		}
-		return p
-	}
-	monitorDone := make(chan struct{})
-	var monitor sync.WaitGroup
-	if opts.Progress != nil {
-		interval := opts.ProgressInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		monitor.Add(1)
-		go func() {
-			defer monitor.Done()
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					opts.Progress(snapshot())
-				case <-monitorDone:
-					return
-				}
-			}
-		}()
-	}
+	})
 
 	var pruned, evaluated int64
 	var evalErr error
@@ -478,11 +444,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 			best = out.best
 		}
 	}
-	close(monitorDone)
-	monitor.Wait()
-	if opts.Progress != nil {
-		opts.Progress(snapshot())
-	}
+	stopProgress()
 	if evalErr != nil {
 		return nil, evalErr
 	}
@@ -551,7 +513,7 @@ func assembleDeployment(in *Instance, s int, opts Options, sampled bool, budget 
 		if status == StatusComplete {
 			return nil, fmt.Errorf("core: no feasible deployment: every anchor subset needs more than K=%d UAVs", in.Scenario.K())
 		}
-		dep := emptyDeployment(in)
+		dep := EmptyDeployment(in, "approAlg")
 		dep.Budget = budget
 		dep.SubsetsEvaluated = evaluated
 		dep.SubsetsPruned = pruned
@@ -575,12 +537,13 @@ func assembleDeployment(in *Instance, s int, opts Options, sampled bool, budget 
 	return dep, nil
 }
 
-// emptyDeployment is the all-grounded placement a stopped run returns when
-// no feasible subset was processed before the cut.
-func emptyDeployment(in *Instance) *Deployment {
+// EmptyDeployment is the all-grounded placement, tagged with the algorithm
+// name, that a stopped run returns when it found no feasible subset before
+// the cut.
+func EmptyDeployment(in *Instance, algorithm string) *Deployment {
 	sc := in.Scenario
 	dep := &Deployment{
-		Algorithm:  "approAlg",
+		Algorithm:  algorithm,
 		LocationOf: make([]int, sc.K()),
 		Assignment: assign.Assignment{
 			UserStation: make([]int, sc.N()),
@@ -804,9 +767,9 @@ func finalizeDeployment(in *Instance, best subsetResult) (*Deployment, error) {
 }
 
 // gainEngine is the incremental what-if/commit contract the placement
-// oracle drives. match.Matcher (the default) and assign.Evaluator (the
-// Dinic-backed reference, kept for differential verification) both satisfy
-// it with identical semantics.
+// oracle drives. match.Matcher (per-user instances) and
+// match.WeightedMatcher (aggregated ones) satisfy it; so does the
+// Dinic-backed assign.Evaluator the tests use as a reference engine.
 type gainEngine interface {
 	Reset() error
 	Served() int
@@ -831,28 +794,15 @@ type placementOracle struct {
 	wmatcher *match.WeightedMatcher
 }
 
-func newPlacementOracle(in *Instance, caps []int, reference bool) (*placementOracle, error) {
+func newPlacementOracle(in *Instance, caps []int) (*placementOracle, error) {
 	o := &placementOracle{in: in, caps: caps}
 	if in.Aggregated() {
-		if reference {
-			// The Dinic evaluator scores unit users; running it on demand
-			// nodes would mis-count every node as one user.
-			return nil, fmt.Errorf("core: the reference oracle supports only per-user instances")
-		}
 		wm, err := match.NewWeightedMatcher(in.Weights, len(caps))
 		if err != nil {
 			return nil, err
 		}
 		o.wmatcher = wm
 		o.engine = wm
-		return o, nil
-	}
-	if reference {
-		ev, err := assign.NewEvaluator(in.Scenario.N(), len(caps))
-		if err != nil {
-			return nil, err
-		}
-		o.engine = ev
 		return o, nil
 	}
 	m, err := match.NewMatcher(in.Scenario.N(), len(caps))
@@ -902,10 +852,9 @@ func (o *placementOracle) Bound(loc int) int {
 // popcounts the location's eligibility mask against the matcher's
 // still-augmentable user set, bounding the gain in a few word operations
 // (see match.Matcher.GainBound for why that set, not merely the unserved
-// one, is the sound choice). The reference path falls back to the static
+// one, is the sound choice). Any other engine falls back to the static
 // per-round capacity bound; sound bounds of any tightness leave the
-// selection identical, so the two paths still agree deployment-for-
-// deployment.
+// selection identical.
 func (o *placementOracle) RoundBound(round, loc int) int {
 	class := o.in.ClassOf[o.in.ByCapacity[round]]
 	if o.wmatcher != nil {

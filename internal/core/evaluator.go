@@ -47,7 +47,7 @@ type EvalResult struct {
 
 // NewSubsetEvaluator prepares an evaluator for the instance. Options are
 // interpreted as by Approx (S clamped via effectiveS, DisablePrune,
-// GroundLeftovers, ReferenceOracle honored); enumeration-control fields
+// GroundLeftovers honored); enumeration-control fields
 // (MaxSubsets, Shard, StopAfter, Resume) are ignored.
 func NewSubsetEvaluator(in *Instance, opts Options) (*SubsetEvaluator, error) {
 	opts = opts.withDefaults()
@@ -66,7 +66,7 @@ func NewSubsetEvaluator(in *Instance, opts Options) (*SubsetEvaluator, error) {
 	for r, uav := range in.ByCapacity {
 		caps[r] = sc.UAVs[uav].Capacity
 	}
-	oracle, err := newPlacementOracle(in, caps, opts.ReferenceOracle)
+	oracle, err := newPlacementOracle(in, caps)
 	if err != nil {
 		return nil, err
 	}

@@ -16,13 +16,13 @@ func BenchmarkOracleGain(b *testing.B) {
 
 	for _, variant := range []struct {
 		name      string
-		reference bool
+		newOracle func(*Instance, []int) (*placementOracle, error)
 	}{
-		{"matcher", false},
-		{"dinic", true},
+		{"matcher", newPlacementOracle},
+		{"dinic", newReferenceOracle},
 	} {
 		b.Run(variant.name, func(b *testing.B) {
-			oracle, err := newPlacementOracle(in, caps, variant.reference)
+			oracle, err := variant.newOracle(in, caps)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -49,7 +49,7 @@ func BenchmarkOracleGain(b *testing.B) {
 func BenchmarkOracleRoundBound(b *testing.B) {
 	in, _, anchors, _, _, caps, _ := benchInstance(b, 3)
 	m := in.Scenario.M()
-	oracle, err := newPlacementOracle(in, caps, false)
+	oracle, err := newPlacementOracle(in, caps)
 	if err != nil {
 		b.Fatal(err)
 	}

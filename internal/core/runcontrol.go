@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -62,20 +63,88 @@ type Progress struct {
 	ETA time.Duration
 }
 
-// Checkpoint freezes a stopped enumeration so a later run can resume it via
+// MonitorProgress drives the Options.Progress hook for a run that started at
+// start: counters samples the run's live counters (every field but Elapsed
+// and ETA, which MonitorProgress derives), a monitor goroutine reports a
+// snapshot every ProgressInterval (default one second), and the returned
+// stop joins the monitor and reports one final snapshot synchronously. The
+// monitor never touches solver state, so it adds no contention to the
+// evaluation path. Without a hook it starts nothing.
+func MonitorProgress(start time.Time, opts Options, counters func() Progress) (stop func()) {
+	if opts.Progress == nil {
+		return func() {}
+	}
+	snapshot := func() Progress {
+		p := counters()
+		p.Elapsed = time.Since(start) //uavlint:allow timenow -- progress snapshot output only
+		// The rate and the remaining work both count only this run's own
+		// scope, so a resumed prefix or work beyond a budget cannot skew it.
+		if p.ScopeDone > 0 && p.ScopeDone < p.ScopeTotal {
+			p.ETA = time.Duration(float64(p.Elapsed) / float64(p.ScopeDone) * float64(p.ScopeTotal-p.ScopeDone))
+		}
+		return p
+	}
+	interval := opts.ProgressInterval
+	if interval <= 0 {
+		interval = time.Second
+	}
+	done := make(chan struct{})
+	var monitor sync.WaitGroup
+	monitor.Add(1)
+	go func() {
+		defer monitor.Done()
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-ticker.C:
+				opts.Progress(snapshot())
+			case <-done:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(done)
+		monitor.Wait()
+		opts.Progress(snapshot())
+	}
+}
+
+// Checkpoint kinds, the values of Checkpoint.Algorithm.
+const (
+	// KindEnum tags an enumeration (Approx) checkpoint.
+	KindEnum = "approAlg"
+	// KindPortfolio tags a metaheuristic portfolio (portfolio.Race)
+	// checkpoint.
+	KindPortfolio = "portfolio"
+)
+
+// Checkpoint freezes a stopped run so a later run can resume it via
 // Options.Resume and finish with a deployment byte-identical to an
-// uninterrupted run. It is valid because the enumeration is deterministic in
-// (Seed, index): workers claim contiguous chunks from an atomic cursor and
-// always finish a claimed chunk before honoring cancellation, so the
-// processed indices form an exact prefix of the run's range and the sampling
-// RNG needs no state beyond Seed (each index reseeds it — see subsetSource).
+// uninterrupted run. It is the one checkpoint type of every solver, tagged by
+// Algorithm: KindEnum for the enumeration, KindPortfolio for the
+// metaheuristic portfolio. Each kind leaves the other's fields zero, so an
+// enumeration checkpoint serializes exactly as it did before the portfolio
+// fields existed.
 //
-// A sharded run (Options.Shard) freezes the same state for its own
-// sub-range, tagged with Shard; MergeCheckpoints combines such partials. A
-// merged checkpoint of incompletely-processed shards is the one case where
-// the done set is not a single prefix — its holes are listed in Remaining.
+// An enumeration checkpoint is valid because the enumeration is
+// deterministic in (Seed, index): workers claim contiguous chunks from an
+// atomic cursor and always finish a claimed chunk before honoring
+// cancellation, so the processed indices form an exact prefix of the run's
+// range and the sampling RNG needs no state beyond Seed (each index reseeds
+// it — see subsetSource). A sharded run (Options.Shard) freezes the same
+// state for its own sub-range, tagged with Shard; MergeCheckpoints combines
+// such partials. A merged checkpoint of incompletely-processed shards is the
+// one case where the done set is not a single prefix — its holes are listed
+// in Remaining.
+//
+// A portfolio checkpoint holds one SolverState per racing member (see
+// SolverState for why that resumes exactly) plus the Solver and Budget that
+// shaped the race.
 type Checkpoint struct {
-	// Algorithm is always "approAlg"; resuming rejects anything else.
+	// Algorithm is the checkpoint kind (KindEnum or KindPortfolio); a solver
+	// refuses to resume the other kind.
 	Algorithm string `json:"algorithm"`
 	// ScenarioFingerprint guards against resuming on a different scenario.
 	// It is Instance.Fingerprint, not Scenario.Fingerprint: on aggregated
@@ -120,6 +189,54 @@ type Checkpoint struct {
 	Pruned    int64 `json:"pruned"`
 	// Best is the best feasible subset over the processed set, or nil.
 	Best *CheckpointBest `json:"best,omitempty"`
+	// Solver and Budget echo the portfolio options that shape every
+	// member's trajectory (Options.Solver and the effective SolverBudget);
+	// Members holds one frozen state per racing member, in canonical order.
+	// Portfolio checkpoints only.
+	Solver  string        `json:"solver,omitempty"`
+	Budget  int64         `json:"budget,omitempty"`
+	Members []SolverState `json:"members,omitempty"`
+}
+
+// SolverState freezes one portfolio member. Together with the run options it
+// is the member's complete state: the search trajectory is a pure function of
+// (seed, step), so restoring the RNG word, the incumbent/best pair, and the
+// member-specific Extra blob makes the resumed member continue exactly the
+// interrupted trajectory — a cancelled-then-resumed race is byte-identical to
+// an uninterrupted one.
+type SolverState struct {
+	// Name is the member's canonical name.
+	Name string `json:"name"`
+	// Steps and Evals are the member's step and evaluation counters.
+	Steps int64 `json:"steps"`
+	Evals int64 `json:"evals"`
+	// RNG is the member's splitmix64 state word.
+	RNG uint64 `json:"rng"`
+	// Current and CurServed are the incumbent subset and its score; an
+	// absent Current means the member had not seeded yet (or was between
+	// GRASP restarts).
+	Current   []int `json:"current,omitempty"`
+	CurServed int   `json:"cur_served"`
+	// Best and BestServed are the best feasible subset seen and its score;
+	// BestServed is -1 while none has been found.
+	Best       []int `json:"best,omitempty"`
+	BestServed int   `json:"best_served"`
+	// Extra is the member-specific memory: the tabu ring, the genetic
+	// population, the GRASP stall counter. Absent for memoryless members.
+	Extra json.RawMessage `json:"extra,omitempty"`
+}
+
+// Frontier reports how far the frozen run got: for an enumeration, the
+// cursor and the enumeration size; for a portfolio, the evaluations spent by
+// all members and members × budget.
+func (c *Checkpoint) Frontier() (done, total int64) {
+	if c.Algorithm != KindPortfolio {
+		return c.Cursor, c.Total
+	}
+	for _, m := range c.Members {
+		done += m.Evals
+	}
+	return done, int64(len(c.Members)) * c.Budget
 }
 
 // Range returns the enumeration sub-range the checkpoint covers: its
@@ -173,7 +290,10 @@ func (c *Checkpoint) Marshal() ([]byte, error) {
 // format does not define means the file was hand-edited or written by a
 // different version, and a silently-dropped field here would resume a
 // different run than the one frozen — the validate pass can only cross-check
-// fields it actually decoded.
+// fields it actually decoded. For the same reason a checkpoint of one kind
+// carrying the other kind's fields is rejected: no solver would read them.
+// The portfolio members' Extra blobs stay raw JSON; each member validates
+// its own on resume.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	var c Checkpoint
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -181,40 +301,64 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("core: bad checkpoint: %w", err)
 	}
-	if c.Algorithm != "approAlg" {
-		return nil, fmt.Errorf("core: checkpoint is for algorithm %q, not approAlg", c.Algorithm)
+	var foreign bool
+	switch c.Algorithm {
+	case KindEnum:
+		foreign = c.Solver != "" || c.Budget != 0 || c.Members != nil
+	case KindPortfolio:
+		foreign = c.MaxSubsets != 0 || c.RequiredCells != nil || c.Total != 0 || c.Sampled ||
+			c.Shard != nil || c.Cursor != 0 || c.Remaining != nil || c.Evaluated != 0 || c.Pruned != 0 || c.Best != nil
+	default:
+		return nil, fmt.Errorf("core: checkpoint is for algorithm %q, not %s or %s", c.Algorithm, KindEnum, KindPortfolio)
+	}
+	if foreign {
+		return nil, fmt.Errorf("core: %s checkpoint carries fields of the other checkpoint kind", c.Algorithm)
 	}
 	return &c, nil
+}
+
+// Mismatch is the error a resume validation reports when a checkpoint field
+// differs from the run trying to resume it.
+func (c *Checkpoint) Mismatch(field string, got, want any) error {
+	return fmt.Errorf("core: checkpoint does not match this run: %s is %v, checkpoint has %v", field, got, want)
+}
+
+// ValidateCommon checks the fields every checkpoint kind shares against the
+// resuming run: the kind itself, the scenario fingerprint, the effective s,
+// and the options both kinds echo (Seed, DisablePrune, GroundLeftovers).
+func (c *Checkpoint) ValidateCommon(kind string, in *Instance, s int, opts Options) error {
+	if c.Algorithm != kind {
+		return fmt.Errorf("core: checkpoint is for algorithm %q, not %s", c.Algorithm, kind)
+	}
+	if fp := in.Fingerprint(); fp != c.ScenarioFingerprint {
+		// Hex, matching what uavgen prints for a scenario file.
+		return c.Mismatch("scenario fingerprint", fmt.Sprintf("%016x", fp), fmt.Sprintf("%016x", c.ScenarioFingerprint))
+	}
+	if s != c.S {
+		return c.Mismatch("s", s, c.S)
+	}
+	if opts.Seed != c.Seed {
+		return c.Mismatch("seed", opts.Seed, c.Seed)
+	}
+	if opts.DisablePrune != c.DisablePrune {
+		return c.Mismatch("disable-prune", opts.DisablePrune, c.DisablePrune)
+	}
+	if opts.GroundLeftovers != c.GroundLeftovers {
+		return c.Mismatch("ground-leftovers", opts.GroundLeftovers, c.GroundLeftovers)
+	}
+	return nil
 }
 
 // validate rejects a checkpoint that was not produced by an identical run:
 // same scenario, same effective options, same enumeration space. seed of
 // Options is passed through opts.
 func (c *Checkpoint) validate(in *Instance, s int, opts Options, total int64, sampled bool) error {
-	mismatch := func(field string, got, want any) error {
-		return fmt.Errorf("core: checkpoint does not match this run: %s is %v, checkpoint has %v", field, got, want)
-	}
-	if c.Algorithm != "approAlg" {
-		return fmt.Errorf("core: checkpoint is for algorithm %q, not approAlg", c.Algorithm)
-	}
-	if fp := in.Fingerprint(); fp != c.ScenarioFingerprint {
-		// Hex, matching what uavgen prints for a scenario file.
-		return mismatch("scenario fingerprint", fmt.Sprintf("%016x", fp), fmt.Sprintf("%016x", c.ScenarioFingerprint))
-	}
-	if s != c.S {
-		return mismatch("s", s, c.S)
-	}
-	if opts.Seed != c.Seed {
-		return mismatch("seed", opts.Seed, c.Seed)
+	mismatch := c.Mismatch
+	if err := c.ValidateCommon(KindEnum, in, s, opts); err != nil {
+		return err
 	}
 	if opts.MaxSubsets != c.MaxSubsets {
 		return mismatch("max-subsets", opts.MaxSubsets, c.MaxSubsets)
-	}
-	if opts.DisablePrune != c.DisablePrune {
-		return mismatch("disable-prune", opts.DisablePrune, c.DisablePrune)
-	}
-	if opts.GroundLeftovers != c.GroundLeftovers {
-		return mismatch("ground-leftovers", opts.GroundLeftovers, c.GroundLeftovers)
 	}
 	if len(opts.RequiredCells) != len(c.RequiredCells) {
 		return mismatch("required cells", opts.RequiredCells, c.RequiredCells)
@@ -288,7 +432,7 @@ func (c *Checkpoint) validate(in *Instance, s int, opts Options, total int64, sa
 // found in the processed set.
 func newCheckpoint(in *Instance, s int, opts Options, total int64, sampled bool, remaining []Span, evaluated, pruned int64, best subsetResult) *Checkpoint {
 	c := &Checkpoint{
-		Algorithm:           "approAlg",
+		Algorithm:           KindEnum,
 		ScenarioFingerprint: in.Fingerprint(),
 		S:                   s,
 		Seed:                opts.Seed,

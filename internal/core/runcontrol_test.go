@@ -70,6 +70,36 @@ func TestUnmarshalCheckpointRejects(t *testing.T) {
 	}
 }
 
+// TestUnmarshalCheckpointRejectsForeignKindFields: each checkpoint kind
+// decodes with the other kind's fields left zero, and a file carrying a
+// non-zero field of the other kind — which no solver would read — is
+// rejected with an error naming the kind.
+func TestUnmarshalCheckpointRejectsForeignKindFields(t *testing.T) {
+	enum := `{"algorithm":"approAlg","scenario_fingerprint":1,"s":3,"seed":0,"total_subsets":10,"cursor":4,"evaluated":4,"pruned":0`
+	port := `{"algorithm":"portfolio","scenario_fingerprint":1,"s":3,"seed":0,"total_subsets":0,"cursor":0,"evaluated":0,"pruned":0,"solver":"anneal","budget":50,"members":[{"name":"anneal","steps":1,"evals":1,"rng":7,"cur_served":0,"best_served":-1}]`
+	for _, ok := range []string{enum + `}`, port + `}`} {
+		if _, err := UnmarshalCheckpoint([]byte(ok)); err != nil {
+			t.Fatalf("valid checkpoint %s rejected: %v", ok, err)
+		}
+	}
+	cases := []struct{ kind, doc string }{
+		{"approAlg", enum + `,"solver":"anneal"}`},
+		{"approAlg", enum + `,"budget":50}`},
+		{"approAlg", enum + `,"members":[]}`},
+		{"portfolio", strings.Replace(port, `"cursor":0`, `"cursor":3`, 1) + `}`},
+		{"portfolio", strings.Replace(port, `"total_subsets":0`, `"total_subsets":10`, 1) + `}`},
+		{"portfolio", port + `,"max_subsets":5}`},
+		{"portfolio", port + `,"shard":{"index":0,"count":2,"start":0,"end":5}}`},
+		{"portfolio", port + `,"best":{"idx":1,"served":2,"locs":[1],"nsel":1}}`},
+	}
+	for _, tc := range cases {
+		_, err := UnmarshalCheckpoint([]byte(tc.doc))
+		if err == nil || !strings.Contains(err.Error(), tc.kind) {
+			t.Errorf("%s: got %v, want a rejection naming %s", tc.doc, err, tc.kind)
+		}
+	}
+}
+
 func TestStopAfterProducesResumableCheckpoint(t *testing.T) {
 	in := runControlScenario(t)
 	base := Options{S: 3, Workers: 3}

@@ -51,7 +51,7 @@ func benchInstance(b *testing.B, s int) (in *Instance, idx int64, anchors []int,
 	// Find the first subset that survives pruning and yields a feasible
 	// deployment, so every benchmark iteration runs the full evaluation body.
 	src := newSubsetSource(sc.M(), s, opts, false)
-	oracle, err := newPlacementOracle(in, caps, false)
+	oracle, err := newPlacementOracle(in, caps)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func BenchmarkSubsetEval(b *testing.B) {
 	in, idx, anchors, budget, q, caps, opts := benchInstance(b, 3)
 
 	b.Run("scratch-reuse", func(b *testing.B) {
-		oracle, err := newPlacementOracle(in, caps, false)
+		oracle, err := newPlacementOracle(in, caps)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func BenchmarkSubsetEval(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			oracle, err := newPlacementOracle(in, caps, false)
+			oracle, err := newPlacementOracle(in, caps)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -180,11 +180,10 @@ func SolverAlg(solver string, s int, budget int64, literal bool, seed int64) Alg
 	return Algorithm{
 		Name: solver,
 		Run: func(ctx context.Context, in *core.Instance) (*core.Deployment, error) {
-			dep, _, err := portfolio.Race(ctx, in, core.Options{
+			return portfolio.Race(ctx, in, core.Options{
 				S: s, Solver: solver, SolverBudget: budget,
 				GroundLeftovers: literal, Seed: seed,
-			}, nil)
-			return dep, err
+			})
 		},
 	}
 }

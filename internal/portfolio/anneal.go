@@ -66,9 +66,9 @@ func (a *annealSolver) Step() (bool, error) {
 	return true, nil
 }
 
-func (a *annealSolver) State() (SolverState, error) { return a.baseState("anneal", nil) }
+func (a *annealSolver) State() (core.SolverState, error) { return a.baseState("anneal", nil) }
 
-func (a *annealSolver) Restore(st SolverState) error {
+func (a *annealSolver) Restore(st core.SolverState) error {
 	_, err := a.restoreBase("anneal", st)
 	return err
 }

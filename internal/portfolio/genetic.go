@@ -118,7 +118,7 @@ type geneticExtra struct {
 	Fit []int   `json:"fit"`
 }
 
-func (g *geneticSolver) State() (SolverState, error) {
+func (g *geneticSolver) State() (core.SolverState, error) {
 	ex := geneticExtra{Pop: make([][]int, len(g.pop)), Fit: append([]int(nil), g.fit...)}
 	for i, ind := range g.pop {
 		ex.Pop[i] = append([]int(nil), ind...)
@@ -126,7 +126,7 @@ func (g *geneticSolver) State() (SolverState, error) {
 	return g.baseState("genetic", ex)
 }
 
-func (g *geneticSolver) Restore(st SolverState) error {
+func (g *geneticSolver) Restore(st core.SolverState) error {
 	raw, err := g.restoreBase("genetic", st)
 	if err != nil {
 		return err

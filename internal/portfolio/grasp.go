@@ -142,11 +142,11 @@ type graspExtra struct {
 	Stall int `json:"stall"`
 }
 
-func (g *graspSolver) State() (SolverState, error) {
+func (g *graspSolver) State() (core.SolverState, error) {
 	return g.baseState("grasp", graspExtra{Stall: g.stall})
 }
 
-func (g *graspSolver) Restore(st SolverState) error {
+func (g *graspSolver) Restore(st core.SolverState) error {
 	raw, err := g.restoreBase("grasp", st)
 	if err != nil {
 		return err

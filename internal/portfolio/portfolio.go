@@ -44,8 +44,8 @@ type Solver interface {
 	// previously frozen state. A restored member continues exactly the
 	// interrupted trajectory: the state carries everything step t+1 depends
 	// on (RNG, incumbent, best, member-specific memory).
-	State() (SolverState, error)
-	Restore(SolverState) error
+	State() (core.SolverState, error)
+	Restore(core.SolverState) error
 }
 
 // Members lists the portfolio's member names in canonical race order — the

@@ -138,11 +138,11 @@ func TestRaceDeterminism(t *testing.T) {
 			opts := core.Options{S: 2, Solver: solver, SolverBudget: 300, Seed: 7}
 			var blobs [2][]byte
 			for i := range blobs {
-				dep, cp, err := Race(context.Background(), in, opts, nil)
+				dep, err := Race(context.Background(), in, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if cp != nil {
+				if dep.Checkpoint != nil {
 					t.Fatal("uninterrupted run returned a checkpoint")
 				}
 				if solver != "portfolio" && dep.Algorithm != solver {
@@ -169,12 +169,12 @@ func TestRaceDeterminism(t *testing.T) {
 func TestRaceMemberSeedIndependentOfLineup(t *testing.T) {
 	t.Parallel()
 	in := testInstance(t, 12)
-	dep, _, err := Race(context.Background(), in, core.Options{S: 2, Solver: "portfolio", SolverBudget: 200, Seed: 3}, nil)
+	dep, err := Race(context.Background(), in, core.Options{S: 2, Solver: "portfolio", SolverBudget: 200, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	winner := strings.TrimPrefix(dep.Algorithm, "portfolio/")
-	solo, _, err := Race(context.Background(), in, core.Options{S: 2, Solver: winner, SolverBudget: 200, Seed: 3}, nil)
+	solo, err := Race(context.Background(), in, core.Options{S: 2, Solver: winner, SolverBudget: 200, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +191,9 @@ func TestRaceResumeByteIdentity(t *testing.T) {
 	in := testInstance(t, 13)
 	opts := core.Options{S: 2, Solver: "portfolio", SolverBudget: 4000, Seed: 5}
 
-	full, cp, err := Race(context.Background(), in, opts, nil)
-	if err != nil || cp != nil {
-		t.Fatalf("uninterrupted run: err=%v cp=%v", err, cp)
+	full, err := Race(context.Background(), in, opts)
+	if err != nil || full.Checkpoint != nil {
+		t.Fatalf("uninterrupted run: err=%v cp=%v", err, full.Checkpoint)
 	}
 	wantJSON, err := json.Marshal(full)
 	if err != nil {
@@ -212,32 +212,34 @@ func TestRaceResumeByteIdentity(t *testing.T) {
 			cancel()
 		}
 	}
-	stopDep, stopCp, err := Race(ctx, in, iopts, nil)
-	if stopCp == nil {
-		t.Skipf("run finished before the interrupt landed (err=%v); nothing to resume", err)
+	stopDep, err := Race(ctx, in, iopts)
+	if err == nil && stopDep.Checkpoint == nil {
+		t.Skip("run finished before the interrupt landed; nothing to resume")
 	}
 	if err == nil {
 		t.Fatal("stopped run returned no error")
 	}
-	if stopDep != nil && stopDep.Status != core.StatusStopped {
-		t.Fatalf("stopped run has status %v", stopDep.Status)
+	if stopDep == nil || stopDep.Status != core.StatusStopped || stopDep.Checkpoint == nil {
+		t.Fatalf("stopped run returned %+v, want a StatusStopped deployment with a checkpoint", stopDep)
 	}
 
 	// A checkpoint must round-trip through its JSON form unharmed.
-	blob, err := stopCp.Marshal()
+	blob, err := stopDep.Checkpoint.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := UnmarshalCheckpoint(blob)
+	restored, err := core.UnmarshalCheckpoint(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	resumed, cp2, err := Race(context.Background(), in, opts, restored)
+	ropts := opts
+	ropts.Resume = restored
+	resumed, err := Race(context.Background(), in, ropts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp2 != nil {
+	if resumed.Checkpoint != nil {
 		t.Fatal("resumed run returned a checkpoint despite completing")
 	}
 	gotJSON, err := json.Marshal(resumed)
@@ -267,7 +269,7 @@ func TestRaceRejectsEnumOptions(t *testing.T) {
 	for _, tc := range cases {
 		opts := base
 		tc.mutate(&opts)
-		if _, _, err := Race(context.Background(), in, opts, nil); err == nil {
+		if _, err := Race(context.Background(), in, opts); err == nil {
 			t.Errorf("%s: Race accepted the option", tc.name)
 		}
 	}
@@ -288,43 +290,56 @@ func TestCheckpointValidateRejectsMismatch(t *testing.T) {
 			cancel()
 		}
 	}
-	_, cp, err := Race(ctx, in, iopts, nil)
+	dep, err := Race(ctx, in, iopts)
 	cancel()
-	if cp == nil {
+	if dep == nil || dep.Checkpoint == nil {
 		t.Fatalf("no checkpoint from interrupted run (err=%v)", err)
 	}
+	cp := dep.Checkpoint
 
 	cases := []struct {
 		name   string
-		mutate func(o *core.Options, c *Checkpoint)
+		mutate func(o *core.Options, c *core.Checkpoint)
 	}{
-		{"seed", func(o *core.Options, c *Checkpoint) { o.Seed++ }},
-		{"budget", func(o *core.Options, c *Checkpoint) { o.SolverBudget++ }},
-		{"solver", func(o *core.Options, c *Checkpoint) { o.Solver = "anneal" }},
-		{"algorithm", func(o *core.Options, c *Checkpoint) { c.Algorithm = "approAlg" }},
-		{"fingerprint", func(o *core.Options, c *Checkpoint) { c.ScenarioFingerprint++ }},
-		{"member order", func(o *core.Options, c *Checkpoint) {
+		{"seed", func(o *core.Options, c *core.Checkpoint) { o.Seed++ }},
+		{"budget", func(o *core.Options, c *core.Checkpoint) { o.SolverBudget++ }},
+		{"solver", func(o *core.Options, c *core.Checkpoint) { o.Solver = "anneal" }},
+		{"algorithm", func(o *core.Options, c *core.Checkpoint) { c.Algorithm = core.KindEnum }},
+		{"fingerprint", func(o *core.Options, c *core.Checkpoint) { c.ScenarioFingerprint++ }},
+		{"member order", func(o *core.Options, c *core.Checkpoint) {
 			c.Members[0].Name, c.Members[1].Name = c.Members[1].Name, c.Members[0].Name
 		}},
-		{"overspent member", func(o *core.Options, c *Checkpoint) { c.Members[0].Evals = c.Budget + 1 }},
+		{"overspent member", func(o *core.Options, c *core.Checkpoint) { c.Members[0].Evals = c.Budget + 1 }},
 	}
 	for _, tc := range cases {
 		mutated := *cp
-		mutated.Members = append([]SolverState(nil), cp.Members...)
+		mutated.Members = append([]core.SolverState(nil), cp.Members...)
 		o := opts
 		tc.mutate(&o, &mutated)
-		if _, _, err := Race(context.Background(), in, o, &mutated); err == nil {
+		o.Resume = &mutated
+		if _, err := Race(context.Background(), in, o); err == nil {
 			t.Errorf("%s: resume accepted a mismatched checkpoint", tc.name)
 		}
 	}
 }
 
+// TestUnmarshalCheckpointRejectsWrongAlgorithm checks both gates a foreign
+// checkpoint meets on its way into a race: decoding rejects unknown kinds,
+// and Race refuses an enumeration checkpoint with an error naming it.
 func TestUnmarshalCheckpointRejectsWrongAlgorithm(t *testing.T) {
 	t.Parallel()
-	if _, err := UnmarshalCheckpoint([]byte(`{"algorithm":"approAlg"}`)); err == nil {
-		t.Fatal("UnmarshalCheckpoint accepted an enumeration checkpoint")
+	if _, err := core.UnmarshalCheckpoint([]byte(`{"algorithm":"MCS"}`)); err == nil {
+		t.Fatal("UnmarshalCheckpoint accepted a foreign algorithm")
 	}
-	if _, err := UnmarshalCheckpoint([]byte(`not json`)); err == nil {
+	if _, err := core.UnmarshalCheckpoint([]byte(`not json`)); err == nil {
 		t.Fatal("UnmarshalCheckpoint accepted junk")
+	}
+	enumCP, err := core.UnmarshalCheckpoint([]byte(`{"algorithm":"approAlg","scenario_fingerprint":1,"s":2,"seed":0,"total_subsets":10,"cursor":3,"evaluated":3,"pruned":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{S: 2, Solver: "anneal", SolverBudget: 50, Resume: enumCP}
+	if _, err := Race(context.Background(), testInstance(t, 16), opts); err == nil || !strings.Contains(err.Error(), `"approAlg"`) {
+		t.Fatalf("Race resumed an enumeration checkpoint: %v", err)
 	}
 }

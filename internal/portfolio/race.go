@@ -47,43 +47,43 @@ func newSolver(name string, p *problem, ev *core.SubsetEvaluator, seed, budget i
 // deployment any member found — finalized through the exact Algorithm 2
 // pipeline, so it satisfies every constraint verify.CheckDeployment checks.
 //
-// Run control mirrors core.Approx: the race honors ctx (members stop at the
+// Run control is core.Approx's: the race honors ctx (members stop at the
 // next step boundary), reports core.Progress snapshots through opts.Progress,
 // and a cancelled run returns its best-so-far deployment with Status
-// StatusStopped TOGETHER with ctx.Err() and a resumable Checkpoint. Resuming
-// (the resume argument; nil for a fresh run) continues every member's exact
-// trajectory, so an interrupted-then-resumed race is byte-identical to an
-// uninterrupted one. The reduction is deterministic: most served users, ties
-// to the canonical member order — never arrival order or wall clock.
+// StatusStopped and a resumable Checkpoint (kind core.KindPortfolio)
+// TOGETHER with ctx.Err(); a race stopped before any member found a feasible
+// subset returns the all-grounded deployment with the checkpoint. Resuming
+// through opts.Resume continues every member's exact trajectory, so an
+// interrupted-then-resumed race is byte-identical to an uninterrupted one.
+// The reduction is deterministic: most served users, ties to the canonical
+// member order — never arrival order or wall clock.
 //
-// Unsupported enumeration options (MaxSubsets, Shard, StopAfter, Resume,
+// Unsupported enumeration options (MaxSubsets, Shard, StopAfter,
 // RequiredCells) are rejected: the first three control the enumeration index
 // space, which a local search does not have; gateway-constrained searches
 // need the enumeration's required-cell filter.
-func Race(ctx context.Context, in *core.Instance, opts core.Options, resume *Checkpoint) (*core.Deployment, *Checkpoint, error) {
+func Race(ctx context.Context, in *core.Instance, opts core.Options) (*core.Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background() //uavlint:allow ctxthread -- nil-ctx normalization at the API boundary
 	}
 	start := time.Now() //uavlint:allow timenow -- progress/ETA clock; never feeds a solver decision
 	if opts.SolverIsEnum() {
-		return nil, nil, fmt.Errorf("portfolio: Options.Solver %q selects the enumeration; call core.Approx", opts.Solver)
+		return nil, fmt.Errorf("portfolio: Options.Solver %q selects the enumeration; call core.Approx", opts.Solver)
 	}
 	members, err := SolverMembers(opts.Solver)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	switch {
 	case opts.MaxSubsets != 0:
-		return nil, nil, fmt.Errorf("portfolio: MaxSubsets applies to the enumeration only; use SolverBudget")
+		return nil, fmt.Errorf("portfolio: MaxSubsets applies to the enumeration only; use SolverBudget")
 	case opts.StopAfter != 0:
-		return nil, nil, fmt.Errorf("portfolio: StopAfter applies to the enumeration only; use SolverBudget or a context deadline")
-	case opts.Resume != nil:
-		return nil, nil, fmt.Errorf("portfolio: Options.Resume carries an enumeration checkpoint; pass a portfolio checkpoint to Race instead")
+		return nil, fmt.Errorf("portfolio: StopAfter applies to the enumeration only; use SolverBudget or a context deadline")
 	case len(opts.RequiredCells) != 0:
-		return nil, nil, fmt.Errorf("portfolio: RequiredCells (gateway mode) needs the enumeration")
+		return nil, fmt.Errorf("portfolio: RequiredCells (gateway mode) needs the enumeration")
 	}
 	if opts.Shard.Count != 0 || opts.Shard.Index != 0 {
-		return nil, nil, fmt.Errorf("portfolio: Shard applies to the enumeration only")
+		return nil, fmt.Errorf("portfolio: Shard applies to the enumeration only")
 	}
 	budget := opts.SolverBudget
 	if budget <= 0 {
@@ -95,27 +95,28 @@ func Race(ctx context.Context, in *core.Instance, opts core.Options, resume *Che
 	evs := make([]*core.SubsetEvaluator, len(members))
 	for i := range members {
 		if evs[i], err = core.NewSubsetEvaluator(in, opts); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	s := evs[0].S()
 	p, err := newProblem(in, s)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	solvers := make([]Solver, len(members))
 	for i, name := range members {
 		if solvers[i], err = newSolver(name, p, evs[i], opts.Seed, budget); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
+	resume := opts.Resume
 	if resume != nil {
-		if err := resume.validate(in, s, opts, opts.Solver, budget, members); err != nil {
-			return nil, nil, err
+		if err := validateResume(resume, in, s, opts, budget, members); err != nil {
+			return nil, err
 		}
 		for i := range solvers {
 			if err := solvers[i].Restore(resume.Members[i]); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
@@ -171,90 +172,47 @@ func Race(ctx context.Context, in *core.Instance, opts core.Options, resume *Che
 	}
 
 	total := int64(len(members)) * budget
-	snapshot := func() core.Progress {
+	stopProgress := core.MonitorProgress(start, opts, func() core.Progress {
 		evals := progEvals.Load()
-		best := progBest.Load()
-		if best < 0 {
-			best = 0
-		}
-		pr := core.Progress{
+		return core.Progress{
 			Done:       evals,
 			Total:      total,
 			Evaluated:  evals,
-			BestServed: int(best),
-			Elapsed:    time.Since(start), //uavlint:allow timenow -- progress snapshot output only
+			BestServed: int(max(progBest.Load(), 0)),
 			ScopeDone:  evals,
 			ScopeTotal: total,
 		}
-		if evals > 0 && evals < total {
-			pr.ETA = time.Duration(float64(pr.Elapsed) / float64(evals) * float64(total-evals))
-		}
-		return pr
-	}
-	monitorDone := make(chan struct{})
-	var monitor sync.WaitGroup
-	if opts.Progress != nil {
-		interval := opts.ProgressInterval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		monitor.Add(1)
-		go func() {
-			defer monitor.Done()
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ticker.C:
-					opts.Progress(snapshot())
-				case <-monitorDone:
-					return
-				}
-			}
-		}()
-	}
-
+	})
 	wg.Wait()
-	close(monitorDone)
-	monitor.Wait()
-	if opts.Progress != nil {
-		opts.Progress(snapshot())
-	}
-	for _, out := range outs {
-		if out.err != nil {
-			return nil, nil, out.err
-		}
-	}
-
+	stopProgress()
 	stopped := false
 	for _, out := range outs {
-		if !out.done {
-			stopped = true
+		if out.err != nil {
+			return nil, out.err
 		}
+		stopped = stopped || !out.done
 	}
 
 	// Freeze member states BEFORE finalization: BuildDeployment re-runs one
 	// evaluation on the winner's evaluator, which must not leak into the
 	// checkpointed budget accounting.
-	var cp *Checkpoint
+	var cp *core.Checkpoint
 	if stopped {
-		cp = &Checkpoint{
-			Algorithm:           "portfolio",
+		cp = &core.Checkpoint{
+			Algorithm:           core.KindPortfolio,
 			ScenarioFingerprint: in.Fingerprint(),
 			S:                   s,
 			Seed:                opts.Seed,
-			Solver:              opts.Solver,
-			Budget:              budget,
 			DisablePrune:        opts.DisablePrune,
 			GroundLeftovers:     opts.GroundLeftovers,
-			Members:             make([]SolverState, len(solvers)),
+			Solver:              opts.Solver,
+			Budget:              budget,
+			Members:             make([]core.SolverState, len(solvers)),
 		}
 		for i, sv := range solvers {
-			st, err := sv.State()
-			if err != nil {
-				return nil, nil, err
+			if cp.Members[i], err = sv.State(); err != nil {
+				return nil, err
 			}
-			cp.Members[i] = st
 		}
 	}
 
@@ -266,30 +224,56 @@ func Race(ctx context.Context, in *core.Instance, opts core.Options, resume *Che
 			winner, winServed = i, served
 		}
 	}
-	var runErr error
-	if stopped {
-		runErr = ctx.Err()
-	}
-	if winner < 0 {
-		if stopped {
-			return nil, cp, fmt.Errorf("portfolio: stopped before any feasible deployment was found (resume with the checkpoint): %w", runErr)
+	var dep *core.Deployment
+	switch {
+	case winner >= 0:
+		anchors, _ := solvers[winner].Best()
+		if dep, err = evs[winner].BuildDeployment(anchors); err != nil {
+			return nil, err
 		}
-		return nil, nil, fmt.Errorf("portfolio: no feasible deployment within a budget of %d evaluations per member", budget)
-	}
-	anchors, _ := solvers[winner].Best()
-	dep, err := evs[winner].BuildDeployment(anchors)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(members) == 1 {
 		dep.Algorithm = members[winner]
-	} else {
-		dep.Algorithm = "portfolio/" + members[winner]
+		if len(members) > 1 {
+			dep.Algorithm = "portfolio/" + members[winner]
+		}
+	case stopped:
+		dep = core.EmptyDeployment(in, opts.Solver)
+		dep.Budget = evs[0].Budget()
+	default:
+		return nil, fmt.Errorf("portfolio: no feasible deployment within a budget of %d evaluations per member", budget)
 	}
 	dep.SubsetsEvaluated = progEvals.Load()
 	dep.Status = core.StatusComplete
 	if stopped {
 		dep.Status = core.StatusStopped
+		dep.Checkpoint = cp
+		return dep, ctx.Err()
 	}
-	return dep, cp, runErr
+	return dep, nil
+}
+
+// validateResume rejects a checkpoint that was not produced by an identical
+// race: the kind, the scenario and shared options (core.ValidateCommon), the
+// solver and budget, and the member lineup.
+func validateResume(c *core.Checkpoint, in *core.Instance, s int, opts core.Options, budget int64, members []string) error {
+	if err := c.ValidateCommon(core.KindPortfolio, in, s, opts); err != nil {
+		return err
+	}
+	if opts.Solver != c.Solver {
+		return c.Mismatch("solver", opts.Solver, c.Solver)
+	}
+	if budget != c.Budget {
+		return c.Mismatch("solver budget", budget, c.Budget)
+	}
+	if len(c.Members) != len(members) {
+		return c.Mismatch("member count", len(members), len(c.Members))
+	}
+	for i, name := range members {
+		if c.Members[i].Name != name {
+			return c.Mismatch("member", name, c.Members[i].Name)
+		}
+		if c.Members[i].Evals > budget {
+			return fmt.Errorf("portfolio: checkpoint member %q spent %d evaluations, over the %d budget", name, c.Members[i].Evals, budget)
+		}
+	}
+	return nil
 }

@@ -166,8 +166,8 @@ func (s *search) Best() ([]int, int) {
 }
 
 // baseState freezes the shared fields; extra carries the member's own memory.
-func (s *search) baseState(name string, extra any) (SolverState, error) {
-	st := SolverState{
+func (s *search) baseState(name string, extra any) (core.SolverState, error) {
+	st := core.SolverState{
 		Name:       name,
 		Steps:      s.steps,
 		Evals:      s.ev.Evaluations(),
@@ -180,7 +180,7 @@ func (s *search) baseState(name string, extra any) (SolverState, error) {
 	if extra != nil {
 		raw, err := json.Marshal(extra)
 		if err != nil {
-			return SolverState{}, err
+			return core.SolverState{}, err
 		}
 		st.Extra = raw
 	}
@@ -191,7 +191,7 @@ func (s *search) baseState(name string, extra any) (SolverState, error) {
 // for the caller to decode. The evaluator's evaluation counter is advanced to
 // the frozen value so the remaining budget is exactly what the interrupted
 // run had left.
-func (s *search) restoreBase(name string, st SolverState) (json.RawMessage, error) {
+func (s *search) restoreBase(name string, st core.SolverState) (json.RawMessage, error) {
 	if st.Name != name {
 		return nil, fmt.Errorf("portfolio: state is for member %q, not %q", st.Name, name)
 	}

@@ -98,11 +98,11 @@ type tabuExtra struct {
 	Head int   `json:"head"`
 }
 
-func (t *tabuSolver) State() (SolverState, error) {
+func (t *tabuSolver) State() (core.SolverState, error) {
 	return t.baseState("tabu", tabuExtra{Ring: append([]int(nil), t.ring...), Head: t.head})
 }
 
-func (t *tabuSolver) Restore(st SolverState) error {
+func (t *tabuSolver) Restore(st core.SolverState) error {
 	raw, err := t.restoreBase("tabu", st)
 	if err != nil {
 		return err

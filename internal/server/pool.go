@@ -4,8 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io/fs"
 
 	uavnet "github.com/uav-coverage/uavnet"
 )
@@ -97,13 +96,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		// Solve complete: persist the deployment first, then the state —
 		// after a crash in between, rescan sees a running job with a
 		// checkpoint and simply resumes it to the same bytes.
-		if perr := s.saveDeployment(j, dep); perr != nil {
+		data, perr := s.saveDeployment(j, dep)
+		if perr != nil {
 			s.fail(j, fmt.Errorf("persist deployment: %w", perr))
-			return
-		}
-		data, rerr := os.ReadFile(filepath.Join(s.jobDir(j.ID), deploymentFile))
-		if rerr != nil {
-			s.fail(j, fmt.Errorf("read back deployment: %w", rerr))
 			return
 		}
 		j.mu.Lock()
@@ -154,7 +149,10 @@ func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) 
 	if err != nil {
 		return nil, err
 	}
-	enumCP, portCP, err := s.loadResume(j)
+	resume, err := uavnet.LoadCheckpoint(s.checkpointPath(j))
+	if errors.Is(err, fs.ErrNotExist) {
+		resume, err = nil, nil // no checkpoint yet: start from scratch
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -177,18 +175,10 @@ func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) 
 	for {
 		sliceCtx, cancelSlice := context.WithTimeout(ctx, s.cfg.CheckpointEvery)
 		var (
-			dep     *uavnet.Deployment
-			sliceCP *uavnet.Checkpoint
-			runErr  error
+			dep    *uavnet.Deployment
+			runErr error
 		)
-		switch {
-		case !o.enum():
-			var cp *uavnet.PortfolioCheckpoint
-			dep, cp, runErr = uavnet.DeployPortfolioContext(sliceCtx, in, base, portCP)
-			if cp != nil {
-				portCP = cp
-			}
-		case o.Shards > 1 && enumCP == nil:
+		if o.Shards > 1 && resume == nil {
 			// First slice of a sharded job: the in-process pool solves the
 			// enumeration as Shards partial runs and merges. It owns
 			// progress itself (no hook), and a stopped pool run hands back
@@ -198,16 +188,10 @@ func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) 
 			poolOpts.ProgressInterval = 0
 			pool := uavnet.ShardPool{Shards: o.Shards, WorkersPerShard: o.Workers}
 			dep, runErr = pool.Run(sliceCtx, in, poolOpts)
-			if dep != nil {
-				sliceCP = dep.Checkpoint
-			}
-		default:
+		} else {
 			sliceOpts := base
-			sliceOpts.Resume = enumCP
+			sliceOpts.Resume = resume
 			dep, runErr = uavnet.DeployInstanceContext(sliceCtx, in, sliceOpts)
-			if dep != nil {
-				sliceCP = dep.Checkpoint
-			}
 		}
 		cancelSlice()
 
@@ -216,29 +200,18 @@ func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) 
 			// StatusPartial is impossible here).
 			return dep, nil
 		}
-
-		// Stopped: persist the frontier durably before anything else.
-		switch {
-		case sliceCP != nil:
-			enumCP = sliceCP
-			if err := uavnet.SaveCheckpoint(s.checkpointPath(j), sliceCP); err != nil {
-				return nil, fmt.Errorf("persist checkpoint: %w", err)
-			}
-			j.publish(Event{Type: "checkpoint", Cursor: sliceCP.Cursor, Total: sliceCP.Total})
-		case portCP != nil:
-			if err := uavnet.SavePortfolioCheckpoint(s.checkpointPath(j), portCP); err != nil {
-				return nil, fmt.Errorf("persist checkpoint: %w", err)
-			}
-			var spent, budget int64
-			for _, m := range portCP.Members {
-				spent += m.Evals
-				budget += portCP.Budget
-			}
-			j.publish(Event{Type: "checkpoint", Cursor: spent, Total: budget})
-		case runErr != nil:
+		if dep == nil || dep.Checkpoint == nil {
 			// No checkpoint and no complete deployment: a real failure.
 			return nil, runErr
 		}
+
+		// Stopped: persist the frontier durably before anything else.
+		resume = dep.Checkpoint
+		if err := uavnet.SaveCheckpoint(s.checkpointPath(j), resume); err != nil {
+			return nil, fmt.Errorf("persist checkpoint: %w", err)
+		}
+		done, total := resume.Frontier()
+		j.publish(Event{Type: "checkpoint", Cursor: done, Total: total})
 
 		if err := ctx.Err(); err != nil {
 			// The job context (not the slice timer) was cancelled.

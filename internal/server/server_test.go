@@ -410,58 +410,74 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // TestShutdownRestartResumesByteIdentical is the crash-recovery contract: a
 // server stopped mid-solve leaves a durable checkpoint; a new server over the
 // same directory rescans, resumes, and finishes with a deployment
-// byte-identical to an uninterrupted solve.
+// byte-identical to an uninterrupted solve. It covers every solve path the
+// slice loop drives: the enumeration, a portfolio member whose budget spans
+// several slices, and a sharded job whose first slice runs the shard pool.
 func TestShutdownRestartResumesByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	sc := slowScenario(t)
-
-	srvA, cancelA := newTestServer(t, dir, 1, 20*time.Millisecond)
-	tsA := httptest.NewServer(srvA.Handler())
-	resp, data := postJSON(t, tsA.URL+"/v1/jobs", submitBody(t, sc, JobOptions{}))
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+	cases := []struct {
+		name string
+		opts JobOptions
+	}{
+		{"enum", JobOptions{}},
+		{"anneal", JobOptions{Solver: "anneal", SolverBudget: 4000}},
+		{"shards", JobOptions{Shards: 3}},
 	}
-	var sum jobSummary
-	json.Unmarshal(data, &sum)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			sc := slowScenario(t)
 
-	// Wait for at least one durable checkpoint, then pull the plug.
-	ckptPath := filepath.Join(dir, sum.ID, checkpointFile)
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		if _, err := os.Stat(ckptPath); err == nil {
-			break
-		}
-		var cur jobSummary
-		getJSON(t, tsA.URL+"/v1/jobs/"+sum.ID, &cur)
-		if cur.State == JobDone {
-			t.Skip("job finished before the first checkpoint; scenario too small for this machine")
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no checkpoint appeared")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	cancelA()
-	srvA.Wait()
-	tsA.Close()
+			srvA, cancelA := newTestServer(t, dir, 1, 20*time.Millisecond)
+			tsA := httptest.NewServer(srvA.Handler())
+			resp, data := postJSON(t, tsA.URL+"/v1/jobs", submitBody(t, sc, tc.opts))
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+			}
+			var sum jobSummary
+			json.Unmarshal(data, &sum)
 
-	// The interrupted job must be persisted as queued (not running/failed).
-	var st stateRecord
-	if err := readStrictJSON(filepath.Join(dir, sum.ID, stateFile), &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.State != JobQueued {
-		t.Fatalf("interrupted job persisted as %s, want queued", st.State)
-	}
+			// Wait for at least one durable checkpoint, then pull the plug.
+			ckptPath := filepath.Join(dir, sum.ID, checkpointFile)
+			deadline := time.Now().Add(60 * time.Second)
+			for {
+				if _, err := os.Stat(ckptPath); err == nil {
+					break
+				}
+				var cur jobSummary
+				getJSON(t, tsA.URL+"/v1/jobs/"+sum.ID, &cur)
+				if cur.State == JobDone {
+					t.Skip("job finished before the first checkpoint; scenario too small for this machine")
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("no checkpoint appeared")
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
+			cancelA()
+			srvA.Wait()
+			tsA.Close()
 
-	// Restart: a new server over the same directory resumes to completion.
-	srvB, _ := newTestServer(t, dir, 1, 50*time.Millisecond)
-	tsB := httptest.NewServer(srvB.Handler())
-	defer tsB.Close()
-	waitState(t, tsB.URL, sum.ID, JobDone)
-	got := fetchResult(t, tsB.URL, sum.ID)
-	if want := soloBytes(t, sc, JobOptions{}); !bytes.Equal(got, want) {
-		t.Errorf("resumed deployment differs from the solo solve (%d vs %d bytes)", len(got), len(want))
+			// The interrupted job must be persisted as queued (not
+			// running/failed).
+			var st stateRecord
+			if err := readStrictJSON(filepath.Join(dir, sum.ID, stateFile), &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.State != JobQueued {
+				t.Fatalf("interrupted job persisted as %s, want queued", st.State)
+			}
+
+			// Restart: a new server over the same directory resumes to
+			// completion.
+			srvB, _ := newTestServer(t, dir, 1, 50*time.Millisecond)
+			tsB := httptest.NewServer(srvB.Handler())
+			defer tsB.Close()
+			waitState(t, tsB.URL, sum.ID, JobDone)
+			got := fetchResult(t, tsB.URL, sum.ID)
+			if want := soloBytes(t, sc, tc.opts); !bytes.Equal(got, want) {
+				t.Errorf("resumed deployment differs from the solo solve (%d vs %d bytes)", len(got), len(want))
+			}
+		})
 	}
 }
 

@@ -110,43 +110,23 @@ func (s *Server) persistState(j *Job) error {
 //uavlint:allow timenow -- operational metadata on job records; never feeds a solver decision
 func (s *Server) now() string { return time.Now().UTC().Format(time.RFC3339) }
 
-// saveDeployment persists the final deployment. The bytes are exactly
+// saveDeployment persists the final deployment and returns the bytes it
+// wrote, which the job then serves from memory. The bytes are exactly
 // uavnet.SaveDeployment's, so the result endpoint serves files that compare
 // byte-identical (cmp) against a solo `uavdeploy -out` run — the property
 // the server-smoke CI job asserts end to end.
-func (s *Server) saveDeployment(j *Job, dep *uavnet.Deployment) error {
-	return uavnet.SaveDeployment(filepath.Join(s.jobDir(j.ID), deploymentFile), dep)
+func (s *Server) saveDeployment(j *Job, dep *uavnet.Deployment) ([]byte, error) {
+	data, err := uavnet.MarshalDeployment(dep)
+	if err != nil {
+		return nil, err
+	}
+	data = append(data, '\n')
+	return data, atomicfile.WriteFile(filepath.Join(s.jobDir(j.ID), deploymentFile), data, 0o644)
 }
 
 // checkpointPath returns a job's checkpoint file.
 func (s *Server) checkpointPath(j *Job) string {
 	return filepath.Join(s.jobDir(j.ID), checkpointFile)
-}
-
-// loadResume loads a job's persisted checkpoint, dispatching on the
-// embedded algorithm tag: exactly one of the returns is non-nil when a
-// checkpoint exists. A missing file means "start from scratch".
-func (s *Server) loadResume(j *Job) (*uavnet.Checkpoint, *uavnet.PortfolioCheckpoint, error) {
-	path := s.checkpointPath(j)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	var probe struct {
-		Algorithm string `json:"algorithm"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if probe.Algorithm == "portfolio" {
-		cp, err := uavnet.LoadPortfolioCheckpoint(path)
-		return nil, cp, err
-	}
-	cp, err := uavnet.LoadCheckpoint(path)
-	return cp, nil, err
 }
 
 // rescan loads every job directory under cfg.Dir, rebuilding the in-memory

@@ -9,11 +9,12 @@ import (
 	"github.com/uav-coverage/uavnet/internal/core"
 )
 
-// TestOracleEquivalence proves the incremental matcher behind the default
-// placement oracle is a drop-in replacement for the Dinic-based reference:
-// on every differential seed, Approx with the default (matcher) oracle and
-// with Options.ReferenceOracle must produce byte-identical deployments —
-// same served count, same locations, same per-UAV assignment.
+// TestOracleEquivalence checks, on every differential seed, that the
+// incremental matcher's score of the winning anchor subset (what
+// core.SubsetEvaluator reports, and what the enumeration ranks subsets by)
+// equals the served count of the deployment's final max-flow assignment,
+// over the same placement. The greedy-level comparison against the Dinic
+// reference engine lives in internal/core's TestOracleEquivalence.
 func TestOracleEquivalence(t *testing.T) {
 	t.Parallel()
 	seeds := int64(diffSeeds)
@@ -32,20 +33,29 @@ func TestOracleEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			s := 2
-			if s > sc.K() {
-				s = sc.K()
-			}
-			fast, err := core.Approx(context.Background(), in, core.Options{S: s, Workers: 2})
+			opts := core.Options{S: min(2, sc.K()), Workers: 2}
+			dep, err := core.Approx(context.Background(), in, opts)
 			if err != nil {
-				t.Fatalf("seed %d: matcher oracle: %v", seed, err)
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-			ref, err := core.Approx(context.Background(), in, core.Options{S: s, Workers: 2, ReferenceOracle: true})
+			ev, err := core.NewSubsetEvaluator(in, opts)
 			if err != nil {
-				t.Fatalf("seed %d: reference oracle: %v", seed, err)
+				t.Fatalf("seed %d: %v", seed, err)
 			}
-			if !reflect.DeepEqual(fast, ref) {
-				t.Fatalf("seed %d: oracles diverge:\nmatcher:   %+v\nreference: %+v", seed, fast, ref)
+			res, err := ev.Evaluate(dep.Anchors)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if !res.Feasible || res.Served != dep.Served {
+				t.Fatalf("seed %d: matcher scores the winner %d (feasible %v), max-flow assignment serves %d",
+					seed, res.Served, res.Feasible, dep.Served)
+			}
+			rebuilt, err := ev.BuildDeployment(dep.Anchors)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if !reflect.DeepEqual(rebuilt.LocationOf, dep.LocationOf) || !reflect.DeepEqual(rebuilt.Assignment, dep.Assignment) {
+				t.Fatalf("seed %d: re-evaluated winner differs:\nApprox:    %+v\nevaluator: %+v", seed, dep, rebuilt)
 			}
 		})
 	}

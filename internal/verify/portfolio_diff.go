@@ -37,9 +37,9 @@ func PortfolioDifferential(ctx context.Context, seed int64, budget int64, exhaus
 
 	var results []DiffResult
 	for _, name := range append(portfolio.Members(), "portfolio") {
-		dep, _, err := portfolio.Race(ctx, in, core.Options{
+		dep, err := portfolio.Race(ctx, in, core.Options{
 			S: s, Solver: name, SolverBudget: budget, Seed: seed,
-		}, nil)
+		})
 		if err != nil {
 			return results, fmt.Errorf("seed %d: %s: %w", seed, name, err)
 		}

@@ -8,7 +8,6 @@ import (
 
 	"github.com/uav-coverage/uavnet/internal/atomicfile"
 	"github.com/uav-coverage/uavnet/internal/core"
-	"github.com/uav-coverage/uavnet/internal/portfolio"
 )
 
 // scenarioFile is the on-disk JSON layout, versioned so future format
@@ -103,47 +102,15 @@ func SaveCheckpoint(path string, cp *Checkpoint) error {
 	return nil
 }
 
-// LoadCheckpoint reads a checkpoint saved by SaveCheckpoint. Resuming
-// validates it against the scenario and options, so loading performs only
-// structural checks.
+// LoadCheckpoint reads a checkpoint of either kind saved by SaveCheckpoint.
+// Resuming validates it against the scenario and options, so loading
+// performs only structural checks.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("uavnet: %w", err)
 	}
 	cp, err := core.UnmarshalCheckpoint(data)
-	if err != nil {
-		return nil, fmt.Errorf("uavnet: %w", err)
-	}
-	return cp, nil
-}
-
-// SavePortfolioCheckpoint writes a stopped portfolio race's checkpoint to
-// path as JSON, atomically (see SaveCheckpoint for the crash-safety
-// argument), ready for LoadPortfolioCheckpoint and DeployPortfolioContext.
-func SavePortfolioCheckpoint(path string, cp *PortfolioCheckpoint) error {
-	if cp == nil {
-		return fmt.Errorf("uavnet: nil checkpoint")
-	}
-	data, err := cp.Marshal()
-	if err != nil {
-		return fmt.Errorf("uavnet: %w", err)
-	}
-	if err := writeFileAtomic(path, append(data, '\n')); err != nil {
-		return fmt.Errorf("uavnet: %w", err)
-	}
-	return nil
-}
-
-// LoadPortfolioCheckpoint reads a checkpoint saved by
-// SavePortfolioCheckpoint. Resuming validates it against the scenario and
-// options, so loading performs only structural checks.
-func LoadPortfolioCheckpoint(path string) (*PortfolioCheckpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("uavnet: %w", err)
-	}
-	cp, err := portfolio.UnmarshalCheckpoint(data)
 	if err != nil {
 		return nil, fmt.Errorf("uavnet: %w", err)
 	}

@@ -132,9 +132,9 @@ func TestLoadCheckpointRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// TestLoadPortfolioCheckpointRejectsUnknownFields covers the portfolio
-// loader, whose member Extra blobs stay raw JSON (member-validated) while
-// the envelope is strict.
+// TestLoadPortfolioCheckpointRejectsUnknownFields covers the portfolio kind
+// of the one checkpoint loader, whose member Extra blobs stay raw JSON
+// (member-validated) while the envelope is strict.
 func TestLoadPortfolioCheckpointRejectsUnknownFields(t *testing.T) {
 	t.Parallel()
 	sc, err := uavnet.GenerateScenario(uavnet.ScenarioSpec{N: 60, K: 4, Seed: 3})
@@ -150,31 +150,31 @@ func TestLoadPortfolioCheckpointRejectsUnknownFields(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	opts := uavnet.Options{Solver: "anneal", SolverBudget: 50, Seed: 7}
-	_, cp, err := uavnet.DeployPortfolioContext(cancelled, in, opts, nil)
+	dep, err := uavnet.DeployInstanceContext(cancelled, in, opts)
 	if err == nil {
 		t.Fatal("cancelled race should report its context error")
 	}
-	if cp == nil {
-		t.Fatal("stopped portfolio run returned no checkpoint")
-	}
-	data, err := cp.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	if dep == nil || dep.Status != uavnet.StatusStopped || dep.Checkpoint == nil {
+		t.Fatalf("stopped portfolio run returned %+v, want a stopped deployment with a checkpoint", dep)
 	}
 
 	dir := t.TempDir()
-	if err := writeFile(t, dir+"/ok.ckpt", data); err != nil {
+	if err := uavnet.SaveCheckpoint(dir+"/ok.ckpt", dep.Checkpoint); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := uavnet.LoadPortfolioCheckpoint(dir + "/ok.ckpt"); err != nil {
+	if _, err := uavnet.LoadCheckpoint(dir + "/ok.ckpt"); err != nil {
 		t.Fatalf("valid portfolio checkpoint rejected: %v", err)
 	}
 
+	data, err := dep.Checkpoint.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := injectField(t, data, "sovler", "anneal")
 	if err := writeFile(t, dir+"/bad.ckpt", bad); err != nil {
 		t.Fatal(err)
 	}
-	_, err = uavnet.LoadPortfolioCheckpoint(dir + "/bad.ckpt")
+	_, err = uavnet.LoadCheckpoint(dir + "/bad.ckpt")
 	if err == nil {
 		t.Fatal("portfolio checkpoint with misspelled field accepted")
 	}

@@ -59,17 +59,19 @@ func DefaultChannel() ChannelParams { return channel.DefaultParams() }
 // every algorithm (location graph, hop distances, eligibility lists).
 func NewInstance(sc *Scenario) (*Instance, error) { return core.NewInstance(sc) }
 
-// Run-control types, re-exported from internal/core. A stopped run returns
-// its best-so-far deployment tagged StatusStopped together with ctx.Err();
-// the deployment's Checkpoint field (re-loadable via LoadCheckpoint) resumes
-// it through Options.Resume.
+// Run-control types, re-exported from internal/core. A stopped run — of the
+// enumeration or of the portfolio — returns its best-so-far deployment
+// tagged StatusStopped together with ctx.Err(); the deployment's Checkpoint
+// field (saved by SaveCheckpoint, re-loadable via LoadCheckpoint) resumes it
+// through Options.Resume.
 type (
 	// RunStatus tags how an approAlg run ended (StatusComplete,
 	// StatusStopped, or StatusPartial for sharded runs).
 	RunStatus = core.RunStatus
 	// RunProgress is the periodic snapshot delivered to Options.Progress.
 	RunProgress = core.Progress
-	// Checkpoint freezes a stopped approAlg run for later resumption.
+	// Checkpoint freezes a stopped run for later resumption; its Algorithm
+	// field tags the kind ("approAlg" or "portfolio").
 	Checkpoint = core.Checkpoint
 	// ShardSpec names one shard of a sharded enumeration (Options.Shard):
 	// shard Index of Count, covering a deterministic contiguous sub-range
@@ -138,12 +140,21 @@ func DeployInstanceContext(ctx context.Context, in *Instance, opts Options) (*De
 // deploySolver dispatches on Options.Solver: the enumeration (Algorithm 2)
 // by default, or the metaheuristic portfolio for "anneal", "tabu", "grasp",
 // "genetic", and "portfolio" — the budgeted large-m path (see the package
-// docs of internal/portfolio and the README's "Large m" section).
+// docs of internal/portfolio and the README's "Large m" section). Both
+// honor the same stopped-run contract and resume from Options.Resume.
 func deploySolver(ctx context.Context, in *Instance, opts Options) (*Deployment, error) {
 	if opts.SolverIsEnum() {
 		return core.Approx(ctx, in, opts)
 	}
-	dep, _, err := DeployPortfolioContext(ctx, in, opts, nil)
+	dep, err := portfolio.Race(ctx, in, opts)
+	if dep != nil {
+		if rep := verify.CheckDeployment(in, dep); !rep.OK() {
+			// Unreachable by construction — the portfolio finalizes through
+			// the exact Algorithm 2 pipeline — but the feasibility guarantee
+			// is part of the API, so it is enforced, not assumed.
+			return nil, fmt.Errorf("uavnet: portfolio produced an infeasible deployment: %v", rep)
+		}
+	}
 	return dep, err
 }
 
@@ -152,32 +163,6 @@ func deploySolver(ctx context.Context, in *Instance, opts Options) (*Deployment,
 // members, and "portfolio" to race all four.
 func SolverNames() []string {
 	return append([]string{"enum"}, append(portfolio.Members(), "portfolio")...)
-}
-
-// PortfolioCheckpoint freezes a stopped portfolio race (every member's RNG
-// word, incumbent, best, and member-specific memory) for later resumption;
-// the portfolio counterpart of Checkpoint.
-type PortfolioCheckpoint = portfolio.Checkpoint
-
-// DeployPortfolioContext races the metaheuristic members selected by
-// opts.Solver (a member name or "portfolio") under opts.SolverBudget
-// evaluations each, resuming from a prior run's checkpoint when resume is
-// non-nil. On cancellation it returns the best-so-far deployment (Status
-// StatusStopped) together with ctx.Err() and a resumable checkpoint —
-// mirroring DeployContext's stopped-run contract. Every returned deployment
-// has been re-checked by Verify: the portfolio never returns an infeasible
-// placement.
-func DeployPortfolioContext(ctx context.Context, in *Instance, opts Options, resume *PortfolioCheckpoint) (*Deployment, *PortfolioCheckpoint, error) {
-	dep, cp, err := portfolio.Race(ctx, in, opts, resume)
-	if dep != nil {
-		if rep := verify.CheckDeployment(in, dep); !rep.OK() {
-			// Unreachable by construction — the portfolio finalizes through
-			// the exact Algorithm 2 pipeline — but the feasibility guarantee
-			// is part of the API, so it is enforced, not assumed.
-			return nil, cp, fmt.Errorf("uavnet: portfolio produced an infeasible deployment: %v", rep)
-		}
-	}
-	return dep, cp, err
 }
 
 // AlgorithmNames lists every algorithm usable with DeployWith, the paper's
