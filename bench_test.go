@@ -115,27 +115,22 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkShardScaling measures the shard layer (PR 7) on the Fig. 6 s=3
-// point: the same enumeration split into 1, 2, 4, and 8 in-process shards
-// solved concurrently by ShardPool and merged. The served metric must match
-// across all shard counts — sharding changes wall-clock only, never the
-// answer. Speedup over shards=1 tracks available cores; on a single-core
-// runner all points degenerate to the same time/op (the merge adds
-// microseconds).
-func BenchmarkShardScaling(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("approAlg/s=3/shards=%d", shards), func(b *testing.B) {
+// BenchmarkWorkerScaling measures the in-process parallel path on the
+// Fig. 6 s=3 point: the same enumeration on 1, 2, 4, and 8 worker
+// goroutines. The served metric must match across all worker counts — the
+// worker count changes wall-clock only, never the answer. Speedup over
+// workers=1 tracks available cores; on a single-core runner all points
+// degenerate to the same time/op.
+func BenchmarkWorkerScaling(b *testing.B) {
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("approAlg/s=3/workers=%d", workers), func(b *testing.B) {
 			in := benchInstance(b, benchParams())
-			pool := uavnet.ShardPool{Shards: shards}
 			served := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dep, err := pool.Run(context.Background(), in, uavnet.Options{S: 3})
+				dep, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{S: 3, Workers: workers})
 				if err != nil {
 					b.Fatal(err)
-				}
-				if dep.Status != uavnet.StatusComplete {
-					b.Fatalf("status %q", dep.Status)
 				}
 				served = dep.Served
 			}

@@ -10,12 +10,15 @@ import (
 	uavnet "github.com/uav-coverage/uavnet"
 )
 
-// The files under testdata/checkpoints were written by the release that
-// still had a separate portfolio checkpoint type: scenario.json, an
-// enumeration checkpoint stopped at subset 3000 of C(36,3) (enumOpts plus
-// StopAfter), and a portfolio checkpoint cancelled mid-race (portOpts).
-// Both must keep loading through the one LoadCheckpoint and resume to the
-// uninterrupted run's bytes, with no migration.
+// The files under testdata/checkpoints were written by earlier releases:
+// scenario.json, an enumeration checkpoint stopped at subset 3000 of
+// C(36,3) (enumOpts plus StopAfter), and a portfolio checkpoint cancelled
+// mid-race (portOpts), both from the release that still had a separate
+// portfolio checkpoint type; and pool.ckpt, the merged two-hole checkpoint
+// of a three-shard in-process pool run (enumOpts) stopped by its deadline,
+// from the release that still had that pool. All must keep loading through
+// the one LoadCheckpoint and resume to the uninterrupted run's bytes, with
+// no migration.
 var (
 	enumOpts = uavnet.Options{S: 3, Workers: 2}
 	portOpts = uavnet.Options{S: 3, Seed: 3, Solver: "portfolio", SolverBudget: 3000}
@@ -55,14 +58,16 @@ func TestOlderCheckpointsResumeByteIdentical(t *testing.T) {
 	t.Parallel()
 	in := compatInstance(t)
 	for _, tc := range []struct {
+		name string
 		file string
 		kind string
 		opts uavnet.Options
 	}{
-		{"enum.ckpt", "approAlg", enumOpts},
-		{"portfolio.ckpt", "portfolio", portOpts},
+		{"approAlg", "enum.ckpt", "approAlg", enumOpts},
+		{"portfolio", "portfolio.ckpt", "portfolio", portOpts},
+		{"shard-pool", "pool.ckpt", "approAlg", enumOpts},
 	} {
-		t.Run(tc.kind, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			path := "testdata/checkpoints/" + tc.file
 			cp, err := uavnet.LoadCheckpoint(path)
 			if err != nil {

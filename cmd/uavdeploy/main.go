@@ -22,17 +22,14 @@
 //	uavdeploy -scenario big.json -timeout 30s -checkpoint run.ckpt
 //	uavdeploy -scenario big.json -resume run.ckpt     # continue to completion
 //	uavdeploy -scenario big.json -progress 2s         # periodic status lines
-//	uavdeploy -scenario big.json -shards 8            # sharded in-process solve
 //
 // A run interrupted by SIGINT or -timeout prints its best-so-far deployment,
 // writes the -checkpoint file if one was given, and exits non-zero; resuming
 // from that checkpoint produces the same deployment as an uninterrupted run.
 //
-// -shards N splits the anchor-subset enumeration into N contiguous index
-// shards solved concurrently in-process and merged deterministically — the
-// deployment is byte-identical to the unsharded run. An interrupted sharded
-// run writes a merged checkpoint (-checkpoint) that a plain -resume run
-// continues. For multi-process or multi-box sharding, see cmd/uavshard.
+// -workers N evaluates anchor subsets on N goroutines; the deployment is
+// byte-identical for every worker count. To split the enumeration across
+// processes or machines, see cmd/uavshard.
 //
 // Large m (metaheuristic portfolio):
 //
@@ -74,7 +71,6 @@ func run() error {
 		alg          = flag.String("alg", "approAlg", `algorithm: approAlg | MCS | MotionCtrl | GreedyAssign | maxThroughput | all`)
 		s            = flag.Int("s", 3, "approAlg anchor parameter s")
 		workers      = flag.Int("workers", 0, "approAlg worker goroutines (0 = all cores)")
-		shards       = flag.Int("shards", 0, "split the approAlg enumeration into this many in-process shards solved concurrently and merged (result identical to unsharded; 0/1 = off)")
 		maxSubsets   = flag.Int("max-subsets", 0, "approAlg anchor-subset cap (0 = exhaustive)")
 		solver       = flag.String("solver", "enum", "anchor-subset solver: enum | anneal | tabu | grasp | genetic | portfolio (race all four)")
 		budget       = flag.Int64("budget", 0, "evaluations per solver member for -solver (0 = default; enum ignores it)")
@@ -124,8 +120,6 @@ func run() error {
 		switch {
 		case *alg != "approAlg":
 			return fmt.Errorf("-solver replaces the approAlg enumeration; it needs -alg approAlg")
-		case *shards > 1:
-			return fmt.Errorf("-shards and -solver are incompatible: the metaheuristics do not enumerate")
 		case *maxSubsets != 0:
 			return fmt.Errorf("-max-subsets and -solver are incompatible: cap work with -budget instead")
 		case *gatewayAt != "":
@@ -133,23 +127,6 @@ func run() error {
 		}
 	} else if *budget != 0 {
 		return fmt.Errorf("-budget needs a metaheuristic -solver (anneal | tabu | grasp | genetic | portfolio)")
-	}
-	if *shards > 1 {
-		// The in-process shard pool owns resume and progress (see
-		// ShardPool.Run); multi-shard runs of the other algorithms make no
-		// sense since only approAlg enumerates.
-		if *alg != "approAlg" {
-			return fmt.Errorf("-shards supports only -alg approAlg")
-		}
-		if *resumePath != "" {
-			return fmt.Errorf("-shards and -resume are incompatible: resume a merged checkpoint with an unsharded run, or per-shard checkpoints with uavshard worker -resume")
-		}
-		if *progressIntv > 0 {
-			return fmt.Errorf("-shards and -progress are incompatible")
-		}
-		if *gatewayAt != "" {
-			return fmt.Errorf("-shards and -gateway are incompatible")
-		}
 	}
 	var in *uavnet.Instance
 	if *aggCell > 0 {
@@ -210,18 +187,6 @@ func run() error {
 				return err
 			}
 			dep, err = uavnet.DeployToGatewayContext(ctx, in, gw, opts)
-			if err != nil && dep == nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			runErr = errors.Join(runErr, err)
-		case name == "approAlg" && *shards > 1:
-			// In-process sharding: the pool splits the enumeration, solves
-			// shards concurrently (-workers goroutines each), and merges.
-			// On SIGINT/-timeout the merged checkpoint lands in -checkpoint
-			// below, resumable by an unsharded -resume run.
-			pool := uavnet.ShardPool{Shards: *shards, WorkersPerShard: *workers}
-			var err error
-			dep, err = pool.Run(ctx, in, opts)
 			if err != nil && dep == nil {
 				return fmt.Errorf("%s: %w", name, err)
 			}

@@ -182,6 +182,45 @@ func TestStopAfterResumeSampledMode(t *testing.T) {
 	}
 }
 
+// TestWorkerCountByteIdentical is the contract of the in-process parallel
+// path: the worker count changes only how fast the enumeration runs. Every
+// count yields the same bytes, and a run stopped under one count resumes
+// under another to the uninterrupted deployment.
+func TestWorkerCountByteIdentical(t *testing.T) {
+	in := runControlScenario(t)
+	full, err := Approx(context.Background(), in, Options{S: 3, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(full)
+	total := full.SubsetsEvaluated + full.SubsetsPruned
+	for _, workers := range []int{2, 3, 8} {
+		dep, err := Approx(context.Background(), in, Options{S: 3, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(dep); string(got) != string(want) {
+			t.Errorf("workers=%d: deployment differs from workers=1", workers)
+		}
+	}
+	for _, pair := range [][2]int{{8, 1}, {1, 8}, {3, 2}} {
+		part, err := Approx(context.Background(), in, Options{S: 3, Workers: pair[0], StopAfter: total / 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if part.Checkpoint == nil {
+			t.Fatalf("workers=%d: cut run returned no checkpoint", pair[0])
+		}
+		dep, err := Approx(context.Background(), in, Options{S: 3, Workers: pair[1], Resume: part.Checkpoint})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(dep); string(got) != string(want) {
+			t.Errorf("stopped under workers=%d, resumed under %d: deployment differs", pair[0], pair[1])
+		}
+	}
+}
+
 func TestResumeRejectsMismatchedRun(t *testing.T) {
 	in := runControlScenario(t)
 	base := Options{S: 3, Workers: 2, StopAfter: 100}

@@ -8,16 +8,14 @@ package core
 // mode — into contiguous sub-ranges, Options.Shard restricts Approx to one
 // of them (emitting a partial Checkpoint tagged with the range),
 // MergeCheckpoints validates a set of partials and reduces them into the
-// final deployment, and ShardPool drives in-process sharded solves for
-// single-box callers. DESIGN.md §13 documents the protocol.
+// final deployment. Sharding divides work between processes; inside one
+// process the enumeration's worker goroutines (Options.Workers) are the
+// parallel path. DESIGN.md §13 documents the protocol.
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // Span is a half-open range [Start, End) of enumeration indices.
@@ -36,8 +34,7 @@ func (s Span) contains(idx int64) bool { return idx >= s.Start && idx < s.End }
 // Count. The zero value (Count 0) means unsharded — the whole index space.
 // Count 1 is a degenerate but valid sharding whose single shard owns the
 // whole space; unlike the zero value it makes Approx emit a partial
-// checkpoint, which is what lets ShardPool treat every shard count
-// uniformly.
+// checkpoint, so a driver can treat every shard count uniformly.
 type ShardSpec struct {
 	Index, Count int
 }
@@ -282,93 +279,4 @@ func MergeCheckpoints(in *Instance, opts Options, cps []*Checkpoint) (*Deploymen
 		return assembleDeployment(in, s, opts, sampled, budget, best, evaluated, pruned, StatusStopped, mcp)
 	}
 	return assembleDeployment(in, s, opts, sampled, budget, best, evaluated, pruned, StatusComplete, nil)
-}
-
-// ShardPool solves an instance by running Shards sharded Approx solves
-// in-process — at most Parallel in flight, each with WorkersPerShard worker
-// goroutines — and merging their partial checkpoints. The merged deployment
-// is byte-identical to an unsharded solve with the same options, for any
-// shard count.
-type ShardPool struct {
-	// Shards is the number of contiguous enumeration shards (at least 1).
-	Shards int
-	// Parallel caps the shard solves in flight. Zero selects
-	// min(Shards, GOMAXPROCS).
-	Parallel int
-	// WorkersPerShard is the Options.Workers of each sharded solve. Zero
-	// selects 1 — the right choice when Parallel already saturates the box;
-	// raise it only when Shards is below the core count.
-	WorkersPerShard int
-}
-
-// Run solves the instance under the pool's sharding. It mirrors Approx's
-// run-control contract: on cancellation or deadline every in-flight shard
-// drains (finishing only already-claimed chunks) and Run returns the merged
-// best-so-far deployment tagged StatusStopped — its Checkpoint is an
-// unsharded merged checkpoint resumable by a plain Approx run — together
-// with ctx.Err(). opts must not carry Resume (resume individual shards with
-// sharded runs, or a merged checkpoint with an unsharded one) or a Progress
-// hook (per-shard runs would race on it; poll sharded runs directly
-// instead).
-func (p ShardPool) Run(ctx context.Context, in *Instance, opts Options) (*Deployment, error) {
-	if p.Shards < 1 {
-		return nil, fmt.Errorf("core: shard pool needs at least 1 shard, got %d", p.Shards)
-	}
-	if opts.Shard.sharded() {
-		return nil, fmt.Errorf("core: shard pool owns the shard split; Options.Shard must be zero")
-	}
-	if opts.Resume != nil {
-		return nil, fmt.Errorf("core: shard pool cannot resume; resume a shard checkpoint with a sharded run or a merged checkpoint with an unsharded one")
-	}
-	if opts.Progress != nil {
-		return nil, fmt.Errorf("core: shard pool does not support the Progress hook")
-	}
-	parallel := p.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-		if parallel > p.Shards {
-			parallel = p.Shards
-		}
-	}
-	workers := p.WorkersPerShard
-	if workers <= 0 {
-		workers = 1
-	}
-
-	deps := make([]*Deployment, p.Shards)
-	errs := make([]error, p.Shards)
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i := 0; i < p.Shards; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			o := opts
-			o.Shard = ShardSpec{Index: i, Count: p.Shards}
-			o.Workers = workers
-			deps[i], errs[i] = Approx(ctx, in, o)
-		}(i)
-	}
-	wg.Wait()
-
-	cps := make([]*Checkpoint, p.Shards)
-	for i, dep := range deps {
-		if errs[i] != nil && dep == nil {
-			return nil, fmt.Errorf("core: shard %d/%d: %w", i, p.Shards, errs[i])
-		}
-		if dep == nil || dep.Checkpoint == nil {
-			return nil, fmt.Errorf("core: shard %d/%d returned no checkpoint", i, p.Shards)
-		}
-		cps[i] = dep.Checkpoint
-	}
-	merged, err := MergeCheckpoints(in, opts, cps)
-	if err != nil {
-		return nil, err
-	}
-	if merged.Status == StatusStopped {
-		return merged, ctx.Err()
-	}
-	return merged, nil
 }

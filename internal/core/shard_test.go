@@ -155,79 +155,6 @@ func TestShardMergeMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardPoolMatchesUnsharded is the in-process driver's contract, the one
-// uavdeploy -shards relies on.
-func TestShardPoolMatchesUnsharded(t *testing.T) {
-	in := runControlScenario(t)
-	opts := Options{S: 3}
-	full, err := Approx(context.Background(), in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustJSON(t, full)
-	for _, count := range []int{1, 4, 8} {
-		pool := ShardPool{Shards: count}
-		dep, err := pool.Run(context.Background(), in, opts)
-		if err != nil {
-			t.Fatalf("pool %d: %v", count, err)
-		}
-		if dep.Status != StatusComplete {
-			t.Fatalf("pool %d: status %q", count, dep.Status)
-		}
-		if got := mustJSON(t, dep); got != want {
-			t.Errorf("pool %d: deployment differs from unsharded", count)
-		}
-	}
-	// Guard-rail rejections.
-	if _, err := (ShardPool{}).Run(context.Background(), in, opts); err == nil {
-		t.Error("zero-shard pool accepted")
-	}
-	if _, err := (ShardPool{Shards: 2}).Run(context.Background(), in, Options{S: 3, Resume: &Checkpoint{}}); err == nil {
-		t.Error("pool with Resume accepted")
-	}
-	if _, err := (ShardPool{Shards: 2}).Run(context.Background(), in, Options{S: 3, Progress: func(Progress) {}}); err == nil {
-		t.Error("pool with Progress hook accepted")
-	}
-	if _, err := (ShardPool{Shards: 2}).Run(context.Background(), in, Options{S: 3, Shard: ShardSpec{Index: 0, Count: 2}}); err == nil {
-		t.Error("pool with explicit Shard accepted")
-	}
-}
-
-// TestShardPoolCancelledReturnsMergedCheckpoint cancels a pool run up front:
-// every shard drains immediately, and the pool must still return a stopped
-// deployment whose merged checkpoint resumes — unsharded — to a result
-// identical to an uninterrupted run.
-func TestShardPoolCancelledReturnsMergedCheckpoint(t *testing.T) {
-	in := runControlScenario(t)
-	opts := Options{S: 3, Workers: 2}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	dep, err := (ShardPool{Shards: 3}).Run(ctx, in, opts)
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if dep == nil || dep.Status != StatusStopped || dep.Checkpoint == nil {
-		t.Fatalf("want stopped deployment with merged checkpoint, got %+v", dep)
-	}
-	cp := dep.Checkpoint
-	if cp.Shard != nil {
-		t.Fatalf("merged checkpoint still tagged with shard %+v", cp.Shard)
-	}
-	full, err := Approx(context.Background(), in, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed := opts
-	resumed.Resume = cp
-	got, err := Approx(context.Background(), in, resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := mustJSON(t, full), mustJSON(t, got); a != b {
-		t.Errorf("resumed merged checkpoint differs from uninterrupted run\nwant %s\ngot  %s", a, b)
-	}
-}
-
 // TestMergedCheckpointMultiSpanResume interrupts two of three shards
 // mid-range, merges the partials into a holey checkpoint, and resumes it
 // unsharded: the run must re-enumerate exactly the holes and finish with the

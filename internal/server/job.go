@@ -1,7 +1,7 @@
 // Package server turns the uavnet library into a long-running deployment
 // service: POST a scenario, get a deterministic job id; a bounded worker
-// pool solves jobs concurrently through the facade (enumeration, shard pool,
-// or metaheuristic portfolio, per-user or demand-aggregated), streams
+// pool solves jobs concurrently through the facade (enumeration or
+// metaheuristic portfolio, per-user or demand-aggregated), streams
 // progress snapshots to SSE subscribers, and persists every job's checkpoint
 // atomically on a cadence and on shutdown — so a crashed or SIGTERM'd server
 // restarts, rescans its job directory, and resumes every unfinished job to a
@@ -45,10 +45,10 @@ func (s JobState) terminal() bool {
 
 // JobOptions is the client-facing slice of uavnet.Options a submission may
 // set, split into result-shaping fields (part of the job's identity: two
-// submissions differing in any of them are different jobs) and execution
-// hints (Workers, Shards — they change how fast the answer arrives, never
-// the answer, so they are excluded from the job id and duplicates dedupe
-// across them).
+// submissions differing in any of them are different jobs) and the one
+// execution hint, Workers (it changes how fast the answer arrives, never the
+// answer, so it is excluded from the job id and duplicates dedupe across
+// it).
 type JobOptions struct {
 	// S is the anchor-subset size (0 selects the paper's s = 3).
 	S int `json:"s,omitempty"`
@@ -70,9 +70,6 @@ type JobOptions struct {
 	AggCell float64 `json:"agg_cell,omitempty"`
 	// Workers is the per-solve goroutine count (execution hint; 0 = cores).
 	Workers int `json:"workers,omitempty"`
-	// Shards, when > 1, solves via the in-process shard pool (execution
-	// hint; the merged result is byte-identical to unsharded).
-	Shards int `json:"shards,omitempty"`
 }
 
 // normalized maps equivalent submissions onto one canonical form, so the
@@ -105,8 +102,6 @@ func (o JobOptions) Validate() error {
 		return fmt.Errorf("agg_cell must be non-negative, got %g", o.AggCell)
 	case o.Workers < 0:
 		return fmt.Errorf("workers must be non-negative, got %d", o.Workers)
-	case o.Shards < 0:
-		return fmt.Errorf("shards must be non-negative, got %d", o.Shards)
 	}
 	known := false
 	for _, name := range uavnet.SolverNames() {
@@ -122,13 +117,8 @@ func (o JobOptions) Validate() error {
 		if o.SolverBudget != 0 {
 			return fmt.Errorf("solver_budget needs a metaheuristic solver; the enumeration is budgeted with max_subsets")
 		}
-	} else {
-		switch {
-		case o.Shards > 1:
-			return fmt.Errorf("shards and solver %q are incompatible: the metaheuristics do not enumerate", o.Solver)
-		case o.MaxSubsets != 0:
-			return fmt.Errorf("max_subsets and solver %q are incompatible: cap work with solver_budget instead", o.Solver)
-		}
+	} else if o.MaxSubsets != 0 {
+		return fmt.Errorf("max_subsets and solver %q are incompatible: cap work with solver_budget instead", o.Solver)
 	}
 	return nil
 }

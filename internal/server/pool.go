@@ -157,7 +157,7 @@ func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) 
 		return nil, err
 	}
 
-	base := uavnet.Options{
+	opts := uavnet.Options{
 		S:                o.S,
 		Workers:          o.Workers,
 		MaxSubsets:       o.MaxSubsets,
@@ -174,30 +174,11 @@ func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) 
 
 	for {
 		sliceCtx, cancelSlice := context.WithTimeout(ctx, s.cfg.CheckpointEvery)
-		var (
-			dep    *uavnet.Deployment
-			runErr error
-		)
-		if o.Shards > 1 && resume == nil {
-			// First slice of a sharded job: the in-process pool solves the
-			// enumeration as Shards partial runs and merges. It owns
-			// progress itself (no hook), and a stopped pool run hands back
-			// a merged checkpoint that plain resumed slices continue.
-			poolOpts := base
-			poolOpts.Progress = nil
-			poolOpts.ProgressInterval = 0
-			pool := uavnet.ShardPool{Shards: o.Shards, WorkersPerShard: o.Workers}
-			dep, runErr = pool.Run(sliceCtx, in, poolOpts)
-		} else {
-			sliceOpts := base
-			sliceOpts.Resume = resume
-			dep, runErr = uavnet.DeployInstanceContext(sliceCtx, in, sliceOpts)
-		}
+		opts.Resume = resume
+		dep, runErr := uavnet.DeployInstanceContext(sliceCtx, in, opts)
 		cancelSlice()
 
 		if dep != nil && dep.Status != uavnet.StatusStopped {
-			// Complete (the pool merges partials internally, so a surviving
-			// StatusPartial is impossible here).
 			return dep, nil
 		}
 		if dep == nil || dep.Checkpoint == nil {

@@ -183,8 +183,8 @@ func TestJobIDCanonicalization(t *testing.T) {
 		t.Errorf("explicit defaults changed the id: %s vs %s", got, base)
 	}
 	// Execution hints never change the id.
-	if got := JobID(sc, JobOptions{Workers: 7, Shards: 4}); got != base {
-		t.Errorf("execution hints changed the id: %s vs %s", got, base)
+	if got := JobID(sc, JobOptions{Workers: 7}); got != base {
+		t.Errorf("the workers hint changed the id: %s vs %s", got, base)
 	}
 	// Result-shaping fields do.
 	if got := JobID(sc, JobOptions{Seed: 9}); got == base {
@@ -207,11 +207,9 @@ func TestJobOptionsValidate(t *testing.T) {
 		{S: -1},
 		{MaxSubsets: -5},
 		{Workers: -1},
-		{Shards: -2},
 		{Solver: "magic"},
 		{SolverBudget: 100},               // budget without a metaheuristic
-		{Solver: "anneal", Shards: 2},     // metaheuristics don't shard
-		{Solver: "anneal", MaxSubsets: 5}, // or cap subsets
+		{Solver: "anneal", MaxSubsets: 5}, // metaheuristics don't cap subsets
 		{AggCell: -1},
 	}
 	for _, o := range bad {
@@ -221,7 +219,7 @@ func TestJobOptionsValidate(t *testing.T) {
 	}
 	good := []JobOptions{
 		{},
-		{S: 3, Workers: 4, Shards: 3, MaxSubsets: 100},
+		{S: 3, Workers: 4, MaxSubsets: 100},
 		{Solver: "portfolio", SolverBudget: 1000},
 		{Solver: "anneal", SolverBudget: 500, AggCell: 400},
 	}
@@ -338,8 +336,16 @@ func TestSubmitRejectsUnknownFields(t *testing.T) {
 		t.Errorf("typo'd scenario field: status %d body %s", resp.StatusCode, data)
 	}
 
+	// The retired shard-pool hint is an unknown field like any other.
+	m["options"] = []byte(`{"shards": 3}`)
+	withShards, _ := json.Marshal(m)
+	resp, data = postJSON(t, ts.URL+"/v1/jobs", withShards)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "shards") {
+		t.Errorf("shards option: status %d body %s", resp.StatusCode, data)
+	}
+
 	// Invalid option combination.
-	resp, data = postJSON(t, ts.URL+"/v1/jobs", submitBody(t, sc, JobOptions{Solver: "anneal", Shards: 2}))
+	resp, data = postJSON(t, ts.URL+"/v1/jobs", submitBody(t, sc, JobOptions{Solver: "anneal", MaxSubsets: 5}))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("invalid options accepted: status %d body %s", resp.StatusCode, data)
 	}
@@ -410,9 +416,9 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // TestShutdownRestartResumesByteIdentical is the crash-recovery contract: a
 // server stopped mid-solve leaves a durable checkpoint; a new server over the
 // same directory rescans, resumes, and finishes with a deployment
-// byte-identical to an uninterrupted solve. It covers every solve path the
-// slice loop drives: the enumeration, a portfolio member whose budget spans
-// several slices, and a sharded job whose first slice runs the shard pool.
+// byte-identical to an uninterrupted solve. It covers the enumeration, a
+// portfolio member whose budget spans several slices, and an enumeration on
+// several worker goroutines.
 func TestShutdownRestartResumesByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -420,7 +426,7 @@ func TestShutdownRestartResumesByteIdentical(t *testing.T) {
 	}{
 		{"enum", JobOptions{}},
 		{"anneal", JobOptions{Solver: "anneal", SolverBudget: 4000}},
-		{"shards", JobOptions{Shards: 3}},
+		{"workers", JobOptions{Workers: 3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -665,27 +671,53 @@ func TestPortfolioAndAggregateJobs(t *testing.T) {
 	}
 }
 
-// TestShardedJob covers the shard-pool execution hint: the result must be
-// byte-identical to the unsharded solve and dedupe against it.
-func TestShardedJob(t *testing.T) {
-	srv, _ := newTestServer(t, t.TempDir(), 1, 30*time.Millisecond)
+// TestRescanResumesLegacyShardsJob restarts over a job directory written by
+// an earlier version for a {"shards": 3} job, stopped during its first
+// slice. That slice ran the in-process shard pool, so the checkpoint is a
+// merged one with several unprocessed holes. Rescan must drop the retired
+// hint, keep the job id, and resume the holes to the unsharded bytes.
+func TestRescanResumesLegacyShardsJob(t *testing.T) {
+	const id = "f3a084846a6e18e1"
+	src := filepath.Join("testdata", "legacy-shards-job", id)
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{scenarioFile, jobFile, stateFile, checkpointFile} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, id, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp, err := uavnet.LoadCheckpoint(filepath.Join(dir, id, checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cp.RemainingSpans()); n < 2 {
+		t.Fatalf("fixture checkpoint has %d unprocessed spans, want a merged multi-span one", n)
+	}
+	sc, err := uavnet.LoadScenario(filepath.Join(dir, id, scenarioFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := JobID(sc, JobOptions{}); got != id {
+		t.Fatalf("fixture job id %s, want the unsharded id %s", id, got)
+	}
+
+	srv, _ := newTestServer(t, dir, 1, 30*time.Millisecond)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
-
-	sc := quickScenario(t, 5)
-	resp, data := postJSON(t, ts.URL+"/v1/jobs", submitBody(t, sc, JobOptions{Shards: 3}))
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("submit: status %d: %s", resp.StatusCode, data)
+	waitState(t, ts.URL, id, JobDone)
+	if got, want := fetchResult(t, ts.URL, id), soloBytes(t, sc, JobOptions{}); !bytes.Equal(got, want) {
+		t.Error("resumed legacy sharded job differs from the unsharded solo solve")
 	}
 	var sum jobSummary
-	json.Unmarshal(data, &sum)
-	if sum.ID != JobID(sc, JobOptions{}) {
-		t.Errorf("sharded job id %s differs from unsharded %s", sum.ID, JobID(sc, JobOptions{}))
-	}
-	waitState(t, ts.URL, sum.ID, JobDone)
-	got := fetchResult(t, ts.URL, sum.ID)
-	if want := soloBytes(t, sc, JobOptions{}); !bytes.Equal(got, want) {
-		t.Error("sharded deployment differs from the unsharded solo solve")
+	getJSON(t, ts.URL+"/v1/jobs/"+id, &sum)
+	if sum.Options != (JobOptions{}) {
+		t.Errorf("rescanned options = %+v, want the empty options", sum.Options)
 	}
 }
 

@@ -38,9 +38,17 @@ const (
 
 // jobRecord is the job.json schema.
 type jobRecord struct {
-	ID      string     `json:"id"`
-	Options JobOptions `json:"options"`
-	Created string     `json:"created"`
+	ID      string        `json:"id"`
+	Options recordOptions `json:"options"`
+	Created string        `json:"created"`
+}
+
+// recordOptions is JobOptions as job.json stores it. Shards is the
+// in-process shard-pool hint that earlier versions accepted and persisted;
+// like Workers it never shaped the result, so rescan reads it and drops it.
+type recordOptions struct {
+	JobOptions
+	Shards int `json:"shards,omitempty"`
 }
 
 // stateRecord is the state.json schema.
@@ -91,7 +99,7 @@ func (s *Server) persistNew(j *Job) error {
 	if err := uavnet.SaveScenario(filepath.Join(dir, scenarioFile), j.Scenario); err != nil {
 		return err
 	}
-	rec := jobRecord{ID: j.ID, Options: j.Options, Created: s.now()}
+	rec := jobRecord{ID: j.ID, Options: recordOptions{JobOptions: j.Options}, Created: s.now()}
 	if err := writeJSON(filepath.Join(dir, jobFile), rec); err != nil {
 		return err
 	}
@@ -162,7 +170,7 @@ func (s *Server) rescan() ([]*Job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: job %s: %w", rec.ID, err)
 		}
-		j := &Job{ID: rec.ID, Scenario: sc, Options: rec.Options, dir: dir, state: JobQueued}
+		j := &Job{ID: rec.ID, Scenario: sc, Options: rec.Options.JobOptions, dir: dir, state: JobQueued}
 		var st stateRecord
 		switch err := readStrictJSON(filepath.Join(dir, stateFile), &st); {
 		case os.IsNotExist(err):

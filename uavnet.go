@@ -82,10 +82,6 @@ type (
 	// Span is a half-open range of enumeration indices, used by merged
 	// checkpoints to list still-unprocessed sub-ranges.
 	Span = core.Span
-	// ShardPool solves an instance as several sharded runs in-process and
-	// merges the partials; the result is byte-identical to the unsharded
-	// solve.
-	ShardPool = core.ShardPool
 )
 
 // Run statuses.
