@@ -16,14 +16,13 @@ import (
 	"testing"
 
 	uavnet "github.com/uav-coverage/uavnet"
-	"github.com/uav-coverage/uavnet/internal/eval"
 )
 
 // benchParams is the reduced-scale Section IV-A setting shared by the
 // figure benchmarks: same area shape and fleet heterogeneity, fewer users
 // and a coarser sweep so one point fits in a benchmark iteration.
-func benchParams() eval.Params {
-	return eval.Params{
+func benchParams() uavnet.ScenarioSpec {
+	return uavnet.ScenarioSpec{
 		AreaSide: 3000,
 		CellSide: 500,
 		N:        600,
@@ -34,9 +33,9 @@ func benchParams() eval.Params {
 	}
 }
 
-func benchInstance(b *testing.B, p eval.Params) *uavnet.Instance {
+func benchInstance(b *testing.B, p uavnet.ScenarioSpec) *uavnet.Instance {
 	b.Helper()
-	in, err := eval.BuildInstance(p)
+	in, err := uavnet.GenerateInstance(p)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func BenchmarkFig4(b *testing.B) {
 			in := benchInstance(b, benchParams())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := uavnet.DeployWith(name, in, uavnet.Options{}); err != nil {
+				if _, err := uavnet.DeployWithContext(context.Background(), name, in, uavnet.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -116,6 +116,24 @@ func TestOlderCheckpointsResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestMergedCheckpointFrontier: a merged checkpoint reports the subsets its
+// shards processed, not its cursor. pool.ckpt stopped with holes
+// [1760, 4760) and [6472, 7140) of C(36,3) = 7140, so 3472 subsets are done
+// — exactly its evaluated + pruned counters — although its cursor is 1760.
+func TestMergedCheckpointFrontier(t *testing.T) {
+	cp, err := uavnet.LoadCheckpoint("testdata/checkpoints/pool.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, total := cp.Frontier()
+	if done != 3472 || total != 7140 {
+		t.Errorf("frontier %d / %d, want 3472 / 7140", done, total)
+	}
+	if done != cp.Evaluated+cp.Pruned {
+		t.Errorf("frontier %d disagrees with the counters %d + %d", done, cp.Evaluated, cp.Pruned)
+	}
+}
+
 // TestCheckpointKindMismatch: a checkpoint resumes only under the solver
 // kind that wrote it, and the refusal names the checkpoint's algorithm.
 func TestCheckpointKindMismatch(t *testing.T) {

@@ -22,6 +22,7 @@ import (
 	"runtime/pprof"
 	"strings"
 
+	uavnet "github.com/uav-coverage/uavnet"
 	"github.com/uav-coverage/uavnet/internal/atomicfile"
 	"github.com/uav-coverage/uavnet/internal/eval"
 )
@@ -179,17 +180,17 @@ func run() error {
 }
 
 // figureSettings returns the scenario base and sweep ranges per scale.
-func figureSettings(scale string, smax int) (eval.Params, []int, []int, []int) {
+func figureSettings(scale string, smax int) (uavnet.ScenarioSpec, []int, []int, []int) {
 	var ss []int
 	for s := 1; s <= smax; s++ {
 		ss = append(ss, s)
 	}
 	switch scale {
 	case "quick":
-		base := eval.Params{AreaSide: 2000, CellSide: 500, N: 300, K: 8, CMin: 10, CMax: 60}
+		base := uavnet.ScenarioSpec{AreaSide: 2000, CellSide: 500, N: 300, K: 8, CMin: 10, CMax: 60}
 		return base, []int{2, 4, 6, 8}, []int{100, 200, 300}, ss
 	default: // paper
-		base := eval.Params{} // Section IV-A defaults
+		base := uavnet.ScenarioSpec{} // Section IV-A defaults
 		ks := []int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
 		ns := []int{1000, 1500, 2000, 2500, 3000}
 		return base, ks, ns, ss

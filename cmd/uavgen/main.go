@@ -35,13 +35,13 @@ func main() {
 
 func run() error {
 	var (
-		out  = flag.String("out", "scenario.json", "output file path")
-		n    = flag.Int("n", 3000, "number of ground users")
-		k    = flag.Int("k", 20, "number of UAVs")
-		area = flag.Float64("area", 3000, "square area side in meters")
-		cell = flag.Float64("cell", 500, "grid cell side in meters")
-		cmin = flag.Int("cmin", 50, "minimum UAV service capacity")
-		cmax = flag.Int("cmax", 300, "maximum UAV service capacity")
+		out     = flag.String("out", "scenario.json", "output file path")
+		n       = flag.Int("n", 3000, "number of ground users")
+		k       = flag.Int("k", 20, "number of UAVs")
+		area    = flag.Float64("area", 3000, "square area side in meters")
+		cell    = flag.Float64("cell", 500, "grid cell side in meters")
+		cmin    = flag.Int("cmin", 50, "minimum UAV service capacity")
+		cmax    = flag.Int("cmax", 300, "maximum UAV service capacity")
 		dist    = flag.String("dist", "fat-tailed", "user distribution: fat-tailed | uniform | hotspot")
 		seed    = flag.Int64("seed", 1, "random seed")
 		snap    = flag.Float64("snap", 0, "snap user positions to the centers of cells with this side in meters (0 = continuous positions); snapped scenarios aggregate exactly")

@@ -221,13 +221,12 @@ func workerCmd(args []string) error {
 		return err
 	}
 	r := cp.Range()
-	cursor, total := cp.Frontier()
 	bestServed := 0
 	if cp.Best != nil {
 		bestServed = cp.Best.Served
 	}
 	fmt.Printf("shard %d/%d: range [%d, %d) of %d subsets, cursor %d, %d evaluated, %d pruned, best %d served, %s\n",
-		shard.Index, shard.Count, r.Start, r.End, total, cursor,
+		shard.Index, shard.Count, r.Start, r.End, cp.Total, cp.Cursor,
 		cp.Evaluated, cp.Pruned, bestServed, elapsed.Round(time.Millisecond))
 	if dep.Status == uavnet.StatusStopped {
 		why := "stop-after budget"

@@ -17,14 +17,15 @@
 //	spec := uavnet.ScenarioSpec{N: 1000, K: 10, Seed: 42}
 //	sc, err := uavnet.GenerateScenario(spec)
 //	if err != nil { ... }
-//	dep, err := uavnet.Deploy(sc, uavnet.Options{S: 3})
+//	dep, err := uavnet.DeployContext(ctx, sc, uavnet.Options{S: 3})
 //	if err != nil { ... }
 //	fmt.Println("served:", dep.Served)
 //
-// Deploy runs the paper's O(sqrt(s/K))-approximation algorithm (approAlg).
-// DeployWith selects one of the reimplemented baselines (MCS, MotionCtrl,
-// GreedyAssign, maxThroughput) for comparison, and EvaluatePlacement scores
-// any hand-chosen placement with the optimal max-flow user assignment.
+// DeployContext runs the paper's O(sqrt(s/K))-approximation algorithm
+// (approAlg) under a context that can stop it. DeployWithContext selects one
+// of the reimplemented baselines (MCS, MotionCtrl, GreedyAssign,
+// maxThroughput) for comparison, and EvaluatePlacement scores any
+// hand-chosen placement with the optimal max-flow user assignment.
 //
 // The packages under internal/ hold the substrates: the air-to-ground
 // channel model, max-flow assignment, matroid machinery, workload

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,6 +26,7 @@ type fleet struct {
 }
 
 func main() {
+	ctx := context.Background()
 	// One shared scenario: 800 users, strongly clustered.
 	spec := uavnet.ScenarioSpec{
 		AreaSide:     3000,
@@ -54,7 +56,7 @@ func main() {
 	bestServed, bestIdx := -1, -1
 	for i, f := range options {
 		sc := withFleet(base, f.capacities)
-		dep, err := uavnet.Deploy(sc, uavnet.Options{S: 2})
+		dep, err := uavnet.DeployContext(ctx, sc, uavnet.Options{S: 2})
 		if err != nil {
 			log.Fatalf("%s: %v", f.label, err)
 		}
@@ -76,7 +78,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, name := range uavnet.AlgorithmNames()[1:] {
-		dep, err := uavnet.DeployWith(name, in, uavnet.Options{})
+		dep, err := uavnet.DeployWithContext(ctx, name, in, uavnet.Options{})
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}

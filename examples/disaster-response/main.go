@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,6 +23,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	sc := buildScenario()
 	fmt.Printf("flooded town: %d trapped users, fleet of %d UAVs over a %d-cell grid\n\n",
 		sc.N(), sc.K(), sc.M())
@@ -34,7 +36,7 @@ func main() {
 	fmt.Println("algorithm comparison (served users):")
 	var approDep *uavnet.Deployment
 	for _, name := range uavnet.AlgorithmNames() {
-		dep, err := uavnet.DeployWith(name, in, uavnet.Options{S: 2})
+		dep, err := uavnet.DeployWithContext(ctx, name, in, uavnet.Options{S: 2})
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}

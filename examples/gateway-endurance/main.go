@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,6 +21,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	in, err := uavnet.GenerateInstance(uavnet.ScenarioSpec{
 		AreaSide: 3000,
 		CellSide: 500,
@@ -41,7 +43,7 @@ func main() {
 		sc.N(), sc.K(), gw.Pos.X, gw.Pos.Y)
 
 	// Gateway-oblivious deployment.
-	free, err := uavnet.DeployInstance(in, opts)
+	free, err := uavnet.DeployInstanceContext(ctx, in, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -49,7 +51,7 @@ func main() {
 		free.Served, uavnet.GatewayReachable(in, free, gw))
 
 	// Planned-in gateway: its cells become required anchors.
-	pinned, err := uavnet.DeployToGateway(in, gw, opts)
+	pinned, err := uavnet.DeployToGatewayContext(ctx, in, gw, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

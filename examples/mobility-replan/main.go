@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,6 +20,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	spec := uavnet.ScenarioSpec{
 		AreaSide: 2000,
 		CellSide: 500,
@@ -35,7 +37,7 @@ func main() {
 	opts := uavnet.Options{S: 2}
 
 	// Initial deployment on the time-zero positions.
-	initial, err := uavnet.Deploy(sc, opts)
+	initial, err := uavnet.DeployContext(ctx, sc, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -82,7 +84,7 @@ func main() {
 			log.Fatal(err)
 		}
 		// Re-planning policy: run the full algorithm again.
-		replan, err := uavnet.DeployInstance(in, opts)
+		replan, err := uavnet.DeployInstanceContext(ctx, in, opts)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A 2x2 km disaster area with 400 fat-tailed users and 6 UAVs whose
 	// service capacities range from 20 to 120 users.
 	spec := uavnet.ScenarioSpec{
@@ -34,7 +36,7 @@ func main() {
 
 	// Deploy with approAlg (s = 2 keeps the demo fast; s = 3 is the paper's
 	// recommended quality setting).
-	dep, err := uavnet.Deploy(sc, uavnet.Options{S: 2})
+	dep, err := uavnet.DeployContext(ctx, sc, uavnet.Options{S: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

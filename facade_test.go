@@ -1,6 +1,7 @@
 package uavnet_test
 
 import (
+	"context"
 	"testing"
 
 	uavnet "github.com/uav-coverage/uavnet"
@@ -85,7 +86,7 @@ func TestDeployToGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw := uavnet.Gateway{Pos: uavnet.Point{X: 0, Y: 0}}
-	dep, err := uavnet.DeployToGateway(in, gw, uavnet.Options{S: 2, Workers: 2})
+	dep, err := uavnet.DeployToGatewayContext(context.Background(), in, gw, uavnet.Options{S: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestDeployToGateway(t *testing.T) {
 	}
 	// A gateway with no nearby candidate cell must fail.
 	far := uavnet.Gateway{Pos: uavnet.Point{X: 99999, Y: 99999}}
-	if _, err := uavnet.DeployToGateway(in, far, uavnet.Options{S: 2, Workers: 2}); err == nil {
+	if _, err := uavnet.DeployToGatewayContext(context.Background(), in, far, uavnet.Options{S: 2, Workers: 2}); err == nil {
 		t.Error("unreachable gateway should fail")
 	}
 }
@@ -114,7 +115,7 @@ func TestDeployToGatewayCostsCoverageAtMost(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw := uavnet.Gateway{Pos: uavnet.Point{X: 0, Y: 0}}
-	pinned, err := uavnet.DeployToGateway(in, gw, uavnet.Options{S: 2, Workers: 2})
+	pinned, err := uavnet.DeployToGatewayContext(context.Background(), in, gw, uavnet.Options{S: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package uavnet
 
 import (
-	"github.com/uav-coverage/uavnet/internal/eval"
 	"github.com/uav-coverage/uavnet/internal/workload"
 )
 
@@ -9,7 +8,7 @@ import (
 // the paper's Section IV-A defaults: a 3x3 km area on a 500 m grid at 300 m
 // altitude, 3000 fat-tailed users with a 2 kbps rate requirement, and 20
 // UAVs with capacities uniform in [50, 300], R_uav = 600 m, R_user = 500 m.
-type ScenarioSpec = eval.Params
+type ScenarioSpec = workload.Params
 
 // User-placement distributions for ScenarioSpec.Distribution.
 const (
@@ -25,12 +24,16 @@ const (
 // GenerateScenario builds a synthetic scenario from the spec. Equal specs
 // (including Seed) generate identical scenarios.
 func GenerateScenario(spec ScenarioSpec) (*Scenario, error) {
-	return eval.BuildScenario(spec)
+	return workload.BuildScenario(spec)
 }
 
 // GenerateInstance is GenerateScenario plus precomputation, in one step.
 func GenerateInstance(spec ScenarioSpec) (*Instance, error) {
-	return eval.BuildInstance(spec)
+	sc, err := GenerateScenario(spec)
+	if err != nil {
+		return nil, err
+	}
+	return NewInstance(sc)
 }
 
 // GenerateAggregateInstance is GenerateScenario plus demand aggregation
@@ -38,5 +41,9 @@ func GenerateInstance(spec ScenarioSpec) (*Instance, error) {
 // spec.SnapSide to the demand-cell side to generate a workload on which
 // aggregation is provably exact.
 func GenerateAggregateInstance(spec ScenarioSpec, opts AggregateOptions) (*Instance, error) {
-	return eval.BuildAggregateInstance(spec, opts)
+	sc, err := GenerateScenario(spec)
+	if err != nil {
+		return nil, err
+	}
+	return NewAggregateInstance(sc, opts)
 }

@@ -11,8 +11,8 @@ import (
 // library path silently detaches everything below it from that chain, and
 // the resulting "cancel doesn't cancel" bug only shows up under timeout
 // tests. Fresh root contexts belong in cmd/ binaries and tests. The two
-// sanctioned library shapes — compatibility shims like Deploy →
-// DeployContext, and nil-ctx normalization at an API boundary — carry
+// sanctioned library shapes — compatibility shims like DeployInstance →
+// DeployInstanceContext, and nil-ctx normalization at an API boundary — carry
 // //uavlint:allow ctxthread with a reason.
 var CtxThread = &Analyzer{
 	Name: "ctxthread",

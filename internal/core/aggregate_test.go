@@ -1,4 +1,4 @@
-package core
+package core_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/uav-coverage/uavnet/internal/channel"
+	"github.com/uav-coverage/uavnet/internal/core"
 	"github.com/uav-coverage/uavnet/internal/geom"
 	"github.com/uav-coverage/uavnet/internal/workload"
 )
@@ -16,7 +17,7 @@ import (
 // distribution, 1-5 UAVs with small capacities and mildly heterogeneous
 // radios — the differential harness's shape, regenerated locally because
 // internal/verify imports this package.
-func randomAggScenario(r *rand.Rand) *Scenario {
+func randomAggScenario(r *rand.Rand) *core.Scenario {
 	cols := 2 + r.Intn(3)
 	grid := geom.Grid{Length: float64(cols) * 500, Width: 1000, Side: 500, Altitude: 300}
 	dist := []workload.Distribution{workload.FatTailed, workload.Uniform, workload.SingleHotspot}[r.Intn(3)]
@@ -34,16 +35,16 @@ func randomAggScenario(r *rand.Rand) *Scenario {
 	if r.Intn(2) == 0 {
 		minRate = 2000
 	}
-	sc := &Scenario{Grid: grid, UAVRange: 750, Channel: channel.DefaultParams()}
+	sc := &core.Scenario{Grid: grid, UAVRange: 750, Channel: channel.DefaultParams()}
 	for _, p := range positions {
-		sc.Users = append(sc.Users, User{Pos: p, MinRateBps: minRate})
+		sc.Users = append(sc.Users, core.User{Pos: p, MinRateBps: minRate})
 	}
 	for i := 0; i < k; i++ {
 		tx := channel.Transmitter{PowerDBm: 30, AntennaGainDBi: 3}
 		if r.Intn(3) == 0 {
 			tx.PowerDBm = 24
 		}
-		sc.UAVs = append(sc.UAVs, UAV{
+		sc.UAVs = append(sc.UAVs, core.UAV{
 			Name:      "uav",
 			Capacity:  caps[i],
 			Tx:        tx,
@@ -55,7 +56,7 @@ func randomAggScenario(r *rand.Rand) *Scenario {
 
 // snapScenarioUsers moves every user to the center of its side-meter cell
 // (making each demand cell's members co-located, the exactness condition).
-func snapScenarioUsers(sc *Scenario, side float64) {
+func snapScenarioUsers(sc *core.Scenario, side float64) {
 	snap := sc.Grid
 	snap.Side = side
 	for i := range sc.Users {
@@ -70,7 +71,7 @@ func TestAggregateBinning(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		sc := randomAggScenario(r)
 		side := []float64{250, 500}[trial%2]
-		dem, err := Aggregate(sc, AggOptions{CellSide: side})
+		dem, err := core.Aggregate(sc, core.AggOptions{CellSide: side})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -131,14 +132,14 @@ func TestAggregateBoundaryUsers(t *testing.T) {
 		{X: 0, Y: 0},
 		{X: 499.9999999999999, Y: 500}, // 1 ulp below the boundary
 	}
-	sc := &Scenario{Grid: grid, UAVRange: 750, Channel: channel.DefaultParams()}
+	sc := &core.Scenario{Grid: grid, UAVRange: 750, Channel: channel.DefaultParams()}
 	for _, p := range boundary {
-		sc.Users = append(sc.Users, User{Pos: p, MinRateBps: 0})
+		sc.Users = append(sc.Users, core.User{Pos: p, MinRateBps: 0})
 	}
-	sc.UAVs = append(sc.UAVs, UAV{Name: "uav", Capacity: 6,
+	sc.UAVs = append(sc.UAVs, core.UAV{Name: "uav", Capacity: 6,
 		Tx: channel.Transmitter{PowerDBm: 30, AntennaGainDBi: 3}, UserRange: 400})
 
-	dem, err := Aggregate(sc, AggOptions{})
+	dem, err := core.Aggregate(sc, core.AggOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +166,10 @@ func TestAggregateBoundaryUsers(t *testing.T) {
 func TestAggregateRejectsBadCellSide(t *testing.T) {
 	t.Parallel()
 	sc := randomAggScenario(rand.New(rand.NewSource(3)))
-	if _, err := Aggregate(sc, AggOptions{CellSide: 700}); err == nil {
+	if _, err := core.Aggregate(sc, core.AggOptions{CellSide: 700}); err == nil {
 		t.Fatal("CellSide 700 does not divide the area; want an error")
 	}
-	if _, err := NewAggregateInstance(sc, AggOptions{CellSide: -1}); err == nil {
+	if _, err := core.NewAggregateInstance(sc, core.AggOptions{CellSide: -1}); err == nil {
 		t.Fatal("negative CellSide; want an error")
 	}
 }
@@ -182,11 +183,11 @@ func TestAggregateEligibilityConservative(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 20; trial++ {
 		sc := randomAggScenario(r)
-		perUser, err := NewInstance(sc)
+		perUser, err := core.NewInstance(sc)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		agg, err := NewAggregateInstance(sc, AggOptions{CellSide: []float64{250, 500}[trial%2]})
+		agg, err := core.NewAggregateInstance(sc, core.AggOptions{CellSide: []float64{250, 500}[trial%2]})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -221,27 +222,27 @@ func TestAggregationExactSnapped(t *testing.T) {
 		sc := randomAggScenario(r)
 		side := []float64{250, 500}[trial%2]
 		snapScenarioUsers(sc, side)
-		perUser, err := NewInstance(sc)
+		perUser, err := core.NewInstance(sc)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		agg, err := NewAggregateInstance(sc, AggOptions{CellSide: side})
+		agg, err := core.NewAggregateInstance(sc, core.AggOptions{CellSide: side})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !AggregationExact(perUser, agg) {
+		if !core.AggregationExact(perUser, agg) {
 			t.Fatalf("trial %d: snapped scenario (side %g) not exact", trial, side)
 		}
 	}
 	// Argument order matters: swapped or per-user-only inputs are never exact.
 	sc := randomAggScenario(rand.New(rand.NewSource(32)))
 	snapScenarioUsers(sc, 500)
-	perUser, _ := NewInstance(sc)
-	agg, _ := NewAggregateInstance(sc, AggOptions{})
-	if AggregationExact(agg, perUser) {
+	perUser, _ := core.NewInstance(sc)
+	agg, _ := core.NewAggregateInstance(sc, core.AggOptions{})
+	if core.AggregationExact(agg, perUser) {
 		t.Fatal("swapped arguments reported exact")
 	}
-	if AggregationExact(perUser, perUser) {
+	if core.AggregationExact(perUser, perUser) {
 		t.Fatal("two per-user instances reported exact")
 	}
 }
@@ -249,18 +250,18 @@ func TestAggregationExactSnapped(t *testing.T) {
 func TestAggregateFingerprints(t *testing.T) {
 	t.Parallel()
 	sc := randomAggScenario(rand.New(rand.NewSource(41)))
-	perUser, err := NewInstance(sc)
+	perUser, err := core.NewInstance(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if perUser.Fingerprint() != sc.Fingerprint() {
 		t.Fatal("per-user instance fingerprint must equal the scenario fingerprint")
 	}
-	agg250, err := NewAggregateInstance(sc, AggOptions{CellSide: 250})
+	agg250, err := core.NewAggregateInstance(sc, core.AggOptions{CellSide: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg500, err := NewAggregateInstance(sc, AggOptions{CellSide: 500})
+	agg500, err := core.NewAggregateInstance(sc, core.AggOptions{CellSide: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestAggregateFingerprints(t *testing.T) {
 		if side == 500 {
 			want = agg500
 		}
-		got, err := AggregateFingerprint(sc, AggOptions{CellSide: side})
+		got, err := core.AggregateFingerprint(sc, core.AggOptions{CellSide: side})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,11 +310,11 @@ func TestAggregatedApproxMatchesPerUser(t *testing.T) {
 			}
 			return sc.Users[a].MinRateBps < sc.Users[b].MinRateBps
 		})
-		perUser, err := NewInstance(sc)
+		perUser, err := core.NewInstance(sc)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		agg, err := NewAggregateInstance(sc, AggOptions{CellSide: side})
+		agg, err := core.NewAggregateInstance(sc, core.AggOptions{CellSide: side})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -322,12 +323,12 @@ func TestAggregatedApproxMatchesPerUser(t *testing.T) {
 			s = sc.K()
 		}
 		for _, ground := range []bool{false, true} {
-			opts := Options{S: s, Workers: 2, GroundLeftovers: ground}
-			want, err := Approx(context.Background(), perUser, opts)
+			opts := core.Options{S: s, Workers: 2, GroundLeftovers: ground}
+			want, err := core.Approx(context.Background(), perUser, opts)
 			if err != nil {
 				t.Fatalf("trial %d ground=%v: per-user: %v", trial, ground, err)
 			}
-			got, err := Approx(context.Background(), agg, opts)
+			got, err := core.Approx(context.Background(), agg, opts)
 			if err != nil {
 				t.Fatalf("trial %d ground=%v: aggregated: %v", trial, ground, err)
 			}
@@ -341,7 +342,7 @@ func TestAggregatedApproxMatchesPerUser(t *testing.T) {
 						trial, ground, uav, got.LocationOf[uav], want.LocationOf[uav])
 				}
 			}
-			checkDeploymentFeasible(t, perUser, got) // per-user feasibility of the expansion
+			core.CheckDeploymentFeasible(t, perUser, got) // per-user feasibility of the expansion
 		}
 	}
 }
@@ -354,11 +355,11 @@ func TestAggregatedEvaluateFixed(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		sc := randomAggScenario(r)
 		snapScenarioUsers(sc, 500)
-		perUser, err := NewInstance(sc)
+		perUser, err := core.NewInstance(sc)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		agg, err := NewAggregateInstance(sc, AggOptions{})
+		agg, err := core.NewAggregateInstance(sc, core.AggOptions{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -384,18 +385,18 @@ func TestAggregatedEvaluateFixed(t *testing.T) {
 				locationOf[uav] = snake[uav]
 			}
 		}
-		want, err := EvaluateFixed(perUser, locationOf)
+		want, err := core.EvaluateFixed(perUser, locationOf)
 		if err != nil {
 			t.Fatalf("trial %d: per-user: %v", trial, err)
 		}
-		got, err := EvaluateFixed(agg, locationOf)
+		got, err := core.EvaluateFixed(agg, locationOf)
 		if err != nil {
 			t.Fatalf("trial %d: aggregated: %v", trial, err)
 		}
 		if got.Served != want.Served {
 			t.Errorf("trial %d: aggregated EvaluateFixed served %d, per-user %d", trial, got.Served, want.Served)
 		}
-		checkDeploymentFeasible(t, perUser, got)
+		core.CheckDeploymentFeasible(t, perUser, got)
 	}
 }
 
@@ -404,26 +405,26 @@ func TestAggregatedEvaluateFixed(t *testing.T) {
 func TestAggregatedRejections(t *testing.T) {
 	t.Parallel()
 	sc := randomAggScenario(rand.New(rand.NewSource(71)))
-	agg, err := NewAggregateInstance(sc, AggOptions{})
+	agg, err := core.NewAggregateInstance(sc, core.AggOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := Approx(context.Background(), agg, Options{S: 1, Workers: 1})
+	dep, err := core.Approx(context.Background(), agg, core.Options{S: 1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RefineAssignment(agg, dep); err == nil {
+	if _, _, err := core.RefineAssignment(agg, dep); err == nil {
 		t.Fatal("RefineAssignment accepted an aggregated instance")
 	}
-	if _, err := solveAggregate(NewInstanceMust(t, sc), nil, nil); err == nil {
+	if _, err := core.SolveAggregate(NewInstanceMust(t, sc), nil, nil); err == nil {
 		t.Fatal("solveAggregate accepted a per-user instance")
 	}
 }
 
 // NewInstanceMust is a test helper: NewInstance or fail.
-func NewInstanceMust(t *testing.T, sc *Scenario) *Instance {
+func NewInstanceMust(t *testing.T, sc *core.Scenario) *core.Instance {
 	t.Helper()
-	in, err := NewInstance(sc)
+	in, err := core.NewInstance(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +438,7 @@ func TestAggregatedCheckpointFingerprint(t *testing.T) {
 	t.Parallel()
 	sc := randomAggScenario(rand.New(rand.NewSource(81)))
 	snapScenarioUsers(sc, 500)
-	agg, err := NewAggregateInstance(sc, AggOptions{})
+	agg, err := core.NewAggregateInstance(sc, core.AggOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,12 +446,12 @@ func TestAggregatedCheckpointFingerprint(t *testing.T) {
 	if s > sc.K() {
 		s = sc.K()
 	}
-	opts := Options{S: s, Workers: 1, StopAfter: 1}
-	stopped, err := Approx(context.Background(), agg, opts)
+	opts := core.Options{S: s, Workers: 1, StopAfter: 1}
+	stopped, err := core.Approx(context.Background(), agg, opts)
 	if err != nil {
 		t.Fatalf("stopped run: %v", err)
 	}
-	if stopped.Status != StatusStopped || stopped.Checkpoint == nil {
+	if stopped.Status != core.StatusStopped || stopped.Checkpoint == nil {
 		t.Fatalf("StopAfter=1 did not yield a resumable checkpoint: %+v", stopped.Status)
 	}
 	cp := stopped.Checkpoint
@@ -458,24 +459,24 @@ func TestAggregatedCheckpointFingerprint(t *testing.T) {
 		t.Fatalf("checkpoint fingerprint %016x != aggregated instance %016x", cp.ScenarioFingerprint, agg.Fingerprint())
 	}
 
-	resume := Options{S: s, Workers: 1, Resume: cp}
+	resume := core.Options{S: s, Workers: 1, Resume: cp}
 	perUser := NewInstanceMust(t, sc)
-	if _, err := Approx(context.Background(), perUser, resume); err == nil {
+	if _, err := core.Approx(context.Background(), perUser, resume); err == nil {
 		t.Fatal("aggregated checkpoint resumed on the per-user instance")
 	}
-	agg250, err := NewAggregateInstance(sc, AggOptions{CellSide: 250})
+	agg250, err := core.NewAggregateInstance(sc, core.AggOptions{CellSide: 250})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Approx(context.Background(), agg250, resume); err == nil {
+	if _, err := core.Approx(context.Background(), agg250, resume); err == nil {
 		t.Fatal("aggregated checkpoint resumed under a different demand-cell side")
 	}
 
-	resumed, err := Approx(context.Background(), agg, resume)
+	resumed, err := core.Approx(context.Background(), agg, resume)
 	if err != nil {
 		t.Fatalf("matching resume: %v", err)
 	}
-	full, err := Approx(context.Background(), agg, Options{S: s, Workers: 1})
+	full, err := core.Approx(context.Background(), agg, core.Options{S: s, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,3 +24,11 @@ func newReferenceOracle(in *Instance, caps []int) (*placementOracle, error) {
 func ApproxReference(ctx context.Context, in *Instance, opts Options) (*Deployment, error) {
 	return approx(ctx, in, opts, newReferenceOracle)
 }
+
+// SolveAggregate and CheckDeploymentFeasible serve the external aggregation
+// tests, which build scenarios through internal/workload (a package that
+// imports this one).
+var (
+	SolveAggregate          = solveAggregate
+	CheckDeploymentFeasible = checkDeploymentFeasible
+)

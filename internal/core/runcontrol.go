@@ -227,11 +227,17 @@ type SolverState struct {
 }
 
 // Frontier reports how far the frozen run got: for an enumeration, the
-// cursor and the enumeration size; for a portfolio, the evaluations spent by
-// all members and members × budget.
+// processed indices of its range and the range's size (for a merged
+// checkpoint with several holes that is more than the cursor); for a
+// portfolio, the evaluations spent by all members and members × budget.
 func (c *Checkpoint) Frontier() (done, total int64) {
 	if c.Algorithm != KindPortfolio {
-		return c.Cursor, c.Total
+		total = c.Range().Len()
+		done = total
+		for _, sp := range c.remaining() {
+			done -= sp.Len()
+		}
+		return done, total
 	}
 	for _, m := range c.Members {
 		done += m.Evals

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/uav-coverage/uavnet/internal/core"
+	uavnet "github.com/uav-coverage/uavnet"
 )
 
 // Ablation measures the effect of the two implementation choices that
@@ -18,51 +18,46 @@ import (
 // configuration on the same scenario and reports served users and time.
 func Ablation(cfg Config) (*Series, error) {
 	cfg = cfg.withDefaults()
-	variants := []struct {
-		name string
-		opts core.Options
-	}{
-		{"full", core.Options{}},
-		{"no-prune", core.Options{DisablePrune: true}},
-		{"ground-leftovers", core.Options{GroundLeftovers: true}},
-		{"sampled-10pct", core.Options{MaxSubsets: -1}}, // resolved below
+	variants := []column{
+		{label: "full"},
+		{label: "no-prune", opts: uavnet.Options{DisablePrune: true}},
+		{label: "ground-leftovers", opts: uavnet.Options{GroundLeftovers: true}},
+		{label: "sampled-10pct", opts: uavnet.Options{MaxSubsets: -1}}, // resolved below
 	}
 	series := &Series{
 		Title:  "Ablation: approAlg implementation choices",
 		XLabel: "variant",
 	}
 	for _, v := range variants {
-		series.Algorithms = append(series.Algorithms, v.name)
+		series.Algorithms = append(series.Algorithms, v.label)
 	}
 	pt := Point{X: 0, Served: map[string]float64{}, Elapsed: map[string]time.Duration{}}
 	for _, seed := range cfg.Seeds {
 		p := cfg.Base.WithDefaults()
 		p.Seed = seed
-		in, err := BuildInstance(p)
+		in, err := uavnet.GenerateInstance(p)
 		if err != nil {
 			return nil, err
 		}
 		// Resolve the 10% sampling cap against this instance's C(m, s).
 		mSubsets := totalSubsets(in.Scenario.M(), cfg.S)
 		for _, v := range variants {
-			opts := v.opts
-			opts.S = cfg.S
-			opts.Workers = cfg.Workers
-			if opts.MaxSubsets == -1 {
-				opts.MaxSubsets = int(mSubsets/10) + 1
+			v.alg = "approAlg"
+			v.opts.S = cfg.S
+			v.opts.Workers = cfg.Workers
+			if v.opts.MaxSubsets == -1 {
+				v.opts.MaxSubsets = int(mSubsets/10) + 1
 			} else if cfg.MaxSubsets > 0 {
-				opts.MaxSubsets = cfg.MaxSubsets
+				v.opts.MaxSubsets = cfg.MaxSubsets
 			}
-			start := time.Now() //uavlint:allow timenow -- elapsed-time metric is the harness's output
-			dep, err := core.Approx(cfg.context(), in, opts)
+			dep, elapsed, err := cfg.deploy(v, in)
 			if err != nil {
-				return nil, fmt.Errorf("eval: ablation %s: %w", v.name, err)
+				return nil, fmt.Errorf("eval: ablation %s: %w", v.label, err)
 			}
-			elapsed := time.Since(start) //uavlint:allow timenow -- elapsed-time metric is the harness's output
-			pt.Served[v.name] += float64(dep.Served)
-			pt.Elapsed[v.name] += elapsed
+			pt.Served[v.label] += float64(dep.Served)
+			pt.Elapsed[v.label] += elapsed
 			cfg.progress("ablation %s: seed=%d served=%d elapsed=%s",
-				v.name, seed, dep.Served, elapsed.Round(time.Millisecond))
+				v.label, seed, dep.Served, elapsed.Round(time.Millisecond))
 		}
 	}
 	nSeeds := float64(len(cfg.Seeds))
@@ -97,15 +92,15 @@ func totalSubsets(m, s int) int64 {
 // capacity: spread 0 is a homogeneous fleet (every UAV at the mean), spread
 // 1 is the paper's full [C_min, C_max] range. It quantifies when
 // heterogeneity-awareness matters: the gap between approAlg and the best
-// capacity-oblivious baseline should widen with the spread.
+// capacity-oblivious baseline should widen with the spread. approAlg runs
+// the enumeration with the leftover extension on, whatever cfg.Solver and
+// cfg.Literal say.
 func Heterogeneity(cfg Config, spreads []float64) (*Series, error) {
 	cfg = cfg.withDefaults()
-	algs, err := Algorithms(cfg.S, cfg.Workers, cfg.MaxSubsets)
-	if err != nil {
-		return nil, err
-	}
-	return sweep(cfg, "Extension: served users vs fleet capacity spread", "spread", spreads, algs,
-		func(p Params, x float64) Params {
+	cols := columns(uavnet.Options{S: cfg.S, Workers: cfg.Workers, MaxSubsets: cfg.MaxSubsets})
+	return sweep(cfg, "Extension: served users vs fleet capacity spread", "spread", spreads,
+		func(float64) []column { return cols },
+		func(p uavnet.ScenarioSpec, x float64) uavnet.ScenarioSpec {
 			p = p.WithDefaults()
 			mean := (p.CMin + p.CMax) / 2
 			halfRange := float64(p.CMax-p.CMin) / 2 * x

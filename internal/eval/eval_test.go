@@ -7,12 +7,12 @@ import (
 	"testing"
 	"time"
 
-	"github.com/uav-coverage/uavnet/internal/workload"
+	uavnet "github.com/uav-coverage/uavnet"
 )
 
 // quickParams is a small configuration so the harness tests run fast.
-func quickParams() Params {
-	return Params{
+func quickParams() uavnet.ScenarioSpec {
+	return uavnet.ScenarioSpec{
 		AreaSide: 2000,
 		CellSide: 500,
 		N:        120,
@@ -24,19 +24,21 @@ func quickParams() Params {
 }
 
 func TestParamsDefaults(t *testing.T) {
-	p := Params{}.WithDefaults()
+	p := uavnet.ScenarioSpec{}.WithDefaults()
 	if p.AreaSide != 3000 || p.CellSide != 500 || p.Altitude != 300 ||
 		p.UAVRange != 600 || p.UserRange != 500 || p.N != 3000 || p.K != 20 ||
 		p.CMin != 50 || p.CMax != 300 || p.MinRateBps != 2000 {
 		t.Errorf("defaults wrong: %+v", p)
 	}
-	if p.Distribution != workload.FatTailed {
+	if p.Distribution != uavnet.FatTailed {
 		t.Errorf("default distribution = %v", p.Distribution)
 	}
 }
 
+// TestBuildInstance checks the instance each sweep point builds through
+// uavnet.GenerateInstance.
 func TestBuildInstance(t *testing.T) {
-	in, err := BuildInstance(quickParams())
+	in, err := uavnet.GenerateInstance(quickParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +54,11 @@ func TestBuildInstance(t *testing.T) {
 }
 
 func TestBuildInstanceDeterministic(t *testing.T) {
-	a, err := BuildInstance(quickParams())
+	a, err := uavnet.GenerateInstance(quickParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := BuildInstance(quickParams())
+	b, err := uavnet.GenerateInstance(quickParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,37 +66,6 @@ func TestBuildInstanceDeterministic(t *testing.T) {
 		if a.Scenario.Users[i].Pos != b.Scenario.Users[i].Pos {
 			t.Fatal("users differ across identical builds")
 		}
-	}
-}
-
-func TestAlgorithmsList(t *testing.T) {
-	algs, err := Algorithms(2, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"approAlg", "MCS", "MotionCtrl", "GreedyAssign", "maxThroughput"}
-	if len(algs) != len(want) {
-		t.Fatalf("got %d algorithms", len(algs))
-	}
-	for i, a := range algs {
-		if a.Name != want[i] {
-			t.Errorf("algorithm %d = %s, want %s", i, a.Name, want[i])
-		}
-	}
-}
-
-func TestAlgorithmsUnknownBaselineError(t *testing.T) {
-	// The failure path that used to panic inside library code: an unknown
-	// baseline name must surface as an error naming the baseline.
-	algs, err := algorithmsForNames([]string{"MCS", "no-such-alg"}, 2, 1, 0, false)
-	if err == nil {
-		t.Fatal("unknown baseline should fail, got none")
-	}
-	if algs != nil {
-		t.Errorf("failed assembly should return no algorithms, got %d", len(algs))
-	}
-	if !strings.Contains(err.Error(), "no-such-alg") {
-		t.Errorf("error should name the unknown baseline: %v", err)
 	}
 }
 
@@ -264,12 +235,12 @@ func TestImprovement(t *testing.T) {
 func TestBuildInstanceErrors(t *testing.T) {
 	p := quickParams()
 	p.N = -1
-	if _, err := BuildInstance(p); err == nil {
+	if _, err := uavnet.GenerateInstance(p); err == nil {
 		t.Error("negative n should fail")
 	}
 	p = quickParams()
 	p.CellSide = 777 // not dividing the area
-	if _, err := BuildInstance(p); err == nil {
+	if _, err := uavnet.GenerateInstance(p); err == nil {
 		t.Error("non-divisible cell side should fail")
 	}
 }

@@ -3,9 +3,12 @@ package eval
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
+
+	uavnet "github.com/uav-coverage/uavnet"
 )
 
 // TestGoldenPaperFullRow regenerates the K=2 row of results/paper_full.csv
@@ -41,6 +44,55 @@ func TestGoldenPaperFullRow(t *testing.T) {
 	}
 	if len(got) != len(want) {
 		t.Errorf("Fig4 ran %d algorithms, golden row has %d", len(got), len(want))
+	}
+}
+
+// quickBase is uavbench's -scale quick scenario, the setting the harness
+// goldens below pin.
+var quickBase = uavnet.ScenarioSpec{AreaSide: 2000, CellSide: 500, N: 300, K: 8, CMin: 10, CMax: 60}
+
+// TestGoldenQuickScale pins the served counts of the harness's other entry
+// points at uavbench's quick scale, seed 1: the metaheuristic slot of the
+// figure sweeps, the Ablation variants, and Heterogeneity at both spread
+// ends. Any change to how the harness dispatches a column — solver, options,
+// seed — shows up here as a shifted count.
+func TestGoldenQuickScale(t *testing.T) {
+	t.Parallel()
+	cfg := Config{Base: quickBase, Seeds: []int64{1}}
+	solverCfg := cfg
+	solverCfg.Solver, solverCfg.SolverBudget = "portfolio", 500
+	for _, tc := range []struct {
+		name string
+		run  func() (*Series, error)
+		want []map[string]float64 // per point
+	}{
+		{"solver-fig4", func() (*Series, error) { return Fig4(solverCfg, []int{2, 3, 4}) }, []map[string]float64{
+			{"portfolio": 66, "MCS": 66, "MotionCtrl": 66, "GreedyAssign": 66, "maxThroughput": 66},
+			{"portfolio": 85, "MCS": 85, "MotionCtrl": 85, "GreedyAssign": 85, "maxThroughput": 85},
+			{"portfolio": 142, "MCS": 130, "MotionCtrl": 103, "GreedyAssign": 130, "maxThroughput": 137},
+		}},
+		{"ablation", func() (*Series, error) { return Ablation(cfg) }, []map[string]float64{
+			{"full": 246, "no-prune": 246, "ground-leftovers": 237, "sampled-10pct": 244},
+		}},
+		{"heterogeneity", func() (*Series, error) { return Heterogeneity(cfg, []float64{0, 1}) }, []map[string]float64{
+			{"approAlg": 253, "MCS": 171, "MotionCtrl": 222, "GreedyAssign": 189, "maxThroughput": 253},
+			{"approAlg": 246, "MCS": 162, "MotionCtrl": 217, "GreedyAssign": 162, "maxThroughput": 227},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			series, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(series.Points) != len(tc.want) {
+				t.Fatalf("%d points, want %d", len(series.Points), len(tc.want))
+			}
+			for i, want := range tc.want {
+				if got := series.Points[i].Served; !reflect.DeepEqual(got, want) {
+					t.Errorf("point %g served %v, want %v", series.Points[i].X, got, want)
+				}
+			}
+		})
 	}
 }
 

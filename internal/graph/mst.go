@@ -165,57 +165,5 @@ func CompleteHopMST(g *Undirected, terminals []int) ([]WeightedEdge, float64, er
 			edges = append(edges, WeightedEdge{U: i, V: j, Weight: float64(d)})
 		}
 	}
-	return MSTEdgesChecked(k, edges)
-}
-
-// MSTEdgesChecked is MST with the same contract, split out so callers that
-// already built a complete edge list reuse it.
-func MSTEdgesChecked(n int, edges []WeightedEdge) ([]WeightedEdge, float64, error) {
-	return MST(n, edges)
-}
-
-// SteinerLowerBound returns a lower bound on the number of nodes of any
-// connected subgraph of g containing all terminals: the number of terminals
-// plus, for each MST edge in the hop metric, the intermediate nodes that a
-// shortest path realizing it must contain (hops-1)... summed over a *minimum
-// spanning tree* of the terminals divided by the worst-case overlap. The
-// bound used here is
-//
-//	s + sum over MST edges of (hop-1) taken over the cheapest s-1 edges,
-//
-// which is valid because connecting s terminals requires at least the MST
-// weight of the hop metric divided by 2 in general; for our pruning we use
-// the weaker but always-sound bound based on the maximum pairwise hop
-// distance: any connected subgraph containing terminals u and v has at least
-// hop(u,v)+1 nodes.
-//
-// It returns an error if the terminals are disconnected in g.
-func SteinerLowerBound(g *Undirected, terminals []int) (int, error) {
-	k := len(terminals)
-	if k == 0 {
-		return 0, nil
-	}
-	if k == 1 {
-		return 1, nil
-	}
-	maxHop := 0
-	for i := 0; i < k; i++ {
-		dist := g.BFS(terminals[i])
-		for j := i + 1; j < k; j++ {
-			d := dist[terminals[j]]
-			if d == Unreachable {
-				return 0, fmt.Errorf("graph: terminals %d and %d are disconnected", terminals[i], terminals[j])
-			}
-			if d > maxHop {
-				maxHop = d
-			}
-		}
-	}
-	// Any connected subgraph containing two nodes at hop distance h has at
-	// least h+1 nodes; with k terminals it also has at least k nodes.
-	lb := maxHop + 1
-	if k > lb {
-		lb = k
-	}
-	return lb, nil
+	return MST(k, edges)
 }

@@ -155,71 +155,3 @@ func TestCompleteHopMSTDisconnected(t *testing.T) {
 		t.Error("disconnected terminals should fail")
 	}
 }
-
-func TestSteinerLowerBound(t *testing.T) {
-	g := gridGraph(t, 3, 3)
-	tests := []struct {
-		name      string
-		terminals []int
-		want      int
-	}{
-		{"empty", nil, 0},
-		{"single", []int{4}, 1},
-		{"adjacent", []int{0, 1}, 2},
-		{"corners", []int{0, 8}, 5}, // hop distance 4 -> at least 5 nodes
-		{"three-corners", []int{0, 2, 8}, 5},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := SteinerLowerBound(g, tc.terminals)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != tc.want {
-				t.Errorf("SteinerLowerBound(%v) = %d, want %d", tc.terminals, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestSteinerLowerBoundIsSound(t *testing.T) {
-	// Property: any connected subgraph containing the terminals has at least
-	// SteinerLowerBound nodes. We verify against the actual connector used by
-	// the algorithm (MST over hop metric + shortest paths).
-	r := rand.New(rand.NewSource(5))
-	g := gridGraph(t, 4, 4)
-	for trial := 0; trial < 100; trial++ {
-		k := 2 + r.Intn(3)
-		seen := map[int]bool{}
-		var terms []int
-		for len(terms) < k {
-			v := r.Intn(16)
-			if !seen[v] {
-				seen[v] = true
-				terms = append(terms, v)
-			}
-		}
-		lb, err := SteinerLowerBound(g, terms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree, _, err := CompleteHopMST(g, terms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nodes := map[int]bool{}
-		for _, tm := range terms {
-			nodes[tm] = true
-		}
-		for _, e := range tree {
-			p := g.ShortestPath(terms[e.U], terms[e.V])
-			for _, v := range p {
-				nodes[v] = true
-			}
-		}
-		if len(nodes) < lb {
-			t.Fatalf("trial %d: connector uses %d nodes < lower bound %d (terminals %v)",
-				trial, len(nodes), lb, terms)
-		}
-	}
-}

@@ -160,7 +160,11 @@ type Event struct {
 	Error string   `json:"error,omitempty"`
 	// Progress accompanies "progress" events.
 	Progress *ProgressInfo `json:"progress,omitempty"`
-	// Cursor/Total accompany "checkpoint" events: the durable frontier.
+	// Cursor/Total accompany "checkpoint" events: the durable progress as
+	// Checkpoint.Frontier reports it. Despite its wire name, Cursor counts
+	// processed units (enumeration subsets or portfolio evaluations), not
+	// the checkpoint's raw cursor; the two differ for a merged checkpoint
+	// with several unprocessed holes.
 	Cursor int64 `json:"cursor,omitempty"`
 	Total  int64 `json:"total,omitempty"`
 }
@@ -175,11 +179,11 @@ type Job struct {
 	dir      string
 
 	mu       sync.Mutex
-	state    JobState      //uavlint:guard mu
-	errMsg   string        //uavlint:guard mu
-	progress *ProgressInfo //uavlint:guard mu
-	cancel   func()        //uavlint:guard mu -- non-nil while running; requests cancellation
-	userStop bool          //uavlint:guard mu -- cancellation was client-requested, not a shutdown
+	state    JobState                //uavlint:guard mu
+	errMsg   string                  //uavlint:guard mu
+	progress *ProgressInfo           //uavlint:guard mu
+	cancel   func()                  //uavlint:guard mu -- non-nil while running; requests cancellation
+	userStop bool                    //uavlint:guard mu -- cancellation was client-requested, not a shutdown
 	subs     map[chan Event]struct{} //uavlint:guard mu
 	result   []byte                  //uavlint:guard mu -- deployment.json bytes once done
 }

@@ -48,7 +48,7 @@ func slowScenario(t *testing.T) *uavnet.Scenario {
 func soloBytes(t *testing.T, sc *uavnet.Scenario, o JobOptions) []byte {
 	t.Helper()
 	n := o.normalized()
-	dep, err := uavnet.Deploy(sc, uavnet.Options{
+	dep, err := uavnet.DeployContext(context.Background(), sc, uavnet.Options{
 		S: n.S, MaxSubsets: n.MaxSubsets, Seed: n.Seed,
 		DisablePrune: n.DisablePrune, GroundLeftovers: n.GroundLeftovers,
 		Solver: n.Solver, SolverBudget: n.SolverBudget,
@@ -698,6 +698,11 @@ func TestRescanResumesLegacyShardsJob(t *testing.T) {
 	}
 	if n := len(cp.RemainingSpans()); n < 2 {
 		t.Fatalf("fixture checkpoint has %d unprocessed spans, want a merged multi-span one", n)
+	}
+	// Progress counts every processed subset (the counters' sum), not the
+	// first hole's start.
+	if done, total := cp.Frontier(); done != cp.Evaluated+cp.Pruned || total != cp.Total {
+		t.Errorf("frontier %d / %d, want %d / %d", done, total, cp.Evaluated+cp.Pruned, cp.Total)
 	}
 	sc, err := uavnet.LoadScenario(filepath.Join(dir, id, scenarioFile))
 	if err != nil {

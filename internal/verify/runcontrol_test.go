@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"github.com/uav-coverage/uavnet/internal/core"
-	"github.com/uav-coverage/uavnet/internal/eval"
+	"github.com/uav-coverage/uavnet/internal/workload"
 )
 
 // resumeSeeds is the corpus size for the resume-equivalence check, matching
@@ -93,10 +93,11 @@ func TestCancellationPromptOnPaperInstance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-sized instance")
 	}
-	in, err := eval.BuildInstance(eval.Params{})
+	sc, err := workload.BuildScenario(workload.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := mustInstance(t, sc)
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -151,10 +152,11 @@ func TestAlreadyCancelledContextIsImmediate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-sized instance")
 	}
-	in, err := eval.BuildInstance(eval.Params{})
+	sc, err := workload.BuildScenario(workload.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	in := mustInstance(t, sc)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()

@@ -100,19 +100,13 @@ func MergeCheckpoints(in *Instance, opts Options, cps []*Checkpoint) (*Deploymen
 	return core.MergeCheckpoints(in, opts, cps)
 }
 
-// Deploy runs the paper's approximation algorithm (Algorithm 2, approAlg)
-// and returns the best deployment found. The scenario is validated and
-// precomputed internally; to amortize precomputation across runs, use
-// NewInstance and DeployInstance.
-//
-//uavlint:allow ctxthread -- compatibility shim: ctx-less callers get a fresh root, DeployContext is the threaded path
-func Deploy(sc *Scenario, opts Options) (*Deployment, error) {
-	return DeployContext(context.Background(), sc, opts)
-}
-
-// DeployContext is Deploy under a context: on cancellation or deadline the
-// run stops promptly and returns the best-so-far deployment (Status
-// StatusStopped, resumable via its Checkpoint) together with ctx.Err().
+// DeployContext runs the paper's approximation algorithm (Algorithm 2,
+// approAlg) — or the metaheuristic named by opts.Solver — and returns the
+// best deployment found. The scenario is validated and precomputed
+// internally; to amortize precomputation across runs, use NewInstance and
+// DeployInstanceContext. On cancellation or deadline the run stops promptly
+// and returns the best-so-far deployment (Status StatusStopped, resumable
+// via its Checkpoint) together with ctx.Err().
 func DeployContext(ctx context.Context, sc *Scenario, opts Options) (*Deployment, error) {
 	in, err := core.NewInstance(sc)
 	if err != nil {
@@ -121,7 +115,9 @@ func DeployContext(ctx context.Context, sc *Scenario, opts Options) (*Deployment
 	return deploySolver(ctx, in, opts)
 }
 
-// DeployInstance is Deploy on a precomputed instance.
+// DeployInstance is DeployInstanceContext without a context. It stays for
+// the benchmark module under bench/, which pins it; new code should use
+// DeployInstanceContext.
 //
 //uavlint:allow ctxthread -- compatibility shim: ctx-less callers get a fresh root, DeployInstanceContext is the threaded path
 func DeployInstance(in *Instance, opts Options) (*Deployment, error) {
@@ -161,24 +157,18 @@ func SolverNames() []string {
 	return append([]string{"enum"}, append(portfolio.Members(), "portfolio")...)
 }
 
-// AlgorithmNames lists every algorithm usable with DeployWith, the paper's
-// approAlg first.
+// AlgorithmNames lists every algorithm usable with DeployWithContext, the
+// paper's approAlg first.
 func AlgorithmNames() []string {
 	return append([]string{"approAlg"}, baseline.Names()...)
 }
 
-// DeployWith runs the named algorithm — "approAlg" or one of the baselines
-// "MCS", "MotionCtrl", "GreedyAssign", "maxThroughput" — on the instance.
-// The opts apply to approAlg only.
-//
-//uavlint:allow ctxthread -- compatibility shim: ctx-less callers get a fresh root, DeployWithContext is the threaded path
-func DeployWith(name string, in *Instance, opts Options) (*Deployment, error) {
-	return DeployWithContext(context.Background(), name, in, opts)
-}
-
-// DeployWithContext is DeployWith under a context. Only approAlg supports
-// mid-run cancellation and checkpointing; the baselines are single-pass and
-// merely check the context before starting.
+// DeployWithContext runs the named algorithm — "approAlg" or one of the
+// baselines "MCS", "MotionCtrl", "GreedyAssign", "maxThroughput" — on the
+// instance. The opts apply to approAlg only, which dispatches on
+// opts.Solver like DeployInstanceContext. Only approAlg supports mid-run
+// cancellation and checkpointing; the baselines are single-pass and merely
+// check the context before starting.
 func DeployWithContext(ctx context.Context, name string, in *Instance, opts Options) (*Deployment, error) {
 	if name == "approAlg" {
 		return deploySolver(ctx, in, opts)
@@ -253,19 +243,12 @@ func GatewayReachable(in *Instance, dep *Deployment, gw Gateway) bool {
 	return core.GatewayReachable(in, dep, gw)
 }
 
-// DeployToGateway runs approAlg constrained so that the deployed network
-// includes a cell within relay range of the gateway: the gateway's cells
-// are injected as required anchors, so reachability is guaranteed by
+// DeployToGatewayContext runs approAlg constrained so that the deployed
+// network includes a cell within relay range of the gateway: the gateway's
+// cells are injected as required anchors, so reachability is guaranteed by
 // construction rather than patched afterwards. It fails if no candidate
-// cell lies within UAV range of the gateway.
-//
-//uavlint:allow ctxthread -- compatibility shim: ctx-less callers get a fresh root, DeployToGatewayContext is the threaded path
-func DeployToGateway(in *Instance, gw Gateway, opts Options) (*Deployment, error) {
-	return DeployToGatewayContext(context.Background(), in, gw, opts)
-}
-
-// DeployToGatewayContext is DeployToGateway under a context (see
-// DeployContext for the stopped-run contract).
+// cell lies within UAV range of the gateway. See DeployContext for the
+// stopped-run contract.
 func DeployToGatewayContext(ctx context.Context, in *Instance, gw Gateway, opts Options) (*Deployment, error) {
 	if !opts.SolverIsEnum() {
 		// The gateway guarantee rides on the enumeration's required-cell

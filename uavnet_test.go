@@ -1,6 +1,7 @@
 package uavnet_test
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -44,7 +45,7 @@ func TestDeployEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dep, err := uavnet.Deploy(sc, uavnet.Options{S: 2, Workers: 2})
+	dep, err := uavnet.DeployContext(context.Background(), sc, uavnet.Options{S: 2, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestDeployWithAllAlgorithms(t *testing.T) {
 	}
 	apro := -1
 	for _, name := range uavnet.AlgorithmNames() {
-		dep, err := uavnet.DeployWith(name, in, uavnet.Options{S: 2, Workers: 2})
+		dep, err := uavnet.DeployWithContext(context.Background(), name, in, uavnet.Options{S: 2, Workers: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -90,8 +91,9 @@ func TestDeployWithUnknown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := uavnet.DeployWith("magic", in, uavnet.Options{}); err == nil {
-		t.Error("unknown algorithm should fail")
+	_, err = uavnet.DeployWithContext(context.Background(), "magic", in, uavnet.Options{})
+	if err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Errorf("unknown algorithm: got %v, want an error naming it", err)
 	}
 }
 
