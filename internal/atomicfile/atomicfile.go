@@ -1,6 +1,7 @@
 // Package atomicfile provides crash-durable atomic file replacement: the
 // write-fsync-rename-fsync sequence every checkpoint, scenario, deployment,
-// and server job record in this repo goes through.
+// and server job record in this repo goes through, plus Mkdir, which makes
+// a new directory's entry durable the same way.
 //
 // "Atomic" alone (temp file + rename) only protects against a crash of the
 // writing process: readers observe the old content or the new, never a
@@ -58,6 +59,20 @@ func WriteFile(path string, data []byte, perm os.FileMode) error {
 		return err
 	}
 	return syncDir(dir)
+}
+
+// Mkdir creates the directory path durably: after it returns, path is a
+// directory whose entry in its parent survives a power loss. An existing
+// directory is accepted, and its entry is synced again in case a crashed
+// writer created it without syncing. A missing parent, or anything but a
+// directory at path, is an error.
+func Mkdir(path string, perm os.FileMode) error {
+	if err := os.Mkdir(path, perm); err != nil {
+		if info, serr := os.Stat(path); serr != nil || !info.IsDir() {
+			return err
+		}
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // syncDir fsyncs a directory so a just-committed rename's entry is durable.

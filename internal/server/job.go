@@ -176,7 +176,6 @@ type Job struct {
 	ID       string
 	Scenario *uavnet.Scenario
 	Options  JobOptions
-	dir      string
 
 	mu       sync.Mutex
 	state    JobState                //uavlint:guard mu
@@ -208,19 +207,23 @@ func (j *Job) Progress() *ProgressInfo {
 
 // publish fans an event out to every subscriber without blocking: a slow
 // client misses intermediate snapshots (the next one supersedes them), it
-// never stalls the solver's progress hook.
+// never stalls the solver's progress hook. A terminal state event ends the
+// stream, so on a full buffer it displaces the oldest event; sends happen
+// only here, under j.mu, so the slot that frees stays free.
 func (j *Job) publish(ev Event) {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if ev.Type == "progress" && ev.Progress != nil {
 		p := *ev.Progress
 		j.progress = &p
 	}
-	subs := make([]chan Event, 0, len(j.subs))
 	for ch := range j.subs {
-		subs = append(subs, ch)
-	}
-	j.mu.Unlock()
-	for _, ch := range subs {
+		if ev.Type == "state" && ev.State.terminal() && len(ch) == cap(ch) {
+			select {
+			case <-ch:
+			default:
+			}
+		}
 		select {
 		case ch <- ev:
 		default:
@@ -254,8 +257,9 @@ func (j *Job) unsubscribe(ch chan Event) {
 	j.mu.Unlock()
 }
 
-// setState transitions the job and notifies subscribers. The caller is
-// responsible for persisting the transition (see Server.persistState).
+// setState transitions the job and notifies subscribers. The caller persists
+// the transitions rescan cannot infer: failed and cancelled (see
+// Server.persistState).
 func (j *Job) setState(state JobState, errMsg string) {
 	j.mu.Lock()
 	j.state = state

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"path/filepath"
 
 	uavnet "github.com/uav-coverage/uavnet"
 )
@@ -71,31 +72,21 @@ func (s *Server) nextJob(ctx context.Context) *Job {
 	}
 }
 
-// runJob drives one job from claim to a terminal (or requeued) state.
+// runJob drives one job from claim to a terminal (or requeued) state. Of
+// its outcomes only failed and cancelled are recorded in state.json: done
+// is deployment.json itself, and a job stopped by shutdown rescans as
+// queued without a record.
 func (s *Server) runJob(ctx context.Context, j *Job) {
 	jobCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	if !j.claim(cancel) {
-		// The job was cancelled (or otherwise left queued) while pending.
-		if state, _ := j.State(); state == JobCancelled {
-			if err := s.persistState(j); err != nil {
-				s.logf("job %s: persist cancelled state: %v", j.ID, err)
-			}
-		}
-		return
+		return // cancelled while pending; handleCancel recorded it
 	}
 	j.publish(Event{Type: "state", State: JobRunning})
-	if err := s.persistState(j); err != nil {
-		s.fail(j, fmt.Errorf("persist running state: %w", err))
-		return
-	}
 
 	dep, err := s.solve(jobCtx, j)
 	switch {
 	case err == nil:
-		// Solve complete: persist the deployment first, then the state —
-		// after a crash in between, rescan sees a running job with a
-		// checkpoint and simply resumes it to the same bytes.
 		data, perr := s.saveDeployment(j, dep)
 		if perr != nil {
 			s.fail(j, fmt.Errorf("persist deployment: %w", perr))
@@ -105,23 +96,20 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		j.result = data
 		j.mu.Unlock()
 		j.setState(JobDone, "")
-		if perr := s.persistState(j); perr != nil {
-			s.logf("job %s: persist done state: %v", j.ID, perr)
-		}
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The job context was cancelled: either the client asked (terminal
-		// cancelled state) or the server is shutting down (back to queued,
+		// cancelled state) or the server is shutting down (back to queued;
 		// the persisted checkpoint carries the frontier for the restart).
 		j.mu.Lock()
 		user := j.userStop
 		j.mu.Unlock()
-		if user {
-			j.setState(JobCancelled, "")
-		} else {
+		if !user {
 			j.setState(JobQueued, "")
+			return
 		}
+		j.setState(JobCancelled, "")
 		if perr := s.persistState(j); perr != nil {
-			s.logf("job %s: persist stop state: %v", j.ID, perr)
+			s.logf("job %s: persist cancelled state: %v", j.ID, perr)
 		}
 	default:
 		s.fail(j, err)
@@ -149,7 +137,7 @@ func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) 
 	if err != nil {
 		return nil, err
 	}
-	resume, err := uavnet.LoadCheckpoint(s.checkpointPath(j))
+	resume, err := uavnet.LoadCheckpoint(filepath.Join(s.jobDir(j.ID), checkpointFile))
 	if errors.Is(err, fs.ErrNotExist) {
 		resume, err = nil, nil // no checkpoint yet: start from scratch
 	}
@@ -188,7 +176,11 @@ func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) 
 
 		// Stopped: persist the frontier durably before anything else.
 		resume = dep.Checkpoint
-		if err := uavnet.SaveCheckpoint(s.checkpointPath(j), resume); err != nil {
+		data, err := resume.Marshal()
+		if err == nil {
+			err = s.writeFile(j.ID, checkpointFile, append(data, '\n'))
+		}
+		if err != nil {
 			return nil, fmt.Errorf("persist checkpoint: %w", err)
 		}
 		done, total := resume.Frontier()
@@ -215,17 +207,11 @@ func (s *Server) instance(j *Job) (*uavnet.Instance, error) {
 }
 
 // claim transitions queued → running, installing the cancel hook. It fails
-// when the job left the queued state while pending (e.g. cancelled).
+// when the job left the queued state while pending (cancelled).
 func (j *Job) claim(cancel func()) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != JobQueued {
-		return false
-	}
-	if j.userStop {
-		// Cancelled while pending: finish the transition the cancel handler
-		// started.
-		j.state = JobCancelled
 		return false
 	}
 	j.state = JobRunning

@@ -13,14 +13,15 @@ import (
 	"time"
 
 	uavnet "github.com/uav-coverage/uavnet"
+	"github.com/uav-coverage/uavnet/internal/atomicfile"
 )
 
 // Config tunes a Server.
 type Config struct {
 	// Dir is the durable job directory (created if absent). Every submitted
-	// job persists its scenario, options, state, checkpoints, and final
-	// deployment here; a new Server over the same Dir resumes where the old
-	// one stopped.
+	// job persists its scenario, options, checkpoints, final deployment, and
+	// any failed or cancelled state here; a new Server over the same Dir
+	// resumes where the old one stopped.
 	Dir string
 	// Workers bounds how many jobs solve concurrently (default 2).
 	Workers int
@@ -52,6 +53,7 @@ type Server struct {
 	requeue []*Job          //uavlint:guard mu -- rescanned unfinished jobs, enqueued by Start
 	ctx     context.Context //uavlint:guard mu -- the Start context; nil until Start
 	wg      sync.WaitGroup
+	write   func(path string, data []byte, perm os.FileMode) error // every job file write: atomicfile.WriteFile outside tests
 }
 
 // New builds a Server over dir, rescanning any jobs a previous process left
@@ -74,7 +76,7 @@ func New(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	s := &Server{cfg: cfg, jobs: make(map[string]*Job)}
+	s := &Server{cfg: cfg, jobs: make(map[string]*Job), write: atomicfile.WriteFile}
 	s.cond = sync.NewCond(&s.mu)
 	requeue, err := s.rescan()
 	if err != nil {
@@ -121,13 +123,11 @@ func (s *Server) lookup(id string) *Job {
 	return s.jobs[id]
 }
 
-// submit registers (or dedupes against) the job for a scenario + options.
-// The boolean reports whether the job is new. Cancelled and failed duplicates
-// re-enter the queue, resuming from their persisted checkpoint.
+// submit registers (or dedupes against) the job for a scenario and valid
+// options; its only error is a failure to persist a new job. The boolean
+// reports whether the job is new. Cancelled and failed duplicates re-enter
+// the queue, resuming from their persisted checkpoint.
 func (s *Server) submit(sc *uavnet.Scenario, o JobOptions) (*Job, bool, error) {
-	if err := o.Validate(); err != nil {
-		return nil, false, err
-	}
 	id := JobID(sc, o)
 	s.mu.Lock()
 	if j, ok := s.jobs[id]; ok {
@@ -141,7 +141,7 @@ func (s *Server) submit(sc *uavnet.Scenario, o JobOptions) (*Job, bool, error) {
 		}
 		return j, false, nil
 	}
-	j := &Job{ID: id, Scenario: sc, Options: o, dir: s.jobDir(id), state: JobQueued}
+	j := &Job{ID: id, Scenario: sc, Options: o, state: JobQueued}
 	s.jobs[id] = j
 	s.mu.Unlock()
 	if err := s.persistNew(j); err != nil {
@@ -251,9 +251,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	if err := req.Options.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	j, created, err := s.submit(sc, req.Options)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	code := http.StatusOK

@@ -44,11 +44,19 @@ func slowScenario(t *testing.T) *uavnet.Scenario {
 }
 
 // soloBytes computes the reference result the way cmd/uavdeploy -out would:
-// one uninterrupted in-process solve, serialized with SaveDeployment.
+// one uninterrupted in-process solve, on the demand-aggregated instance when
+// agg_cell is set, serialized with SaveDeployment.
 func soloBytes(t *testing.T, sc *uavnet.Scenario, o JobOptions) []byte {
 	t.Helper()
 	n := o.normalized()
-	dep, err := uavnet.DeployContext(context.Background(), sc, uavnet.Options{
+	in, err := uavnet.NewInstance(sc)
+	if n.AggCell > 0 {
+		in, err = uavnet.NewAggregateInstance(sc, uavnet.AggregateOptions{CellSide: n.AggCell})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{
 		S: n.S, MaxSubsets: n.MaxSubsets, Seed: n.Seed,
 		DisablePrune: n.DisablePrune, GroundLeftovers: n.GroundLeftovers,
 		Solver: n.Solver, SolverBudget: n.SolverBudget,
@@ -463,14 +471,10 @@ func TestShutdownRestartResumesByteIdentical(t *testing.T) {
 			srvA.Wait()
 			tsA.Close()
 
-			// The interrupted job must be persisted as queued (not
-			// running/failed).
-			var st stateRecord
-			if err := readStrictJSON(filepath.Join(dir, sum.ID, stateFile), &st); err != nil {
-				t.Fatal(err)
-			}
-			if st.State != JobQueued {
-				t.Fatalf("interrupted job persisted as %s, want queued", st.State)
+			// The interrupted job must leave no state record: without one
+			// it rescans as queued (not failed or cancelled).
+			if _, err := os.Stat(filepath.Join(dir, sum.ID, stateFile)); !os.IsNotExist(err) {
+				t.Fatalf("interrupted job left a state record: %v", err)
 			}
 
 			// Restart: a new server over the same directory resumes to
@@ -626,6 +630,25 @@ func TestSSEStream(t *testing.T) {
 	}
 }
 
+// TestTerminalEventSurvivesFullBuffer fills a subscriber's buffer with
+// progress snapshots, then ends the job: the terminal state event must still
+// reach the subscriber, or its stream would wait for a disconnect.
+func TestTerminalEventSurvivesFullBuffer(t *testing.T) {
+	j := &Job{state: JobRunning}
+	ch, _ := j.subscribe()
+	for i := 0; i < cap(ch); i++ {
+		j.publish(Event{Type: "progress", Progress: &ProgressInfo{Done: int64(i)}})
+	}
+	j.setState(JobDone, "")
+	var last Event
+	for len(ch) > 0 {
+		last = <-ch
+	}
+	if last.Type != "state" || last.State != JobDone {
+		t.Errorf("last buffered event %+v, want the terminal done state", last)
+	}
+}
+
 // TestPortfolioAndAggregateJobs exercises the two non-default solve paths
 // end to end: a metaheuristic portfolio job and a demand-aggregated job.
 func TestPortfolioAndAggregateJobs(t *testing.T) {
@@ -646,26 +669,7 @@ func TestPortfolioAndAggregateJobs(t *testing.T) {
 		var sum jobSummary
 		json.Unmarshal(data, &sum)
 		waitState(t, ts.URL, sum.ID, JobDone)
-		got := fetchResult(t, ts.URL, sum.ID)
-		var want []byte
-		if o.AggCell > 0 {
-			in, err := uavnet.NewAggregateInstance(sc, uavnet.AggregateOptions{CellSide: o.AggCell})
-			if err != nil {
-				t.Fatal(err)
-			}
-			dep, err := uavnet.DeployInstance(in, uavnet.Options{S: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(t.TempDir(), "agg.json")
-			if err := uavnet.SaveDeployment(path, dep); err != nil {
-				t.Fatal(err)
-			}
-			want, _ = os.ReadFile(path)
-		} else {
-			want = soloBytes(t, sc, o)
-		}
-		if !bytes.Equal(got, want) {
+		if got, want := fetchResult(t, ts.URL, sum.ID), soloBytes(t, sc, o); !bytes.Equal(got, want) {
 			t.Errorf("options %+v: served deployment differs from the solo solve", o)
 		}
 	}
@@ -678,20 +682,8 @@ func TestPortfolioAndAggregateJobs(t *testing.T) {
 // hint, keep the job id, and resume the holes to the unsharded bytes.
 func TestRescanResumesLegacyShardsJob(t *testing.T) {
 	const id = "f3a084846a6e18e1"
-	src := filepath.Join("testdata", "legacy-shards-job", id)
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, id), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{scenarioFile, jobFile, stateFile, checkpointFile} {
-		data, err := os.ReadFile(filepath.Join(src, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, id, name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	copyTree(t, filepath.Join("testdata", "legacy-shards-job"), dir)
 	cp, err := uavnet.LoadCheckpoint(filepath.Join(dir, id, checkpointFile))
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -15,18 +17,19 @@ import (
 // On-disk layout, one directory per job under Config.Dir:
 //
 //	<dir>/<jobid>/scenario.json    the submitted scenario (SaveScenario form)
-//	<dir>/<jobid>/job.json         id + options + submission time
-//	<dir>/<jobid>/state.json       lifecycle state + terminal error
+//	<dir>/<jobid>/job.json         id + options + submission time; written last, it commits the job
 //	<dir>/<jobid>/checkpoint.json  latest durable solver frontier (cadence)
-//	<dir>/<jobid>/deployment.json  the final deployment (SaveDeployment form)
+//	<dir>/<jobid>/deployment.json  the final deployment (SaveDeployment form); present ⇒ done
+//	<dir>/<jobid>/state.json       failed or cancelled, or queued again after either
 //
-// Every file is written through internal/atomicfile (write, fsync, rename,
-// directory fsync), so after any crash — SIGKILL or power loss — each file
-// is either absent or a complete earlier version. The recovery invariant:
-// deployment.json present ⇒ the job is done and the bytes are final;
-// otherwise checkpoint.json (when present) resumes the job to a
-// byte-identical deployment; otherwise the job restarts from scratch. A
-// state.json left at "running" by a crash rescans as queued.
+// The directory is created by atomicfile.Mkdir and every file written by
+// Server.write (atomicfile.WriteFile), so after any crash — SIGKILL or power
+// loss — each file is either absent or a complete earlier version, and
+// rescan decides a job from the files present alone: no job.json, skipped
+// (the POST never answered 201); deployment.json, done with those bytes;
+// state.json failed or cancelled, that state; otherwise queued, resuming
+// checkpoint.json when present. Queued, running and done thus need no
+// record; directories of older versions that have them rescan the same way.
 
 const (
 	scenarioFile   = "scenario.json"
@@ -58,13 +61,18 @@ type stateRecord struct {
 	Updated string   `json:"updated"`
 }
 
-// writeJSON persists v as indented JSON, atomically and durably.
-func writeJSON(path string, v any) error {
+// writeFile durably writes data as a job's file, through s.write.
+func (s *Server) writeFile(id, name string, data []byte) error {
+	return s.write(filepath.Join(s.jobDir(id), name), data, 0o644)
+}
+
+// writeJSON durably writes v as a job's file, in indented JSON.
+func (s *Server) writeJSON(id, name string, v any) error {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	return atomicfile.WriteFile(path, append(data, '\n'), 0o644)
+	return s.writeFile(id, name, append(data, '\n'))
 }
 
 // readStrictJSON loads a server-written JSON file, rejecting unknown fields:
@@ -87,30 +95,27 @@ func readStrictJSON(path string, v any) error {
 // jobDir returns the directory of a job id.
 func (s *Server) jobDir(id string) string { return filepath.Join(s.cfg.Dir, id) }
 
-// persistNew writes a freshly-submitted job to disk: directory, scenario,
-// record, and queued state. Called before the job is visible to workers, so
-// a crash between any two writes leaves at worst a job directory without a
-// state file, which rescan treats as queued.
+// persistNew commits a freshly-submitted job: its directory, its scenario,
+// and last job.json, whose presence is what makes the job exist at rescan.
 func (s *Server) persistNew(j *Job) error {
-	dir := s.jobDir(j.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := atomicfile.Mkdir(s.jobDir(j.ID), 0o755); err != nil {
 		return err
 	}
-	if err := uavnet.SaveScenario(filepath.Join(dir, scenarioFile), j.Scenario); err != nil {
+	sc, err := uavnet.MarshalScenario(j.Scenario)
+	if err != nil {
+		return err
+	}
+	if err := s.writeFile(j.ID, scenarioFile, append(sc, '\n')); err != nil {
 		return err
 	}
 	rec := jobRecord{ID: j.ID, Options: recordOptions{JobOptions: j.Options}, Created: s.now()}
-	if err := writeJSON(filepath.Join(dir, jobFile), rec); err != nil {
-		return err
-	}
-	return s.persistState(j)
+	return s.writeJSON(j.ID, jobFile, rec)
 }
 
-// persistState records the job's current lifecycle state durably.
+// persistState records a failed or cancelled job, or its requeue after one.
 func (s *Server) persistState(j *Job) error {
 	state, errMsg := j.State()
-	rec := stateRecord{State: state, Error: errMsg, Updated: s.now()}
-	return writeJSON(filepath.Join(s.jobDir(j.ID), stateFile), rec)
+	return s.writeJSON(j.ID, stateFile, stateRecord{State: state, Error: errMsg, Updated: s.now()})
 }
 
 // now renders the submission/update timestamp.
@@ -129,20 +134,12 @@ func (s *Server) saveDeployment(j *Job, dep *uavnet.Deployment) ([]byte, error) 
 		return nil, err
 	}
 	data = append(data, '\n')
-	return data, atomicfile.WriteFile(filepath.Join(s.jobDir(j.ID), deploymentFile), data, 0o644)
-}
-
-// checkpointPath returns a job's checkpoint file.
-func (s *Server) checkpointPath(j *Job) string {
-	return filepath.Join(s.jobDir(j.ID), checkpointFile)
+	return data, s.writeFile(j.ID, deploymentFile, data)
 }
 
 // rescan loads every job directory under cfg.Dir, rebuilding the in-memory
-// job table after a restart. Jobs that were queued or running when the
-// previous process died come back queued (their checkpoint carries the
-// durable frontier); done, failed, and cancelled jobs come back in their
-// terminal state. The returned slice lists the jobs to re-enqueue, in
-// directory order.
+// job table after a restart by the rules of the layout comment above. The
+// returned slice lists the jobs to re-enqueue, in directory order.
 //
 //uavlint:allow lockguard -- runs inside New before the Server or any Job is published; no other goroutine can observe the fields yet
 func (s *Server) rescan() ([]*Job, error) {
@@ -157,7 +154,12 @@ func (s *Server) rescan() ([]*Job, error) {
 		}
 		dir := filepath.Join(s.cfg.Dir, ent.Name())
 		var rec jobRecord
-		if err := readStrictJSON(filepath.Join(dir, jobFile), &rec); err != nil {
+		switch err := readStrictJSON(filepath.Join(dir, jobFile), &rec); {
+		case errors.Is(err, fs.ErrNotExist):
+			// A crash before the commit record: that POST never answered 201.
+			s.logf("rescan: skipping %s: no %s", dir, jobFile)
+			continue
+		case err != nil:
 			return nil, fmt.Errorf("server: job directory %s is unreadable: %w", dir, err)
 		}
 		if rec.ID != ent.Name() {
@@ -170,31 +172,23 @@ func (s *Server) rescan() ([]*Job, error) {
 		if err != nil {
 			return nil, fmt.Errorf("server: job %s: %w", rec.ID, err)
 		}
-		j := &Job{ID: rec.ID, Scenario: sc, Options: rec.Options.JobOptions, dir: dir, state: JobQueued}
-		var st stateRecord
-		switch err := readStrictJSON(filepath.Join(dir, stateFile), &st); {
-		case os.IsNotExist(err):
-			// Crash between persistNew's writes: treat as queued.
-		case err != nil:
+		j := &Job{ID: rec.ID, Scenario: sc, Options: rec.Options.JobOptions, state: JobQueued}
+		data, err := os.ReadFile(filepath.Join(dir, deploymentFile))
+		switch {
+		case err == nil:
+			j.state, j.result = JobDone, data
+		case !errors.Is(err, fs.ErrNotExist):
 			return nil, fmt.Errorf("server: job %s: %w", rec.ID, err)
 		default:
-			j.state = st.State
-			j.errMsg = st.Error
-		}
-		// A finished job must actually have its deployment on disk; a crash
-		// cannot produce state "done" without one (the deployment is written
-		// first), but a hand-edited directory could.
-		if j.state == JobDone {
-			data, err := os.ReadFile(filepath.Join(dir, deploymentFile))
-			if err != nil {
-				return nil, fmt.Errorf("server: job %s is marked done but has no deployment: %w", rec.ID, err)
+			var st stateRecord
+			if err := readStrictJSON(filepath.Join(dir, stateFile), &st); err != nil && !errors.Is(err, fs.ErrNotExist) {
+				return nil, fmt.Errorf("server: job %s: %w", rec.ID, err)
 			}
-			j.result = data
-		}
-		// running (crash) and queued both re-enter the queue.
-		if j.state == JobRunning || j.state == JobQueued {
-			j.state = JobQueued
-			requeue = append(requeue, j)
+			if st.State == JobFailed || st.State == JobCancelled {
+				j.state, j.errMsg = st.State, st.Error
+			} else {
+				requeue = append(requeue, j)
+			}
 		}
 		s.jobs[j.ID] = j
 	}
