@@ -344,7 +344,7 @@ func approx(ctx context.Context, in *Instance, opts Options, newOracle func(*Ins
 				return
 			}
 			src := newSubsetSource(m, s, opts, sampled)
-			scr := newEvalScratch(in, q)
+			scr := newEvalScratch(in, q, oracle)
 			var bestLocs []int
 			for !abort.Load() {
 				if ctx.Err() != nil {
@@ -608,25 +608,17 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 		return res, false, true, nil
 	}
 
-	// Hop distances from the anchor set define matroid M2. The scratch's M2
-	// view and feasibility closure alias scr.dist, which the BFS refills in
-	// place.
-	scr.queue = in.LocGraph.MultiSourceBFSInto(anchors, scr.dist, scr.queue)
+	// Hop distances from the anchor set define matroid M2: the element-wise
+	// minimum of the anchors' precomputed hop rows, which is the
+	// multi-source BFS distance. The scratch's M2 view aliases scr.dist.
+	in.Paths.MultiSourceDistInto(anchors, scr.dist)
 
-	// Ground set: locations reachable within hmax hops of the anchors.
-	hmax := scr.m2.HMax()
-	ground := scr.ground[:0]
-	for loc, d := range scr.dist {
-		if d != graph.Unreachable && d <= hmax {
-			ground = append(ground, loc)
-		}
-	}
-	scr.ground = ground
-
+	// The greedy's ground set is every cell within hmax hops of the anchors;
+	// RunHop keeps only the M2-feasible ones on its heap.
 	if err := oracle.reset(); err != nil {
 		return res, false, false, err
 	}
-	selected, err := scr.runner.Run(ground, budget.LMax, scr.feasible, oracle)
+	selected, err := scr.runner.RunHop(scr.order, scr.m2, budget.LMax, oracle)
 	if err != nil {
 		return res, false, false, err
 	}

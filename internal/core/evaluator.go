@@ -78,7 +78,7 @@ func NewSubsetEvaluator(in *Instance, opts Options) (*SubsetEvaluator, error) {
 		q:      q,
 		caps:   caps,
 		oracle: oracle,
-		scr:    newEvalScratch(in, q),
+		scr:    newEvalScratch(in, q, oracle),
 	}, nil
 }
 

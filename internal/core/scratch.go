@@ -6,31 +6,32 @@ import (
 	"sort"
 
 	"github.com/uav-coverage/uavnet/internal/graph"
+	"github.com/uav-coverage/uavnet/internal/match"
 	"github.com/uav-coverage/uavnet/internal/matroid"
 )
 
 // evalScratch is one worker's reusable working memory for evaluateSubset.
-// Every buffer the per-subset body of Algorithm 2 needs — BFS distances and
-// frontier, the greedy runner's heap, the MST edge/tree buffers, relay
-// paths, node sets (boolean masks instead of maps), slot lists, and the
-// leftover-extension claim table — lives here and is recycled across the
-// whole enumeration, so the steady-state evaluation path allocates nothing.
+// Every buffer the per-subset body of Algorithm 2 needs — M2 distances, the
+// greedy runner's heap and its presorted seed order, the MST edge/tree
+// buffers, relay paths, node sets (boolean masks instead of maps), slot
+// lists, and the leftover extension's claim and candidate tables — lives
+// here and is recycled across the whole enumeration, so the steady-state
+// evaluation path allocates nothing.
 //
 // The masks are cleared by their users after each subset (node lists are
-// short); the claim tables use epoch stamping so they are never cleared at
-// all. One scratch must not be shared between goroutines.
+// short), the claim set once per leftover extension (a node bitset); the
+// used-cell and candidate tables use epoch stamping so they are never
+// cleared at all. One scratch must not be shared between goroutines.
 //
-//uavlint:scratch epoch=epoch tables=claimed,used
+//uavlint:scratch epoch=epoch tables=used
+//uavlint:scratch epoch=visitEpoch tables=visited
 type evalScratch struct {
-	// BFS from the anchor set (matroid M2 distances).
-	dist  []int
-	queue []int
-	// Ground set and greedy machinery.
-	ground   []int
-	qCounts  []int
-	m2       matroid.HopCount
-	feasible func(selected []int, e int) bool
-	runner   matroid.LazyRunner
+	// Hop distances from the anchor set (matroid M2), and the greedy over
+	// it: every cell presorted once by (static bound desc, cell asc).
+	dist   []int
+	m2     matroid.HopCount
+	order  matroid.Presorted
+	runner matroid.LazyRunner
 	// Relay connection (MST + path oracle).
 	mst      graph.MSTScratch
 	path     []int
@@ -40,41 +41,43 @@ type evalScratch struct {
 	slotLoc []int
 	selMark []bool
 	relays  []int
-	// Leftover extension claim tables (epoch-stamped). On aggregated
-	// instances the tables are indexed by demand node and claims are
-	// partial: claimAmt[u] (valid only while claimed[u] == epoch) records
-	// how much of node u's weight is taken. Unit instances have weight 1
-	// everywhere, so a claim is all-or-nothing and claimAmt is always 1 —
-	// the bookkeeping degenerates to the original boolean protocol.
-	claimed  []int64
+	// Leftover extension claims, indexed by demand node: claimed holds the
+	// nodes an earlier slot of the current extension claimed from, and
+	// claimAmt[u] (valid only while u is in claimed) how much of node u's
+	// weight is taken. Claims are partial on aggregated instances. Unit
+	// instances have weight 1 everywhere, so a claim is all-or-nothing and
+	// claimAmt is always 1 — the bookkeeping degenerates to a node set.
+	// used stamps the cells the extension has placed a UAV on.
+	claimed  match.Bitset
 	claimAmt []int
 	used     []int64
 	epoch    int64
+	// Leftover candidates already scored for the current slot, stamped
+	// once per slot so a cell adjacent to several network nodes is scored
+	// once.
+	visited    []int64
+	visitEpoch int64
 }
 
-// newEvalScratch sizes a scratch for the instance and the hop-budget vector
-// q (the Q_h caps of Eq. (1), shared by every subset of one Approx run).
-func newEvalScratch(in *Instance, q []int) *evalScratch {
+// newEvalScratch sizes a scratch for the instance, the hop-budget vector q
+// (the Q_h caps of Eq. (1), shared by every subset of one Approx run) and
+// the placement oracle whose static bounds order the greedy's seed heap.
+func newEvalScratch(in *Instance, q []int, oracle *placementOracle) *evalScratch {
 	m := in.Scenario.M()
 	n := in.NumNodes()
 	scr := &evalScratch{
 		dist:     make([]int, m),
-		queue:    make([]int, 0, m),
-		ground:   make([]int, 0, m),
-		qCounts:  make([]int, len(q)),
+		order:    matroid.Presort(m, oracle),
 		nodeMark: make([]bool, m),
 		selMark:  make([]bool, m),
-		claimed:  make([]int64, n),
+		claimed:  match.NewBitset(n),
 		claimAmt: make([]int, n),
 		used:     make([]int64, m),
+		visited:  make([]int64, m),
 	}
-	// The M2 matroid aliases scr.dist, which MultiSourceBFSInto refills in
-	// place per subset, so both the matroid value and the feasibility
-	// closure are built once per worker instead of once per subset.
+	// The M2 matroid aliases scr.dist, which evaluateSubset refills in place
+	// per subset, so it is built once per worker instead of once per subset.
 	scr.m2 = matroid.HopCount{Dist: scr.dist, Q: q}
-	scr.feasible = func(selected []int, e int) bool {
-		return scr.m2.CanAddInto(selected, e, scr.qCounts)
-	}
 	return scr
 }
 
@@ -129,17 +132,29 @@ func (scr *evalScratch) connectLocations(in *Instance, selected []int) ([]int, e
 }
 
 // claimAvail returns how much of node u's weight is still unclaimed in the
-// current epoch (on unit instances: 1 if unclaimed, 0 if claimed).
+// current extension (on unit instances: 1 if unclaimed, 0 if claimed).
 func (scr *evalScratch) claimAvail(in *Instance, u int) int {
-	if scr.claimed[u] != scr.epoch {
+	if !scr.claimed.Has(u) {
 		return in.weightOf(u)
 	}
 	return in.weightOf(u) - scr.claimAmt[u]
 }
 
+// unclaimedAt returns the demand eligible for the class at loc that no slot
+// of the current extension has claimed: the eligible total less the claimed
+// part, read from the eligibility mask in word operations — a popcount on
+// unit instances, where every claim takes a whole user.
+func (scr *evalScratch) unclaimedAt(in *Instance, class, loc int) int {
+	total, mask := in.eligTotal(class, loc), in.EligMask[class][loc]
+	if in.Weights == nil {
+		return total - match.AndCount(mask, scr.claimed)
+	}
+	return total - match.AndWeightSum(mask, scr.claimed, scr.claimAmt)
+}
+
 // claimUsers greedily claims up to caps[slot] still-unclaimed demand units
-// eligible for the slot's UAV at loc, stamping the touched nodes with the
-// current epoch, and returns the amount claimed. Claims are partial on
+// eligible for the slot's UAV at loc, adding the touched nodes to the claim
+// set, and returns the amount claimed. Claims are partial on
 // weighted nodes; on unit instances this is the original one-user-per-claim
 // protocol.
 func (scr *evalScratch) claimUsers(in *Instance, slot, loc int, budget int) int {
@@ -157,8 +172,8 @@ func (scr *evalScratch) claimUsers(in *Instance, slot, loc int, budget int) int 
 		if rest := budget - got; rest < take {
 			take = rest
 		}
-		if scr.claimed[u] != scr.epoch {
-			scr.claimed[u] = scr.epoch
+		if !scr.claimed.Has(u) {
+			scr.claimed.Set(u)
 			scr.claimAmt[u] = 0
 		}
 		scr.claimAmt[u] += take
@@ -173,40 +188,36 @@ func (scr *evalScratch) claimUsers(in *Instance, slot, loc int, budget int) int 
 // claimed by an earlier slot (claims are capacity-capped), keeping the
 // network connected by construction. UAVs with no positive-gain cell stay
 // grounded. The claim bookkeeping is a fast surrogate for the exact flow
-// oracle; the caller rescores the final placement exactly. Claim and
-// used-cell tables are epoch-stamped scratch arrays, so repeated calls
-// allocate nothing and never pay a clearing pass.
+// oracle; the caller rescores the final placement exactly. The claim set is
+// a node bitset, so a candidate's gain is a few word operations over its
+// eligibility mask; it and the epoch-stamped used-cell and candidate tables
+// are scratch, so repeated calls allocate nothing.
 func (scr *evalScratch) extendWithLeftovers(in *Instance, slotLoc []int, caps []int) []int {
 	k := in.Scenario.K()
 	if len(slotLoc) >= k {
 		return slotLoc
 	}
 	scr.epoch++
+	clear(scr.claimed)
 	for slot, loc := range slotLoc {
 		scr.used[loc] = scr.epoch
 		scr.claimUsers(in, slot, loc, caps[slot])
 	}
 	for slot := len(slotLoc); slot < k; slot++ {
-		uav := in.ByCapacity[slot]
+		class := in.ClassOf[in.ByCapacity[slot]]
 		budget := caps[slot]
 		bestLoc, bestGain := -1, 0
+		// Network nodes share most of their neighbours; each candidate is
+		// scored once per slot. The winner (largest gain, ties to the
+		// smallest cell) does not depend on the visit order.
+		scr.visitEpoch++
 		for _, v := range slotLoc {
 			for _, nb := range in.LocGraph.Neighbors(v) {
-				if scr.used[nb] == scr.epoch {
+				if scr.used[nb] == scr.epoch || scr.visited[nb] == scr.visitEpoch {
 					continue
 				}
-				gain := 0
-				for _, u := range in.EligibleUsers(uav, nb) {
-					if gain == budget {
-						break
-					}
-					if avail := scr.claimAvail(in, u); avail > 0 {
-						gain += avail
-						if gain > budget {
-							gain = budget
-						}
-					}
-				}
+				scr.visited[nb] = scr.visitEpoch
+				gain := min(budget, scr.unclaimedAt(in, class, nb))
 				if gain > bestGain || (gain == bestGain && gain > 0 && nb < bestLoc) {
 					bestLoc, bestGain = nb, gain
 				}

@@ -75,6 +75,29 @@ func (o *PathOracle) DistRow(src int) []int {
 	return out
 }
 
+// MultiSourceDistInto fills dist[:N()] with every node's hop distance to the
+// nearest of sources, or Unreachable if it reaches none — the same values as
+// MultiSourceBFS on the oracle's graph, read as the element-wise minimum of
+// the sources' distance rows instead of traversed. Duplicate sources are
+// harmless; no sources leave every node Unreachable. The call allocates
+// nothing.
+func (o *PathOracle) MultiSourceDistInto(sources, dist []int) {
+	dist = dist[:o.n]
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	for _, src := range sources {
+		o.check(src)
+		for v, d := range o.dist[src*o.n : (src+1)*o.n] {
+			// Unreachable is -1, the largest value as an unsigned integer,
+			// so one unsigned comparison skips it on either side.
+			if uint(d) < uint(dist[v]) {
+				dist[v] = int(d)
+			}
+		}
+	}
+}
+
 // PathInto appends one shortest (fewest-hops) path from src to dst —
 // inclusive of both endpoints, node-for-node identical to
 // Undirected.ShortestPath on the oracle's graph — into path[:0] and returns

@@ -104,6 +104,50 @@ func TestMultiSourceBFSIntoMatches(t *testing.T) {
 	}
 }
 
+// TestMultiSourceDistIntoMatchesBFS checks the row-minimum identity the
+// subset evaluation reads M2 distances from: the element-wise minimum of the
+// sources' distance rows, skipping Unreachable, is the multi-source BFS
+// distance. Half the graphs are random edge sets with no spanning tree, so
+// components and Unreachable entries are common; source lists repeat nodes
+// and may be empty, and the output buffer is reused dirty across calls.
+func TestMultiSourceDistIntoMatchesBFS(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + r.Intn(24)
+		var g *Undirected
+		if trial%2 == 0 {
+			g = randomConnectedGraph(t, r, n, r.Intn(2*n))
+		} else {
+			g = New(n)
+			for i := r.Intn(n + 1); i > 0; i-- {
+				u, v := r.Intn(n), r.Intn(n)
+				if u == v || g.HasEdge(u, v) {
+					continue
+				}
+				if err := g.AddEdge(u, v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		o := NewPathOracle(g)
+		dist := make([]int, n)
+		for rep := 0; rep < 4; rep++ {
+			sources := make([]int, r.Intn(4))
+			for i := range sources {
+				sources[i] = r.Intn(n)
+			}
+			if len(sources) > 0 && r.Intn(2) == 0 {
+				sources = append(sources, sources[0])
+			}
+			o.MultiSourceDistInto(sources, dist)
+			if want := g.MultiSourceBFS(sources); !reflect.DeepEqual(dist, want) {
+				t.Fatalf("trial %d: sources %v: row minimum %v, BFS %v", trial, sources, dist, want)
+			}
+		}
+	}
+}
+
 // TestShortestPathIntoMatches checks the scratch path variant, including the
 // src == dst singleton path.
 func TestShortestPathIntoMatches(t *testing.T) {

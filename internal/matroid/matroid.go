@@ -10,6 +10,7 @@ package matroid
 import (
 	"fmt"
 	"math"
+	"sort"
 )
 
 // Matroid is an independence system over ground-set elements 0..N-1. All
@@ -163,6 +164,22 @@ func (m HopCount) CanAddInto(set []int, e int, counts []int) bool {
 		}
 	}
 	return true
+}
+
+// Limit returns the largest hop distance at which an element can still join
+// a selection with threshold counts counts — counts[h] is the number of
+// selected elements at distance >= h, for 0 <= h <= HMax — or -1 when no
+// element can. An element at distance d is addable iff counts[h]+1 <= Q[h]
+// for every h <= d, which is a prefix condition on d. So CanAddInto holds
+// for e exactly when Dist[e] != Unreachable and Dist[e] <= Limit(counts), and
+// the limit only falls as the selection grows.
+func (m HopCount) Limit(counts []int) int {
+	for h, q := range m.Q {
+		if counts[h]+1 > q {
+			return h - 1
+		}
+	}
+	return m.HMax()
 }
 
 // Intersection bundles several matroids; a set is feasible if independent in
@@ -329,13 +346,15 @@ func LazyGreedy(ground []int, rounds int, feasible func(selected []int, e int) b
 }
 
 // LazyRunner runs the LazyGreedy selection rule with all working memory —
-// the lazy priority queue, the selected list, and the membership mask —
-// reused across calls, on the same pattern as assign.Evaluator: construct
-// once per worker, Run once per subset. The zero value is ready to use.
+// the lazy priority queue, the selected list, the membership mask and M2's
+// threshold counts — reused across calls, on the same pattern as
+// assign.Evaluator: construct once per worker, Run or RunHop once per
+// subset. The zero value is ready to use.
 type LazyRunner struct {
 	q        pq
 	selected []int
-	mark     []bool // mark[e]: e is in the current selection
+	mark     []bool // mark[e]: e is in the current selection (Run)
+	counts   []int  // counts[h]: selected elements at hop distance >= h (RunHop)
 }
 
 // Run performs one lazy-greedy selection, identical in outcome to
@@ -347,7 +366,7 @@ func (lr *LazyRunner) Run(ground []int, rounds int, feasible func(selected []int
 	}
 	q := lr.q[:0]
 	bounder, hasBounds := o.(Bounder)
-	dyn, hasDyn := o.(DynamicBounder)
+	dyn, _ := o.(DynamicBounder)
 	maxElem := -1
 	for _, e := range ground {
 		bound := math.MaxInt32
@@ -388,29 +407,9 @@ rounds:
 				lr.mark[it.elem] = true
 				continue rounds
 			}
-			if hasDyn {
-				// A cheap sound bound may already push the element below the
-				// heap top; if so, re-key it (round stays stale, so it will
-				// be evaluated exactly before it can ever commit) and move
-				// on without paying for a matching query. The re-key fires
-				// only when the bound strictly drops, so every element pays
-				// at most bound-many re-keys and the loop terminates.
-				if b := dyn.RoundBound(round, it.elem); b < it.bound {
-					it.bound = b
-					if len(q) > 0 && itemLess(q[0], it) {
-						q.push(it)
-						continue
-					}
-				}
-			}
-			g, err := o.Gain(round, it.elem)
-			if err != nil {
-				runErr = fmt.Errorf("matroid: gain(%d, %d): %w", round, it.elem, err)
+			if runErr = q.refresh(it, round, o, dyn); runErr != nil {
 				break rounds
 			}
-			it.bound = g
-			it.round = round
-			q.push(it)
 		}
 		break // no feasible element remains
 	}
@@ -423,6 +422,148 @@ rounds:
 		return nil, runErr
 	}
 	return selected, nil
+}
+
+// refresh puts a stale entry (one whose bound predates this round) back on
+// the heap with a tighter key: a sound dynamic bound when dyn is non-nil and
+// that bound already drops it below the heap top, its exact gain otherwise.
+func (q *pq) refresh(it pqItem, round int, o Oracle, dyn DynamicBounder) error {
+	if dyn != nil {
+		// A cheap sound bound may already push the element below the heap
+		// top; if so, re-key it (round stays stale, so it will be evaluated
+		// exactly before it can ever commit) and move on without paying for
+		// a matching query. The re-key fires only when the bound strictly
+		// drops, so every element pays at most bound-many re-keys and the
+		// loop terminates.
+		if b := dyn.RoundBound(round, it.elem); b < it.bound {
+			it.bound = b
+			if len(*q) > 0 && itemLess((*q)[0], it) {
+				q.push(it)
+				return nil
+			}
+		}
+	}
+	g, err := o.Gain(round, it.elem)
+	if err != nil {
+		return fmt.Errorf("matroid: gain(%d, %d): %w", round, it.elem, err)
+	}
+	it.bound = g
+	it.round = round
+	q.push(it)
+	return nil
+}
+
+// Presorted is the universe 0..n-1 of a lazy greedy in its initial heap
+// order: static bound descending, element ascending. A sorted array is a
+// valid heap, so RunHop seeds its heap by filtering one — no heapify, no
+// Bound call per run.
+type Presorted struct {
+	items []pqItem
+}
+
+// Presort orders the elements 0..n-1 by o's static Bound (every bound is
+// math.MaxInt32 when o is not a Bounder), then by index. Bound is read once
+// here, so it must stay valid for every run that reuses the result.
+func Presort(n int, o Oracle) Presorted {
+	bounder, hasBounds := o.(Bounder)
+	items := make([]pqItem, n)
+	for e := range items {
+		bound := math.MaxInt32
+		if hasBounds {
+			bound = bounder.Bound(e)
+		}
+		items[e] = pqItem{elem: e, bound: bound, round: -1}
+	}
+	sort.Slice(items, func(i, j int) bool { return itemLess(items[i], items[j]) })
+	return Presorted{items: items}
+}
+
+// RunHop is Run with the hop-count matroid m as the only constraint, over
+// the universe p presorted against o's static bounds (one element per entry
+// of m.Dist). It selects exactly what Run selects over the ground set of
+// elements at a reachable distance <= HMax with m.CanAddInto as the
+// feasibility test, but it never pops an infeasible element and never
+// probes feasibility: by Limit, the addable elements are exactly those
+// within the current limit. The heap starts as the presorted elements within
+// the initial limit, and each commit that lowers the limit drops every
+// element beyond it in one compaction followed by a heapify.
+//
+// The selection cannot differ from Run's. With sound bounds a lazy greedy
+// commits, each round, the feasible unselected element of largest exact
+// gain, ties going to the smaller element under the (bound desc, element
+// asc) order; how infeasible elements leave the heap does not enter into it.
+// Only the number of Gain and RoundBound calls may differ, and a Gain never
+// changes what a later Commit or Gain returns.
+//
+// The returned slice is owned by the runner and only valid until the next
+// Run or RunHop call.
+func (lr *LazyRunner) RunHop(p Presorted, m HopCount, rounds int, o Oracle) ([]int, error) {
+	if rounds < 0 {
+		return nil, fmt.Errorf("matroid: negative round count %d", rounds)
+	}
+	if len(p.items) != len(m.Dist) {
+		return nil, fmt.Errorf("matroid: presorted universe has %d elements, M2 has %d", len(p.items), len(m.Dist))
+	}
+	counts := lr.counts[:0]
+	for range m.Q {
+		counts = append(counts, 0)
+	}
+	limit := m.Limit(counts)
+	q := lr.q[:0]
+	for _, it := range p.items {
+		if d := m.Dist[it.elem]; d != Unreachable && d <= limit {
+			q = append(q, it)
+		}
+	}
+	dyn, _ := o.(DynamicBounder)
+
+	selected := lr.selected[:0]
+	var runErr error
+rounds:
+	for round := 0; round < rounds; round++ {
+		for len(q) > 0 {
+			it := q.pop()
+			if it.round == round {
+				if _, err := o.Commit(round, it.elem); err != nil {
+					runErr = fmt.Errorf("matroid: commit(%d, %d): %w", round, it.elem, err)
+					break rounds
+				}
+				selected = append(selected, it.elem)
+				for h := 0; h <= m.Dist[it.elem]; h++ {
+					counts[h]++
+				}
+				if l := m.Limit(counts); l < limit {
+					limit = l
+					q = q.within(m.Dist, limit)
+				}
+				continue rounds
+			}
+			if runErr = q.refresh(it, round, o, dyn); runErr != nil {
+				break rounds
+			}
+		}
+		break // no feasible element remains
+	}
+	lr.q = q
+	lr.selected = selected
+	lr.counts = counts
+	if runErr != nil {
+		return nil, runErr
+	}
+	return selected, nil
+}
+
+// within drops every entry whose element lies beyond hop distance limit and
+// restores the heap order over the survivors.
+func (q pq) within(dist []int, limit int) pq {
+	kept := q[:0]
+	for _, it := range q {
+		if dist[it.elem] <= limit {
+			kept = append(kept, it)
+		}
+	}
+	kept.init()
+	return kept
 }
 
 // NaiveGreedy is the reference implementation of the same selection rule

@@ -125,12 +125,15 @@ func (s *Server) fail(j *Job, err error) {
 }
 
 // solve runs a job's solver to completion as a sequence of bounded slices:
-// each slice runs for at most Config.CheckpointEvery, then the stopped run's
-// checkpoint is persisted durably and the next slice resumes it. A resumed
-// run finishes with a deployment byte-identical to an uninterrupted one
-// (PR 4/7/8 invariants), so slicing buys crash-safety without changing any
-// result. Returns the completed deployment, or ctx.Err() when the job
-// context was cancelled (the latest checkpoint is on disk either way).
+// each slice runs under a Config.CheckpointEvery deadline, then the stopped
+// run's checkpoint is persisted durably and the next slice resumes it. A
+// slice can overrun its deadline by the runtime's timer latency: when every
+// P is busy solving, a millisecond deadline may be observed tens of
+// milliseconds late. A resumed run finishes with a deployment
+// byte-identical to an uninterrupted one (the stopped-run contract), so
+// slicing buys crash-safety without changing any result. Returns the
+// completed deployment, or ctx.Err() when the job context was cancelled
+// (the latest checkpoint is on disk either way).
 func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) {
 	o := j.Options.normalized()
 	in, err := s.instance(j)

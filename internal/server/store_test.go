@@ -243,6 +243,15 @@ type harnessJob struct {
 // the harnesses restart each one a few dozen times. The cadence starts at a
 // quarter of the solo solve time and halves until the job takes at least
 // two checkpoints, so every run is multi-slice on any machine.
+//
+// Each job solves on one worker goroutine. Halving the cadence only helps
+// while the slice timer fires on time, and with every P busy solving the
+// runtime observes a millisecond deadline late — 11-28 ms, median 18 ms,
+// with two spinning goroutines at GOMAXPROCS=2 on a 2-vCPU Xeon VM, against
+// a median 0.5 ms with one — so a job shorter than that could finish in one
+// slice at any cadence. Workers is an
+// execution hint outside the job id, so the bytes are unchanged, and it
+// leaves a P free to fire the timer.
 func harnessJobs(t *testing.T) []*harnessJob {
 	t.Helper()
 	specs := []struct {
@@ -250,9 +259,9 @@ func harnessJobs(t *testing.T) []*harnessJob {
 		sc   *uavnet.Scenario
 		opts JobOptions
 	}{
-		{"enum", smallScenario(t), JobOptions{}},
-		{"anneal", quickScenario(t, 5), JobOptions{Solver: "anneal", SolverBudget: 500}},
-		{"agg", quickScenario(t, 6), JobOptions{AggCell: 200}},
+		{"enum", smallScenario(t), JobOptions{Workers: 1}},
+		{"anneal", quickScenario(t, 5), JobOptions{Solver: "anneal", SolverBudget: 500, Workers: 1}},
+		{"agg", quickScenario(t, 6), JobOptions{AggCell: 200, Workers: 1}},
 	}
 	var jobs []*harnessJob
 	for _, spec := range specs {
