@@ -1,9 +1,13 @@
 // Command uavlint is the repo's multichecker: it runs the
 // internal/analysis suite (detorder, floatcast, ctxthread, epochscratch,
-// timenow, lockguard, golife, atomicwrite, errdrop) over the module and
-// fails on any diagnostic. CI runs it in the static-analysis job; locally:
+// timenow, lockguard, golife, atomicwrite, errdrop, testonly) over the
+// module and fails on any diagnostic. CI runs it in the static-analysis
+// job; locally:
 //
 //	go run ./cmd/uavlint ./...
+//
+// testonly also loads, without analyzing them, the rest of the module and
+// every module nested in it (bench/), because their references count.
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage or load failure.
 // Suppress a sanctioned site with a //uavlint:allow <analyzer> -- reason
@@ -21,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"github.com/uav-coverage/uavnet/internal/analysis"
@@ -48,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array on stdout")
 	factsOut := fs.Bool("facts", false, "dump the cross-function fact set and exit without running analyzers")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: uavlint [flags] [packages]\n\nRepo-specific analyzers enforcing determinism, context, float-safety,\nlock-guard, goroutine-lifecycle, and durable-write invariants\n(DESIGN.md §11, §16).\n\n")
+		fmt.Fprintf(stderr, "usage: uavlint [flags] [packages]\n\nRepo-specific analyzers enforcing determinism, context, float-safety,\nlock-guard, goroutine-lifecycle, durable-write and test-only-code\ninvariants (DESIGN.md §11, §16).\n\n")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -87,7 +92,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		stdout.Write(facts.Encode())
 		return 0
 	}
-	diags, _, err := analysis.RunPackages(pkgs, analyzers)
+	var users []*analysis.Package
+	if slices.Contains(analyzers, analysis.TestOnly) {
+		users, err = analysis.LoadUsers(*dir, pkgs)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
+	}
+	diags, _, err := analysis.RunPackages(pkgs, users, analyzers)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

@@ -28,7 +28,11 @@ func seedModule(t *testing.T, files map[string]string) string {
 		files["go.mod"] = "module github.com/uav-coverage/uavnet/seeded\n\ngo 1.22\n"
 	}
 	for name, src := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,6 +98,15 @@ func (s *S) Bump() {
 				"lib.go": "package seeded\n\nimport \"os\"\n\nfunc Close(f *os.File) {\n\tf.Close()\n}\n",
 			},
 			wantText: "discards its error result",
+		},
+		{
+			analyzer: "testonly",
+			files: map[string]string{
+				"internal/lib/lib.go":      "package lib\n\nfunc Used() int { return 1 }\n\nfunc Orphan() int { return 2 }\n",
+				"internal/lib/lib_test.go": "package lib\n\nimport \"testing\"\n\nfunc TestOrphan(t *testing.T) { _ = Orphan() }\n",
+				"main.go":                  "package main\n\nimport \"github.com/uav-coverage/uavnet/seeded/internal/lib\"\n\nfunc main() { _ = lib.Used() }\n",
+			},
+			wantText: "Orphan is referenced only by tests",
 		},
 	}
 	for _, tc := range cases {
@@ -203,7 +216,7 @@ func TestListAnalyzers(t *testing.T) {
 	}
 	for _, name := range []string{
 		"detorder", "floatcast", "ctxthread", "epochscratch", "timenow",
-		"lockguard", "golife", "atomicwrite", "errdrop",
+		"lockguard", "golife", "atomicwrite", "errdrop", "testonly",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing analyzer %s:\n%s", name, out.String())

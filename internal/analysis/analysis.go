@@ -1,9 +1,9 @@
 // Package analysis is the repo's static-analysis suite: a small, dependency-free
-// framework in the shape of golang.org/x/tools/go/analysis plus the five
+// framework in the shape of golang.org/x/tools/go/analysis plus the ten
 // repo-specific analyzers behind cmd/uavlint.
 //
 // The codebase rests on invariants that ordinary vet passes do not know about:
-// byte-identical deployments across resume and reference-oracle paths,
+// byte-identical deployments across resume and worker counts,
 // epoch-stamped scratch reuse, end-to-end context.Context threading, and
 // float arithmetic that never silently truncates (the netsim.StableCapacity
 // off-by-one). The analyzers here reject the corresponding defect classes at
@@ -31,6 +31,11 @@
 //   - atomicwrite: raw os.WriteFile/Create/Rename only inside
 //     internal/atomicfile (§16.4)
 //   - errdrop:     no silently discarded error results (§16.5)
+//
+// Phase one also records which declarations non-test code references, and
+// the method names of the interfaces in sight, for a tenth analyzer:
+//
+//   - testonly:    no internal declaration that only tests use (§16.6)
 //
 // The framework deliberately mirrors the x/tools API (Analyzer, Pass,
 // Diagnostic, a testdata-driven fixture runner in the analysistest
@@ -107,7 +112,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func All() []*Analyzer {
 	return []*Analyzer{
 		DetOrder, FloatCast, CtxThread, EpochScratch, TimeNow,
-		LockGuard, GoLife, AtomicWrite, ErrDrop,
+		LockGuard, GoLife, AtomicWrite, ErrDrop, TestOnly,
 	}
 }
 
@@ -142,10 +147,12 @@ func RunPackage(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // RunPackages is the module-level entry point: phase one computes the fact
 // set across every package, phase two runs the analyzers per package against
-// that shared set. Diagnostics come back sorted globally, so output is
-// byte-stable regardless of the order pkgs arrived in.
-func RunPackages(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *FactSet, error) {
-	facts, err := ComputeFacts(pkgs)
+// that shared set. users (see LoadUsers) join phase one only: their
+// references count, and no analyzer runs on them. Diagnostics come back
+// sorted globally, so output is byte-stable regardless of the order pkgs
+// arrived in.
+func RunPackages(pkgs, users []*Package, analyzers []*Analyzer) ([]Diagnostic, *FactSet, error) {
+	facts, err := ComputeFacts(append(append([]*Package(nil), pkgs...), users...))
 	if err != nil {
 		return nil, nil, err
 	}

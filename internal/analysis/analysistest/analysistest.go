@@ -12,7 +12,9 @@
 // each regexp must be matched by a distinct diagnostic on that line, and
 // every diagnostic must be claimed by some expectation; anything else fails
 // the test. Because several analyzers scope themselves by import path, Run
-// takes the package path the fixture should pretend to be.
+// takes the package path the fixture should pretend to be. An analyzer that
+// looks across packages (testonly) gets a whole module instead, through
+// RunModule.
 package analysistest
 
 import (
@@ -30,6 +32,8 @@ import (
 )
 
 // TestData returns the testdata directory of the caller's package.
+//
+//uavlint:allow testonly -- the analyzer fixture tests of internal/analysis
 func TestData(t *testing.T) string {
 	t.Helper()
 	wd, err := os.Getwd()
@@ -89,6 +93,8 @@ func exportsFor(t *testing.T, dir string, imports []string) map[string]string {
 // Run loads testdata/src/<fixture>, type-checks it as package pkgPath, runs
 // the analyzer (with //uavlint:allow suppression applied, so fixtures can
 // exercise the escape hatch), and enforces the // want expectations.
+//
+//uavlint:allow testonly -- the analyzer fixture tests of internal/analysis
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, fixture, pkgPath string) {
 	t.Helper()
 	filenames, diags := load(t, testdata, a, fixture, pkgPath)
@@ -99,12 +105,42 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, fixture, pkgPath s
 // requires zero diagnostics, ignoring the fixture's want expectations. Use
 // it to prove a package-scoped analyzer stays silent outside its scope even
 // on violation-dense code.
+//
+//uavlint:allow testonly -- the analyzer fixture tests of internal/analysis
 func RunExpectClean(t *testing.T, testdata string, a *analysis.Analyzer, fixture, pkgPath string) {
 	t.Helper()
 	_, diags := load(t, testdata, a, fixture, pkgPath)
 	for _, d := range diags {
 		t.Errorf("analyzer %s should be out of scope for package %s, yet reported %s", a.Name, pkgPath, d)
 	}
+}
+
+// RunModule loads the Go module at dir as cmd/uavlint does — its packages
+// as targets, the modules nested in it as users — runs the analyzer over
+// it, and enforces the // want expectations of every loaded file.
+//
+//uavlint:allow testonly -- the analyzer fixture tests of internal/analysis
+func RunModule(t *testing.T, dir string, a *analysis.Analyzer) {
+	t.Helper()
+	pkgs, err := analysis.LoadPackages(dir, []string{"./..."})
+	if err != nil {
+		t.Fatalf("loading fixture module %s: %v", dir, err)
+	}
+	users, err := analysis.LoadUsers(dir, pkgs)
+	if err != nil {
+		t.Fatalf("loading users of fixture module %s: %v", dir, err)
+	}
+	diags, _, err := analysis.RunPackages(pkgs, users, []*analysis.Analyzer{a})
+	if err != nil {
+		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
+	}
+	var filenames []string
+	for _, p := range append(pkgs, users...) {
+		for _, f := range p.Files {
+			filenames = append(filenames, p.Fset.File(f.Pos()).Name())
+		}
+	}
+	checkExpectations(t, filenames, diags)
 }
 
 // load does the shared fixture work: parse, type-check as pkgPath, run the

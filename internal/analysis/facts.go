@@ -51,6 +51,12 @@ type FactSet struct {
 	// function in the module calls .Wait() on: a goroutine doing
 	// `defer x.f.Done()` on such a field counts as joined.
 	waited map[string]bool
+	// refs holds the declKey of every declaration some loaded file
+	// references from outside the declaration itself, and ifaceMethods the
+	// method names of every interface the loaded packages can see
+	// (testonly).
+	refs         map[string]bool
+	ifaceMethods map[string]bool
 }
 
 // fact returns the named function's facts, or an empty fact for functions
@@ -66,13 +72,6 @@ func (fs *FactSet) fact(fullName string) *FuncFact {
 // field with the given "pkg.Type.field" key.
 func (fs *FactSet) Waited(fieldKey string) bool { return fs.waited[fieldKey] }
 
-// GuardOf returns the guard key protecting the given field key, if the field
-// carries a //uavlint:guard annotation.
-func (fs *FactSet) GuardOf(fieldKey string) (string, bool) {
-	g, ok := fs.guards.guardOf[fieldKey]
-	return g, ok
-}
-
 // ComputeFacts runs phase one over the loaded packages. The result is
 // independent of the order of pkgs: packages are visited sorted by import
 // path and every map is keyed by strings, so the same sources always produce
@@ -83,9 +82,11 @@ func ComputeFacts(pkgs []*Package) (*FactSet, error) {
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ImportPath < sorted[j].ImportPath })
 
 	fs := &FactSet{
-		guards: &guardSpec{guardOf: map[string]string{}, kind: map[string]string{}},
-		funcs:  map[string]*FuncFact{},
-		waited: map[string]bool{},
+		guards:       &guardSpec{guardOf: map[string]string{}, kind: map[string]string{}},
+		funcs:        map[string]*FuncFact{},
+		waited:       map[string]bool{},
+		refs:         collectRefs(sorted),
+		ifaceMethods: interfaceMethods(sorted),
 	}
 	for _, pkg := range sorted {
 		spec, _ := collectGuards(pkg) // malformed markers are lockguard's to report

@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -141,6 +142,69 @@ func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 	if err != nil {
 		return nil, err
 	}
+	return typeCheckListed(listed, nil)
+}
+
+// LoadUsers loads, like LoadPackages, the packages that count as users of
+// the loaded ones without being analyzed: the rest of the module containing
+// dir, and every module nested in it — a directory with its own go.mod,
+// outside testdata, vendor and the names the go command ignores (a leading
+// "." or "_"). The benchmark module is one; it imports the outer module's
+// internal packages.
+func LoadUsers(dir string, loaded []*Package) ([]*Package, error) {
+	root, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, err
+	}
+	for !hasGoMod(root) {
+		if filepath.Dir(root) == root {
+			return nil, fmt.Errorf("analysis: no go.mod at or above %s", dir)
+		}
+		root = filepath.Dir(root)
+	}
+	modules := []string{root}
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == root {
+			return err
+		}
+		if name := d.Name(); name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
+		}
+		if hasGoMod(path) {
+			modules = append(modules, path)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("analysis: finding nested modules: %w", err)
+	}
+	skip := make(map[string]bool, len(loaded))
+	for _, p := range loaded {
+		skip[p.ImportPath] = true
+	}
+	var out []*Package
+	for _, m := range modules {
+		listed, err := GoList(m, []string{"./..."})
+		if err != nil {
+			return nil, err
+		}
+		pkgs, err := typeCheckListed(listed, skip)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, pkgs...)
+	}
+	return out, nil
+}
+
+func hasGoMod(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, "go.mod"))
+	return err == nil
+}
+
+// typeCheckListed type-checks from source every package go list matched
+// (not its dependencies), except those whose import path is in skip.
+func typeCheckListed(listed []*ListedPackage, skip map[string]bool) ([]*Package, error) {
 	exports := make(map[string]string, len(listed))
 	for _, p := range listed {
 		if p.Export != "" {
@@ -151,7 +215,7 @@ func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 	imp := ExportImporter(fset, exports)
 	var out []*Package
 	for _, p := range listed {
-		if p.DepOnly || p.Name == "" {
+		if p.DepOnly || p.Name == "" || skip[p.ImportPath] {
 			continue
 		}
 		if p.Error != nil || p.Incomplete {

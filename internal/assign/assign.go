@@ -5,16 +5,11 @@
 // with each user served by at most one UAV and each UAV serving at most its
 // capacity. The problem is solved exactly as an integral maximum flow.
 //
-// The package also provides an incremental evaluator that maintains a
-// committed max-flow state and answers "how many extra users would one more
-// UAV serve?" queries by augmenting on a clone, which keeps each query linear
-// in the network size instead of re-solving from scratch.
-//
-// The greedy placement loop of Algorithm 2 now runs on internal/match's
+// The greedy placement loop of Algorithm 2 runs on internal/match's
 // specialized bipartite matcher; Solve computes the final assignments, and
-// Evaluator is the flow-based reference engine the matcher is verified
-// against (FuzzAssignDifferential and internal/core's test-only
-// TestOracleEquivalence, which drives the whole enumeration through it).
+// the tests use it as the reference the matcher is checked against
+// (internal/match's FuzzAssignDifferential and internal/core's
+// TestOracleEquivalence).
 package assign
 
 import (
@@ -80,13 +75,10 @@ func Solve(p Problem) (Assignment, error) {
 	userNode := func(i int) int { return 2 + i }
 	stationNode := func(j int) int { return 2 + n + j }
 
-	srcEdges := make([]int, n)
 	for i := 0; i < n; i++ {
-		h, err := nw.AddEdge(s, userNode(i), 1)
-		if err != nil {
+		if _, err := nw.AddEdge(s, userNode(i), 1); err != nil {
 			return Assignment{}, err
 		}
-		srcEdges[i] = h
 	}
 	type link struct {
 		user, station, handle int
@@ -127,106 +119,4 @@ func Solve(p Problem) (Assignment, error) {
 		}
 	}
 	return out, nil
-}
-
-// Evaluator incrementally evaluates and commits station placements over a
-// fixed user population. It is the marginal-gain oracle of the greedy in
-// Algorithm 2: Gain answers what-if queries without mutating state, Commit
-// fixes a placement.
-type Evaluator struct {
-	numUsers int
-	base     *flow.Network
-	served   int
-	stations int
-	maxSlots int
-}
-
-// NewEvaluator returns an evaluator for numUsers users and at most maxSlots
-// committed stations.
-func NewEvaluator(numUsers, maxSlots int) (*Evaluator, error) {
-	if numUsers < 0 || maxSlots < 0 {
-		return nil, fmt.Errorf("assign: invalid evaluator size (%d users, %d slots)", numUsers, maxSlots)
-	}
-	nw := flow.NewNetwork(2 + numUsers + maxSlots)
-	for i := 0; i < numUsers; i++ {
-		if _, err := nw.AddEdge(0, 2+i, 1); err != nil {
-			return nil, err
-		}
-	}
-	nw.MarkBaseline()
-	return &Evaluator{numUsers: numUsers, base: nw, maxSlots: maxSlots}, nil
-}
-
-// Reset rewinds the evaluator to its fresh state (no committed stations),
-// reusing the underlying network's memory. Use it to amortize construction
-// across many independent placement evaluations over the same users.
-func (e *Evaluator) Reset() error {
-	if err := e.base.ResetToBaseline(); err != nil {
-		return err
-	}
-	e.stations = 0
-	e.served = 0
-	return nil
-}
-
-// Served returns the number of users served by the committed stations.
-func (e *Evaluator) Served() int { return e.served }
-
-// Stations returns the number of committed stations.
-func (e *Evaluator) Stations() int { return e.stations }
-
-func (e *Evaluator) addStation(nw *flow.Network, capacity int, eligible []int) error {
-	slot := 2 + e.numUsers + e.stations
-	for _, u := range eligible {
-		if u < 0 || u >= e.numUsers {
-			return fmt.Errorf("assign: eligible user %d outside [0,%d)", u, e.numUsers)
-		}
-		if _, err := nw.AddEdge(2+u, slot, 1); err != nil {
-			return err
-		}
-	}
-	if _, err := nw.AddEdge(slot, 1, capacity); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Gain returns how many additional users would be served if a station with
-// the given capacity and eligible-user list were added to the committed set.
-// The committed state is not modified: the query runs speculatively on the
-// committed network and is rolled back, which costs time proportional to
-// the touched arcs rather than the network size.
-func (e *Evaluator) Gain(capacity int, eligible []int) (int, error) {
-	if e.stations >= e.maxSlots {
-		return 0, fmt.Errorf("assign: all %d station slots committed", e.maxSlots)
-	}
-	if err := e.base.Begin(); err != nil {
-		return 0, err
-	}
-	defer e.base.Rollback()
-	if err := e.addStation(e.base, capacity, eligible); err != nil {
-		return 0, err
-	}
-	gain, err := e.base.MaxFlow(0, 1)
-	if err != nil {
-		return 0, err
-	}
-	return gain, nil
-}
-
-// Commit adds the station to the committed set and returns its realized gain.
-func (e *Evaluator) Commit(capacity int, eligible []int) (int, error) {
-	if e.stations >= e.maxSlots {
-		return 0, fmt.Errorf("assign: all %d station slots committed", e.maxSlots)
-	}
-	if err := e.addStation(e.base, capacity, eligible); err != nil {
-		return 0, err
-	}
-	gain, err := e.base.MaxFlow(0, 1)
-	if err != nil {
-		return 0, err
-	}
-	e.stations++
-	e.served += gain
-	return gain, nil
 }

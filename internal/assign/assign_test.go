@@ -189,94 +189,3 @@ func TestSolveOptimalAgainstBruteForceProperty(t *testing.T) {
 		}
 	}
 }
-
-func TestEvaluatorMatchesSolve(t *testing.T) {
-	t.Parallel()
-	r := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 60; trial++ {
-		n := 1 + r.Intn(10)
-		k := 1 + r.Intn(4)
-		p := Problem{NumUsers: n, Capacities: make([]int, k), Eligible: make([][]int, k)}
-		for j := 0; j < k; j++ {
-			p.Capacities[j] = r.Intn(5)
-			for u := 0; u < n; u++ {
-				if r.Intn(2) == 0 {
-					p.Eligible[j] = append(p.Eligible[j], u)
-				}
-			}
-		}
-		ev, err := NewEvaluator(n, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < k; j++ {
-			// Gain then Commit must agree, and Gain must not mutate state.
-			g1, err := ev.Gain(p.Capacities[j], p.Eligible[j])
-			if err != nil {
-				t.Fatal(err)
-			}
-			g2, err := ev.Gain(p.Capacities[j], p.Eligible[j])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g1 != g2 {
-				t.Fatalf("trial %d: Gain not idempotent: %d then %d", trial, g1, g2)
-			}
-			c, err := ev.Commit(p.Capacities[j], p.Eligible[j])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if c != g1 {
-				t.Fatalf("trial %d: Commit gain %d != Gain %d", trial, c, g1)
-			}
-		}
-		a, err := Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Served() != a.Served {
-			t.Fatalf("trial %d: evaluator served %d, Solve served %d", trial, ev.Served(), a.Served)
-		}
-		if ev.Stations() != k {
-			t.Fatalf("trial %d: Stations() = %d, want %d", trial, ev.Stations(), k)
-		}
-	}
-}
-
-func TestEvaluatorSlotExhaustion(t *testing.T) {
-	t.Parallel()
-	ev, err := NewEvaluator(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.Commit(1, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.Gain(1, []int{1}); err == nil {
-		t.Error("Gain beyond maxSlots should fail")
-	}
-	if _, err := ev.Commit(1, []int{1}); err == nil {
-		t.Error("Commit beyond maxSlots should fail")
-	}
-}
-
-func TestEvaluatorBadEligible(t *testing.T) {
-	t.Parallel()
-	ev, err := NewEvaluator(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ev.Gain(1, []int{7}); err == nil {
-		t.Error("out-of-range eligible user should fail")
-	}
-}
-
-func TestNewEvaluatorErrors(t *testing.T) {
-	t.Parallel()
-	if _, err := NewEvaluator(-1, 2); err == nil {
-		t.Error("negative users should fail")
-	}
-	if _, err := NewEvaluator(2, -1); err == nil {
-		t.Error("negative slots should fail")
-	}
-}

@@ -116,12 +116,6 @@ func (p Params) AirToGroundPathLossDB(horiz, altitude float64) float64 {
 	return pLoS*(fspl+p.Env.EtaLoSdB) + (1-pLoS)*(fspl+p.Env.EtaNLoSdB)
 }
 
-// AirToAirPathLossDB returns the UAV-to-UAV pathloss, modelled as pure free
-// space (no obstacles between UAVs in the air).
-func (p Params) AirToAirPathLossDB(dist float64) float64 {
-	return p.FreeSpacePathLossDB(dist)
-}
-
 // SNRdB returns the received signal-to-noise ratio in dB for a link with the
 // given transmitter and pathloss: P_t + g_t - PL - P_N.
 func (p Params) SNRdB(tx Transmitter, pathLossDB float64) float64 {

@@ -172,13 +172,6 @@ func TestCoverageRadiusUnreachableTarget(t *testing.T) {
 	}
 }
 
-func TestAirToAirIsFreeSpace(t *testing.T) {
-	p := DefaultParams()
-	if got, want := p.AirToAirPathLossDB(600), p.FreeSpacePathLossDB(600); got != want {
-		t.Errorf("air-to-air %g != free space %g", got, want)
-	}
-}
-
 func TestEnvironmentOrdering(t *testing.T) {
 	// Denser environments should have lower LoS probability at a moderate
 	// elevation angle.

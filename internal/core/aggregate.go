@@ -57,6 +57,8 @@ type Demand struct {
 
 // TotalDemand returns the summed weight of all demand nodes, which always
 // equals the scenario's user count.
+//
+//uavlint:allow testonly -- core's aggregation tests and verify's million-user test check that count with it
 func (d *Demand) TotalDemand() int {
 	total := 0
 	for _, c := range d.Cells {

@@ -20,10 +20,8 @@ type Budget struct {
 	G int
 }
 
-// HMax returns h_max = max{p_1, p_{s+1}, max_{2<=i<=s} ceil(p_i / 2)}
+// hMax returns h_max = max{p_1, p_{s+1}, max_{2<=i<=s} ceil(p_i / 2)}
 // (Section III-C), the largest admissible hop distance from the anchor set.
-func (b Budget) HMax() int { return hMax(b.P) }
-
 func hMax(p []int) int {
 	s := len(p) - 1
 	h := p[0]

@@ -215,12 +215,6 @@ func (a subsetResult) better(b subsetResult) bool {
 // cancellation as plain failure can keep the usual "if err != nil" shape. A
 // nil ctx is treated as context.Background().
 func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error) {
-	return approx(ctx, in, opts, newPlacementOracle)
-}
-
-// approx is Approx with the per-worker placement-oracle constructor as a
-// parameter, so tests can run the enumeration over a reference gain engine.
-func approx(ctx context.Context, in *Instance, opts Options, newOracle func(*Instance, []int) (*placementOracle, error)) (*Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background() //uavlint:allow ctxthread -- nil-ctx normalization at the API boundary
 	}
@@ -338,7 +332,7 @@ func approx(ctx context.Context, in *Instance, opts Options, newOracle func(*Ins
 			defer func() { results <- out }()
 			// One oracle per worker, reset per subset, so the matcher's
 			// memory is reused across the whole enumeration.
-			oracle, err := newOracle(in, caps)
+			oracle, err := newPlacementOracle(in, caps)
 			if err != nil {
 				out.err = err
 				return
@@ -671,37 +665,6 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 	return subsetResult{idx: idx, served: oracle.served(), locs: slotLoc, nsel: len(selected)}, true, false, nil
 }
 
-// connectLocations returns the sorted node set of the connected subgraph G_j
-// obtained by taking an MST of the selected locations under the hop metric
-// and replacing each MST edge with a shortest path (Algorithm 2 lines 13-15).
-func connectLocations(g *graph.Undirected, selected []int) ([]int, error) {
-	nodeSet := make(map[int]bool, len(selected))
-	for _, v := range selected {
-		nodeSet[v] = true
-	}
-	if len(selected) > 1 {
-		tree, _, err := graph.CompleteHopMST(g, selected)
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range tree {
-			path := g.ShortestPath(selected[e.U], selected[e.V])
-			if path == nil {
-				return nil, fmt.Errorf("core: lost path between %d and %d", selected[e.U], selected[e.V])
-			}
-			for _, v := range path {
-				nodeSet[v] = true
-			}
-		}
-	}
-	nodes := make([]int, 0, len(nodeSet))
-	for v := range nodeSet {
-		nodes = append(nodes, v)
-	}
-	sort.Ints(nodes)
-	return nodes, nil
-}
-
 // finalizeDeployment maps the winning slot placement back to the scenario's
 // original UAV order and computes the final assignment (Algorithm 2 line 25).
 // On aggregated instances the assignment comes from the weighted b-matcher
@@ -760,8 +723,7 @@ func finalizeDeployment(in *Instance, best subsetResult) (*Deployment, error) {
 
 // gainEngine is the incremental what-if/commit contract the placement
 // oracle drives. match.Matcher (per-user instances) and
-// match.WeightedMatcher (aggregated ones) satisfy it; so does the
-// Dinic-backed assign.Evaluator the tests use as a reference engine.
+// match.WeightedMatcher (aggregated ones) satisfy it.
 type gainEngine interface {
 	Reset() error
 	Served() int
@@ -777,8 +739,8 @@ type placementOracle struct {
 	in     *Instance
 	caps   []int
 	engine gainEngine
-	// matcher is the engine when the incremental unit matcher is active, nil
-	// otherwise; it carries the reach bitset RoundBound popcounts.
+	// matcher is the engine on per-user instances; it carries the reach
+	// bitset RoundBound popcounts.
 	matcher *match.Matcher
 	// wmatcher is the engine on aggregated instances: the weighted b-matcher
 	// over demand cells. Its GainBound is the weighted counterpart of the
@@ -840,24 +802,16 @@ func (o *placementOracle) Bound(loc int) int {
 	return n
 }
 
-// RoundBound implements matroid.DynamicBounder: with the matcher active it
-// popcounts the location's eligibility mask against the matcher's
-// still-augmentable user set, bounding the gain in a few word operations
-// (see match.Matcher.GainBound for why that set, not merely the unserved
-// one, is the sound choice). Any other engine falls back to the static
-// per-round capacity bound; sound bounds of any tightness leave the
-// selection identical.
+// RoundBound implements matroid.DynamicBounder: it popcounts the
+// location's eligibility mask against the matcher's still-augmentable user
+// set, bounding the gain in a few word operations (see
+// match.Matcher.GainBound for why that set, not merely the unserved one, is
+// the sound choice). Sound bounds of any tightness leave the selection
+// identical.
 func (o *placementOracle) RoundBound(round, loc int) int {
 	class := o.in.ClassOf[o.in.ByCapacity[round]]
 	if o.wmatcher != nil {
 		return o.wmatcher.GainBound(o.caps[round], o.in.EligMask[class][loc])
-	}
-	if o.matcher == nil {
-		c := o.caps[round]
-		if n := o.in.eligTotal(class, loc); n < c {
-			return n
-		}
-		return c
 	}
 	return o.matcher.GainBound(o.caps[round], o.in.EligMask[class][loc])
 }

@@ -344,9 +344,9 @@ func TestApproxGreedyUsesAnchors(t *testing.T) {
 	}
 }
 
-// TestConnectorWithinGUpper validates Lemma 2 empirically: on a line graph
-// with anchors spaced p_i+1 apart, any M2-independent selection connects
-// with at most g(L, p) nodes.
+// TestConnectorWithinGUpper validates Lemma 2 empirically on the connector
+// evaluateSubset runs: on a line graph with anchors spaced p_i+1 apart, any
+// M2-independent selection connects with at most g(L, p) nodes.
 func TestConnectorWithinGUpper(t *testing.T) {
 	t.Parallel()
 	r := rand.New(rand.NewSource(13))
@@ -374,6 +374,12 @@ func TestConnectorWithinGUpper(t *testing.T) {
 			}
 			anchors[i] = pos
 		}
+		// The connector reads only the instance's hop rows and path oracle.
+		in := &Instance{Paths: graph.NewPathOracle(lg), Hop: make([][]int, lineLen)}
+		for a := range in.Hop {
+			in.Hop[a] = in.Paths.DistRow(a)
+		}
+		scr := &evalScratch{nodeMark: make([]bool, lineLen)}
 		dist := lg.MultiSourceBFS(anchors)
 		q := QValues(l, p)
 		hm := len(q) - 1
@@ -391,11 +397,11 @@ func TestConnectorWithinGUpper(t *testing.T) {
 			if contains(selected, v) {
 				continue
 			}
-			if m2.CanAdd(selected, v) {
+			if m2.CanAddInto(selected, v, make([]int, len(q))) {
 				selected = append(selected, v)
 			}
 		}
-		nodes, err := connectLocations(lg, selected)
+		nodes, err := scr.connectLocations(in, selected)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

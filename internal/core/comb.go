@@ -34,17 +34,6 @@ func binomial(m, s int) int64 {
 	return result
 }
 
-// unrankCombination returns the idx-th s-combination of {0..m-1} in
-// colexicographic order: the combination whose elements c_1 < ... < c_s
-// satisfy idx = sum C(c_i, i).
-func unrankCombination(idx int64, m, s int) ([]int, error) {
-	out := make([]int, s)
-	if err := unrankCombinationInto(idx, m, s, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // unrankCombinationInto is unrankCombination writing into a caller-provided
 // slice of length s, allocating nothing.
 func unrankCombinationInto(idx int64, m, s int, out []int) error {
@@ -84,17 +73,6 @@ func nextCombination(c []int, m int) bool {
 		}
 	}
 	return false
-}
-
-// randomCombination draws a uniform s-subset of {0..m-1} and returns it
-// sorted. It is the allocating counterpart of sampleCombination, kept for
-// one-shot callers.
-func randomCombination(r *rand.Rand, m, s int) []int {
-	perm := make([]int, m)
-	for i := range perm {
-		perm[i] = i
-	}
-	return sampleCombination(r, perm, make([]int, s), make([]int, s))
 }
 
 // sampleCombination draws a uniform s-subset of {0..m-1} into out (length s)

@@ -216,3 +216,24 @@ func TestSubsetSourceSamplingWorkerIndependent(t *testing.T) {
 		}
 	}
 }
+
+// unrankCombination returns the idx-th s-combination of {0..m-1} in
+// colexicographic order: the combination whose elements c_1 < ... < c_s
+// satisfy idx = sum C(c_i, i).
+func unrankCombination(idx int64, m, s int) ([]int, error) {
+	out := make([]int, s)
+	if err := unrankCombinationInto(idx, m, s, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// randomCombination draws a uniform s-subset of {0..m-1} and returns it
+// sorted: the allocating counterpart of sampleCombination.
+func randomCombination(r *rand.Rand, m, s int) []int {
+	perm := make([]int, m)
+	for i := range perm {
+		perm[i] = i
+	}
+	return sampleCombination(r, perm, make([]int, s), make([]int, s))
+}

@@ -28,7 +28,7 @@ func leftoversReference(scr *evalScratch, in *Instance, slotLoc []int, caps []in
 		uav := in.ByCapacity[slot]
 		bestLoc, bestGain := -1, 0
 		for c := 0; c < in.Scenario.M(); c++ {
-			if scr.used[c] == scr.epoch || !slices.ContainsFunc(slotLoc, func(v int) bool { return in.LocGraph.HasEdge(v, c) }) {
+			if scr.used[c] == scr.epoch || !slices.ContainsFunc(slotLoc, func(v int) bool { return slices.Contains(in.LocGraph.Neighbors(v), c) }) {
 				continue
 			}
 			gain := 0

@@ -256,6 +256,8 @@ func (c *Checkpoint) Range() Span {
 
 // Complete reports whether every index of the checkpoint's range has been
 // processed — nothing is left to resume.
+//
+//uavlint:allow testonly -- the shard tests of core, verify and cmd/uavshard read merged checkpoints with it
 func (c *Checkpoint) Complete() bool { return len(c.remaining()) == 0 }
 
 // RemainingSpans returns a copy of the checkpoint's unprocessed sub-ranges,

@@ -140,7 +140,6 @@ type Instance struct {
 	// Paths is the precomputed shortest-path oracle over LocGraph: one BFS
 	// predecessor array per source, so the relay-connection step reads MST
 	// edge expansions back instead of re-running a BFS per edge per subset.
-	// Its paths are node-for-node identical to LocGraph.ShortestPath's.
 	Paths *graph.PathOracle
 	// ByCapacity holds UAV indices sorted by decreasing capacity (ties by
 	// index), the order in which Algorithm 2 deploys them.
@@ -335,20 +334,6 @@ func (in *Instance) Fingerprint() uint64 {
 	return aggFingerprint(fp, in.Demand)
 }
 
-// MaxHop returns the largest finite pairwise hop distance in the location
-// graph (its hop diameter), useful for sizing searches.
-func (in *Instance) MaxHop() int {
-	maxHop := 0
-	for a := range in.Hop {
-		for _, d := range in.Hop[a] {
-			if d > maxHop {
-				maxHop = d
-			}
-		}
-	}
-	return maxHop
-}
-
 // TotalCapacity returns the sum of all UAV capacities.
 func (in *Instance) TotalCapacity() int {
 	total := 0
@@ -366,9 +351,4 @@ func (in *Instance) CoverageUpperBound() int {
 		return tc
 	}
 	return n
-}
-
-// distToLoc is a test helper: Euclidean distance from user i to location j.
-func (in *Instance) distToLoc(i, j int) float64 {
-	return geom.Dist2(in.Scenario.Users[i].Pos, in.Centers[j])
 }

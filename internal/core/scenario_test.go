@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/uav-coverage/uavnet/internal/channel"
@@ -71,13 +72,13 @@ func TestInstanceLocationGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 600 m links orthogonal neighbors (500) but not diagonals (707).
-	if !in.LocGraph.HasEdge(0, 1) {
+	if !slices.Contains(in.LocGraph.Neighbors(0), 1) {
 		t.Error("orthogonal neighbors should be linked")
 	}
-	if in.LocGraph.HasEdge(0, 4) {
+	if slices.Contains(in.LocGraph.Neighbors(0), 4) {
 		t.Error("diagonal neighbors should not be linked at 600 m range")
 	}
-	if in.LocGraph.HasEdge(0, 2) {
+	if slices.Contains(in.LocGraph.Neighbors(0), 2) {
 		t.Error("cells 1000 m apart should not be linked")
 	}
 	// Hop distances: corner to corner is 4 hops on a 3x3 orthogonal grid.
@@ -234,4 +235,18 @@ func containsInt(xs []int, v int) bool {
 		}
 	}
 	return false
+}
+
+// MaxHop returns the largest finite pairwise hop distance in the location
+// graph (its hop diameter), useful for sizing searches.
+func (in *Instance) MaxHop() int {
+	maxHop := 0
+	for a := range in.Hop {
+		for _, d := range in.Hop[a] {
+			if d > maxHop {
+				maxHop = d
+			}
+		}
+	}
+	return maxHop
 }

@@ -81,13 +81,11 @@ func newEvalScratch(in *Instance, q []int, oracle *placementOracle) *evalScratch
 	return scr
 }
 
-// connectLocations is the scratch-based counterpart of the package-level
-// connectLocations: the MST is computed from the instance's precomputed hop
-// matrix instead of per-terminal BFS, each tree edge expands through the
-// path oracle instead of a fresh ShortestPath run, and the node set is a
-// boolean mask instead of a map. The returned slice is scratch-owned and
-// valid until the next call; its contents are identical to the package-level
-// function's.
+// connectLocations returns the sorted node set of the connected subgraph
+// G_j (Algorithm 2 lines 13-15): an MST of the selected locations under the
+// hop metric, read from the instance's precomputed hop matrix, with each
+// tree edge replaced by the path oracle's shortest path. The returned slice
+// is scratch-owned and valid until the next call.
 func (scr *evalScratch) connectLocations(in *Instance, selected []int) ([]int, error) {
 	nodes := scr.nodes[:0]
 	for _, v := range selected {

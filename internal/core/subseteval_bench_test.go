@@ -203,9 +203,8 @@ func BenchmarkSubsetEval(b *testing.B) {
 }
 
 // BenchmarkConnectLocations isolates the relay-connection step (Algorithm 2
-// lines 13-15): the oracle variant reads MST edges and paths from the
-// instance's precomputed structures, the bfs variant is the package-level
-// function that re-runs per-terminal BFS and per-edge ShortestPath.
+// lines 13-15), which reads MST edges and paths from the instance's
+// precomputed structures.
 func BenchmarkConnectLocations(b *testing.B) {
 	in, _, _, _, q, caps, _ := benchInstance(b, 3)
 	oracle, err := newPlacementOracle(in, caps)
@@ -222,16 +221,6 @@ func BenchmarkConnectLocations(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := scr.connectLocations(in, selected); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-
-	b.Run("bfs", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := connectLocations(in.LocGraph, selected); err != nil {
 				b.Fatal(err)
 			}
 		}

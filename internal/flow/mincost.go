@@ -41,9 +41,6 @@ func NewCostNetwork(n int) *CostNetwork {
 	}
 }
 
-// N returns the number of nodes.
-func (cn *CostNetwork) N() int { return cn.n }
-
 // AddEdge adds a directed arc u->v with the given capacity and per-unit
 // cost (cost >= 0), returning a handle for Flow.
 func (cn *CostNetwork) AddEdge(u, v, capacity int, cost int64) (int, error) {
@@ -159,31 +156,4 @@ func (cn *CostNetwork) dijkstra(s, t int) bool {
 		}
 	}
 	return cn.dist[t] < infCost
-}
-
-// HasNegativeResidualCycle reports whether the residual network contains a
-// negative-cost cycle — the optimality certificate for min-cost flows (a
-// max flow is cost-minimal iff none exists). Exposed for tests.
-func (cn *CostNetwork) HasNegativeResidualCycle() bool {
-	dist := make([]int64, cn.n)
-	// Bellman-Ford from a virtual super-source (all distances start 0).
-	for iter := 0; iter < cn.n; iter++ {
-		improved := false
-		for u := 0; u < cn.n; u++ {
-			for _, h := range cn.head[u] {
-				if cn.capArr[h] <= 0 {
-					continue
-				}
-				v := cn.toArr[h]
-				if nd := dist[u] + cn.cost[h]; nd < dist[v] {
-					dist[v] = nd
-					improved = true
-				}
-			}
-		}
-		if !improved {
-			return false
-		}
-	}
-	return true
 }

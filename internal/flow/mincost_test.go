@@ -14,6 +14,33 @@ func mustCostEdge(t *testing.T, cn *CostNetwork, u, v, c int, cost int64) int {
 	return h
 }
 
+// HasNegativeResidualCycle reports whether the residual network contains a
+// negative-cost cycle — the optimality certificate for min-cost flows (a
+// max flow is cost-minimal iff none exists).
+func (cn *CostNetwork) HasNegativeResidualCycle() bool {
+	dist := make([]int64, cn.n)
+	// Bellman-Ford from a virtual super-source (all distances start 0).
+	for iter := 0; iter < cn.n; iter++ {
+		improved := false
+		for u := 0; u < cn.n; u++ {
+			for _, h := range cn.head[u] {
+				if cn.capArr[h] <= 0 {
+					continue
+				}
+				v := cn.toArr[h]
+				if nd := dist[u] + cn.cost[h]; nd < dist[v] {
+					dist[v] = nd
+					improved = true
+				}
+			}
+		}
+		if !improved {
+			return false
+		}
+	}
+	return true
+}
+
 func TestMinCostSingleEdge(t *testing.T) {
 	t.Parallel()
 	cn := NewCostNetwork(2)

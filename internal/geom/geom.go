@@ -1,6 +1,6 @@
-// Package geom provides the planar and spatial geometry primitives used by
-// the UAV deployment algorithms: points, distances, and the discretization of
-// a rectangular disaster area into a grid of candidate hovering locations.
+// Package geom provides the planar geometry primitives used by the UAV
+// deployment algorithms: points, distances, and the discretization of a
+// rectangular disaster area into a grid of candidate hovering locations.
 //
 // The model follows Section II-A of the paper: the disaster zone is a
 // rectangle of size Length x Width on the ground (z = 0); UAVs hover on a
@@ -18,44 +18,9 @@ type Point2 struct {
 	X, Y float64
 }
 
-// Point3 is a point in 3-D space (meters).
-type Point3 struct {
-	X, Y, Z float64
-}
-
-// XY projects p onto the ground plane.
-func (p Point3) XY() Point2 { return Point2{X: p.X, Y: p.Y} }
-
-// At3 lifts a ground point to altitude z.
-func (p Point2) At3(z float64) Point3 { return Point3{X: p.X, Y: p.Y, Z: z} }
-
 // Dist2 returns the Euclidean distance between two planar points.
 func Dist2(a, b Point2) float64 {
 	return math.Hypot(a.X-b.X, a.Y-b.Y)
-}
-
-// Dist3 returns the Euclidean distance between two spatial points.
-func Dist3(a, b Point3) float64 {
-	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
-}
-
-// DistGroundToAir returns the Euclidean distance between a ground point and a
-// point hovering at the given altitude above airXY.
-func DistGroundToAir(ground Point2, airXY Point2, altitude float64) float64 {
-	d := Dist2(ground, airXY)
-	return math.Hypot(d, altitude)
-}
-
-// ElevationAngleDeg returns the elevation angle, in degrees, from a ground
-// point to an aerial point at the given altitude above airXY. The angle is in
-// (0, 90]; it is 90 when the aerial point is directly overhead.
-func ElevationAngleDeg(ground Point2, airXY Point2, altitude float64) float64 {
-	horiz := Dist2(ground, airXY)
-	if horiz == 0 { //uavlint:allow floatcast -- exact-zero sentinel: Dist2 returns +0 only for coincident points
-		return 90
-	}
-	return math.Atan2(altitude, horiz) * 180 / math.Pi
 }
 
 // Grid describes the discretization of the hovering plane of a rectangular
@@ -137,6 +102,8 @@ func (g Grid) Centers() []Point2 {
 }
 
 // Contains reports whether a ground point lies inside the area rectangle.
+//
+//uavlint:allow testonly -- the workload and mobility tests check generated positions with it
 func (g Grid) Contains(p Point2) bool {
 	return p.X >= 0 && p.X <= g.Length && p.Y >= 0 && p.Y <= g.Width
 }

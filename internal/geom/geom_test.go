@@ -30,37 +30,6 @@ func TestDist2(t *testing.T) {
 	}
 }
 
-func TestDist3(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b Point3
-		want float64
-	}{
-		{"zero", Point3{}, Point3{}, 0},
-		{"axis", Point3{0, 0, 0}, Point3{0, 0, 2}, 2},
-		{"diag", Point3{0, 0, 0}, Point3{1, 2, 2}, 3},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := Dist3(tc.a, tc.b); !almostEq(got, tc.want) {
-				t.Errorf("Dist3(%v, %v) = %g, want %g", tc.a, tc.b, got, tc.want)
-			}
-		})
-	}
-}
-
-func TestDistGroundToAir(t *testing.T) {
-	// A user 300 m away horizontally from a UAV at 400 m altitude is 500 m away.
-	got := DistGroundToAir(Point2{0, 0}, Point2{300, 0}, 400)
-	if !almostEq(got, 500) {
-		t.Errorf("DistGroundToAir = %g, want 500", got)
-	}
-	// Directly under the UAV the distance equals the altitude.
-	if got := DistGroundToAir(Point2{7, 9}, Point2{7, 9}, 123); !almostEq(got, 123) {
-		t.Errorf("overhead distance = %g, want 123", got)
-	}
-}
-
 func TestDistSymmetryProperty(t *testing.T) {
 	f := func(ax, ay, bx, by float64) bool {
 		// Bound inputs so the squared terms cannot overflow to +Inf.
@@ -83,27 +52,6 @@ func TestTriangleInequalityProperty(t *testing.T) {
 		if Dist2(a, c) > Dist2(a, b)+Dist2(b, c)+1e-9 {
 			t.Fatalf("triangle inequality violated for %v %v %v", a, b, c)
 		}
-	}
-}
-
-func TestElevationAngleDeg(t *testing.T) {
-	tests := []struct {
-		name     string
-		horiz    float64
-		altitude float64
-		want     float64
-	}{
-		{"overhead", 0, 300, 90},
-		{"45deg", 300, 300, 45},
-		{"shallow", math.Sqrt(3) * 100, 100, 30},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got := ElevationAngleDeg(Point2{0, 0}, Point2{tc.horiz, 0}, tc.altitude)
-			if math.Abs(got-tc.want) > 1e-6 {
-				t.Errorf("ElevationAngleDeg = %g, want %g", got, tc.want)
-			}
-		})
 	}
 }
 
@@ -215,16 +163,5 @@ func TestGridContainsAndClamp(t *testing.T) {
 	p := g.Clamp(Point2{150, -10})
 	if p.X != 100 || p.Y != 0 {
 		t.Errorf("Clamp = %v, want {100 0}", p)
-	}
-}
-
-func TestPointLifting(t *testing.T) {
-	p := Point2{3, 4}
-	q := p.At3(5)
-	if q.X != 3 || q.Y != 4 || q.Z != 5 {
-		t.Errorf("At3 = %v", q)
-	}
-	if got := q.XY(); got != p {
-		t.Errorf("XY round trip = %v, want %v", got, p)
 	}
 }

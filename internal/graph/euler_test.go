@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -245,4 +246,151 @@ func TestSectionIIIASplitCount(t *testing.T) {
 			t.Fatalf("trial %d: segments cover %d of %d nodes", trial, len(covered), k)
 		}
 	}
+}
+
+// Multigraph is an undirected multigraph (parallel edges allowed) used for
+// the Eulerian-path construction of Section III-A: duplicating K-2 edges of a
+// spanning tree T* yields a multigraph with an Eulerian path of 2K-3 edges.
+type Multigraph struct {
+	n     int
+	edges [][2]int // endpoint pairs; index identifies the edge instance
+	inc   [][]int  // node -> incident edge indices
+}
+
+// NewMultigraph returns an empty multigraph on n nodes.
+func NewMultigraph(n int) *Multigraph {
+	return &Multigraph{n: n, inc: make([][]int, n)}
+}
+
+// NumEdges returns the number of edge instances (parallel edges counted).
+func (m *Multigraph) NumEdges() int { return len(m.edges) }
+
+// AddEdge adds one instance of the undirected edge (u, v). Parallel edges are
+// allowed; self loops are not.
+func (m *Multigraph) AddEdge(u, v int) error {
+	if u < 0 || u >= m.n || v < 0 || v >= m.n {
+		return fmt.Errorf("graph: multigraph edge (%d,%d) out of range [0,%d)", u, v, m.n)
+	}
+	if u == v {
+		return fmt.Errorf("graph: multigraph self loop at %d", u)
+	}
+	idx := len(m.edges)
+	m.edges = append(m.edges, [2]int{u, v})
+	m.inc[u] = append(m.inc[u], idx)
+	m.inc[v] = append(m.inc[v], idx)
+	return nil
+}
+
+// Degree returns the degree of u, counting parallel edges.
+func (m *Multigraph) Degree(u int) int { return len(m.inc[u]) }
+
+// EulerianPath returns a walk (sequence of nodes) traversing every edge
+// instance exactly once, using Hierholzer's algorithm. It returns an error if
+// no Eulerian path exists (more than two odd-degree nodes, or the edges are
+// not in a single connected component).
+func (m *Multigraph) EulerianPath() ([]int, error) {
+	if len(m.edges) == 0 {
+		return nil, fmt.Errorf("graph: Eulerian path of an edgeless multigraph")
+	}
+	var odd []int
+	start := -1
+	for u := 0; u < m.n; u++ {
+		if len(m.inc[u])%2 == 1 {
+			odd = append(odd, u)
+		}
+		if start == -1 && len(m.inc[u]) > 0 {
+			start = u
+		}
+	}
+	switch len(odd) {
+	case 0:
+		// Eulerian circuit; start anywhere with an edge.
+	case 2:
+		start = odd[0]
+	default:
+		return nil, fmt.Errorf("graph: %d odd-degree nodes, Eulerian path requires 0 or 2", len(odd))
+	}
+
+	used := make([]bool, len(m.edges))
+	next := make([]int, m.n) // per-node cursor into inc lists
+	var path []int
+	stack := []int{start}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		advanced := false
+		for next[u] < len(m.inc[u]) {
+			ei := m.inc[u][next[u]]
+			next[u]++
+			if used[ei] {
+				continue
+			}
+			used[ei] = true
+			v := m.edges[ei][0]
+			if v == u {
+				v = m.edges[ei][1]
+			}
+			stack = append(stack, v)
+			advanced = true
+			break
+		}
+		if !advanced {
+			path = append(path, u)
+			stack = stack[:len(stack)-1]
+		}
+	}
+	if len(path) != len(m.edges)+1 {
+		return nil, fmt.Errorf("graph: edges not connected, Eulerian walk covers %d of %d edges",
+			len(path)-1, len(m.edges))
+	}
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		path[i], path[j] = path[j], path[i]
+	}
+	return path, nil
+}
+
+// DoubleTreeEulerianPath implements the construction of Fig. 2(a)-(b): given
+// the K-1 edges of a spanning tree on k nodes, it duplicates K-2 of them
+// (all but one edge on a longest-leaf path end, here: all but the first) so
+// that the resulting multigraph has exactly two odd-degree nodes, and returns
+// an Eulerian path with 2K-3 edges.
+func DoubleTreeEulerianPath(k int, treeEdges [][2]int) ([]int, error) {
+	if len(treeEdges) != k-1 {
+		return nil, fmt.Errorf("graph: spanning tree on %d nodes needs %d edges, got %d", k, k-1, len(treeEdges))
+	}
+	if k == 1 {
+		return []int{0}, nil
+	}
+	m := NewMultigraph(k)
+	for i, e := range treeEdges {
+		if err := m.AddEdge(e[0], e[1]); err != nil {
+			return nil, err
+		}
+		if i > 0 { // duplicate K-2 edges: every tree edge except the first
+			if err := m.AddEdge(e[0], e[1]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return m.EulerianPath()
+}
+
+// SplitPath splits a walk (sequence of nodes) into segments of at most l
+// nodes each, as in Fig. 2(c): the first ceil(len/l)-1 segments have exactly
+// l nodes and the last has the remainder. Segments are non-overlapping in
+// positions; consecutive segments do not share the boundary node.
+func SplitPath(path []int, l int) ([][]int, error) {
+	if l <= 0 {
+		return nil, fmt.Errorf("graph: split length %d must be positive", l)
+	}
+	var out [][]int
+	for start := 0; start < len(path); start += l {
+		end := start + l
+		if end > len(path) {
+			end = len(path)
+		}
+		seg := make([]int, end-start)
+		copy(seg, path[start:end])
+		out = append(out, seg)
+	}
+	return out, nil
 }

@@ -1,8 +1,10 @@
 // Package graph provides the graph algorithms the deployment algorithms are
 // built on: undirected adjacency graphs, breadth-first hop distances,
-// connectivity queries, minimum spanning trees, and the Eulerian-path
-// machinery (tree doubling and path splitting) that underlies the analysis in
-// Section III-A of the paper.
+// connectivity queries, minimum spanning trees, and a precomputed
+// shortest-path oracle. The Eulerian-path machinery (tree doubling and path
+// splitting) behind the analysis in Section III-A of the paper, a plain BFS
+// shortest path and Kruskal over a fresh union-find live in the package's
+// tests, as the references the production code is checked against.
 //
 // Nodes are dense integer indices in [0, N). The package has no dependencies
 // beyond the standard library.
@@ -10,7 +12,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Undirected is an undirected graph on nodes 0..n-1 stored as adjacency
@@ -31,15 +32,6 @@ func New(n int) *Undirected {
 // N returns the number of nodes.
 func (g *Undirected) N() int { return len(g.adj) }
 
-// NumEdges returns the number of undirected edges.
-func (g *Undirected) NumEdges() int {
-	total := 0
-	for _, nb := range g.adj {
-		total += len(nb)
-	}
-	return total / 2
-}
-
 // AddEdge inserts the undirected edge (u, v). Self loops and duplicate edges
 // are rejected with an error so that callers notice modeling mistakes.
 func (g *Undirected) AddEdge(u, v int) error {
@@ -59,25 +51,9 @@ func (g *Undirected) AddEdge(u, v int) error {
 	return nil
 }
 
-// HasEdge reports whether the undirected edge (u, v) exists.
-func (g *Undirected) HasEdge(u, v int) bool {
-	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
-		return false
-	}
-	for _, w := range g.adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // Neighbors returns the adjacency list of u. The returned slice is owned by
 // the graph and must not be modified.
 func (g *Undirected) Neighbors(u int) []int { return g.adj[u] }
-
-// Degree returns the number of neighbors of u.
-func (g *Undirected) Degree(u int) int { return len(g.adj[u]) }
 
 // Unreachable is the hop distance reported by BFS for nodes that cannot be
 // reached from the source set.
@@ -131,57 +107,6 @@ func (g *Undirected) MultiSourceBFSInto(sources, dist, queue []int) []int {
 	return queue
 }
 
-// ShortestPath returns one shortest (fewest-hops) path from src to dst,
-// inclusive of both endpoints, or nil if dst is unreachable. A path from a
-// node to itself is the single-node path.
-func (g *Undirected) ShortestPath(src, dst int) []int {
-	return g.ShortestPathInto(src, dst, make([]int, len(g.adj)), nil, nil)
-}
-
-// ShortestPathInto is ShortestPath with caller-provided scratch: prev must
-// have length N() and is overwritten, queue is the BFS frontier buffer, and
-// the path is appended into path[:0]. It returns the path (aliasing path's
-// backing array when capacity suffices) or nil if dst is unreachable. The
-// node sequence is identical to ShortestPath's.
-func (g *Undirected) ShortestPathInto(src, dst int, prev, queue, path []int) []int {
-	if src == dst {
-		return append(path[:0], src)
-	}
-	if len(prev) != len(g.adj) {
-		panic(fmt.Sprintf("graph: path prev buffer has length %d, need %d", len(prev), len(g.adj)))
-	}
-	for i := range prev {
-		prev[i] = -2 // unvisited
-	}
-	prev[src] = -1
-	queue = append(queue[:0], src)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		for _, v := range g.adj[u] {
-			if prev[v] != -2 {
-				continue
-			}
-			prev[v] = u
-			if v == dst {
-				return appendPath(prev, dst, path)
-			}
-			queue = append(queue, v)
-		}
-	}
-	return nil
-}
-
-func appendPath(prev []int, dst int, path []int) []int {
-	rev := path[:0]
-	for v := dst; v != -1; v = prev[v] {
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
 // Connected reports whether the subgraph induced by the given nodes is
 // connected (every node in the set reachable from every other using only
 // edges between set members). The empty set and singleton sets are connected.
@@ -205,32 +130,4 @@ func (g *Undirected) Connected(nodes []int) bool {
 		}
 	}
 	return len(seen) == len(in)
-}
-
-// Components returns the connected components of the whole graph, each as a
-// sorted slice of node indices; components are ordered by smallest member.
-func (g *Undirected) Components() [][]int {
-	seen := make([]bool, len(g.adj))
-	var comps [][]int
-	for s := range g.adj {
-		if seen[s] {
-			continue
-		}
-		var comp []int
-		seen[s] = true
-		queue := []int{s}
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			comp = append(comp, u)
-			for _, v := range g.adj[u] {
-				if !seen[v] {
-					seen[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-		sort.Ints(comp)
-		comps = append(comps, comp)
-	}
-	return comps
 }

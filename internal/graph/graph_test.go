@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -287,3 +289,123 @@ func TestUnionFindRandomAgainstNaive(t *testing.T) {
 		}
 	}
 }
+
+// NumEdges returns the number of undirected edges.
+func (g *Undirected) NumEdges() int {
+	total := 0
+	for _, nb := range g.adj {
+		total += len(nb)
+	}
+	return total / 2
+}
+
+// HasEdge reports whether the undirected edge (u, v) exists.
+func (g *Undirected) HasEdge(u, v int) bool {
+	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
+		return false
+	}
+	for _, w := range g.adj[u] {
+		if w == v {
+			return true
+		}
+	}
+	return false
+}
+
+// Degree returns the number of neighbors of u.
+func (g *Undirected) Degree(u int) int { return len(g.adj[u]) }
+
+// ShortestPath returns one shortest (fewest-hops) path from src to dst,
+// inclusive of both endpoints, or nil if dst is unreachable. A path from a
+// node to itself is the single-node path.
+func (g *Undirected) ShortestPath(src, dst int) []int {
+	return g.ShortestPathInto(src, dst, make([]int, len(g.adj)), nil, nil)
+}
+
+// ShortestPathInto is ShortestPath with caller-provided scratch: prev must
+// have length N() and is overwritten, queue is the BFS frontier buffer, and
+// the path is appended into path[:0]. It returns the path (aliasing path's
+// backing array when capacity suffices) or nil if dst is unreachable. The
+// node sequence is identical to ShortestPath's.
+func (g *Undirected) ShortestPathInto(src, dst int, prev, queue, path []int) []int {
+	if src == dst {
+		return append(path[:0], src)
+	}
+	if len(prev) != len(g.adj) {
+		panic(fmt.Sprintf("graph: path prev buffer has length %d, need %d", len(prev), len(g.adj)))
+	}
+	for i := range prev {
+		prev[i] = -2 // unvisited
+	}
+	prev[src] = -1
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		for _, v := range g.adj[u] {
+			if prev[v] != -2 {
+				continue
+			}
+			prev[v] = u
+			if v == dst {
+				return appendPath(prev, dst, path)
+			}
+			queue = append(queue, v)
+		}
+	}
+	return nil
+}
+
+func appendPath(prev []int, dst int, path []int) []int {
+	rev := path[:0]
+	for v := dst; v != -1; v = prev[v] {
+		rev = append(rev, v)
+	}
+	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
+		rev[i], rev[j] = rev[j], rev[i]
+	}
+	return rev
+}
+
+// Components returns the connected components of the whole graph, each as a
+// sorted slice of node indices; components are ordered by smallest member.
+func (g *Undirected) Components() [][]int {
+	seen := make([]bool, len(g.adj))
+	var comps [][]int
+	for s := range g.adj {
+		if seen[s] {
+			continue
+		}
+		var comp []int
+		seen[s] = true
+		queue := []int{s}
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			comp = append(comp, u)
+			for _, v := range g.adj[u] {
+				if !seen[v] {
+					seen[v] = true
+					queue = append(queue, v)
+				}
+			}
+		}
+		sort.Ints(comp)
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+// NewUnionFind returns a union-find structure over n singleton sets.
+func NewUnionFind(n int) *UnionFind {
+	uf := &UnionFind{
+		parent: make([]int, n),
+		rank:   make([]int, n),
+		sets:   n,
+	}
+	for i := range uf.parent {
+		uf.parent[i] = i
+	}
+	return uf
+}
+
+// Same reports whether x and y are in the same set.
+func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }

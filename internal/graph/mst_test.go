@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -154,4 +156,73 @@ func TestCompleteHopMSTDisconnected(t *testing.T) {
 	if _, _, err := CompleteHopMST(g, []int{0, 3}); err == nil {
 		t.Error("disconnected terminals should fail")
 	}
+}
+
+// MST computes a minimum spanning tree of the weighted graph on n nodes given
+// by edges, using Kruskal's algorithm. It returns the chosen edges and their
+// total weight. Edge order among equal weights is broken deterministically by
+// (Weight, U, V), so results are reproducible.
+//
+// It returns an error if the edges do not connect all n nodes.
+func MST(n int, edges []WeightedEdge) ([]WeightedEdge, float64, error) {
+	if n <= 0 {
+		return nil, 0, nil
+	}
+	sorted := make([]WeightedEdge, len(edges))
+	copy(sorted, edges)
+	sort.Slice(sorted, func(i, j int) bool {
+		a, b := sorted[i], sorted[j]
+		if a.Weight != b.Weight {
+			return a.Weight < b.Weight
+		}
+		if a.U != b.U {
+			return a.U < b.U
+		}
+		return a.V < b.V
+	})
+	uf := NewUnionFind(n)
+	tree := make([]WeightedEdge, 0, n-1)
+	var total float64
+	for _, e := range sorted {
+		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
+			return nil, 0, fmt.Errorf("graph: MST edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
+		}
+		if uf.Union(e.U, e.V) {
+			tree = append(tree, e)
+			total += e.Weight
+			if len(tree) == n-1 {
+				break
+			}
+		}
+	}
+	if len(tree) != n-1 {
+		return nil, 0, fmt.Errorf("graph: MST input on %d nodes is disconnected (%d components)", n, uf.Sets())
+	}
+	return tree, total, nil
+}
+
+// CompleteHopMST builds the complete weighted graph over the given terminal
+// nodes of g, where the weight of (t_i, t_j) is their hop distance in g, and
+// returns its MST edges expressed in *terminal indices* (0..len(terminals)-1)
+// together with the total hop weight.
+//
+// This is exactly the G'_j / T'_j construction of Algorithm 2 (lines 13-14).
+// It returns an error if some pair of terminals is disconnected in g.
+func CompleteHopMST(g *Undirected, terminals []int) ([]WeightedEdge, float64, error) {
+	k := len(terminals)
+	if k <= 1 {
+		return nil, 0, nil
+	}
+	edges := make([]WeightedEdge, 0, k*(k-1)/2)
+	for i := 0; i < k; i++ {
+		dist := g.BFS(terminals[i])
+		for j := i + 1; j < k; j++ {
+			d := dist[terminals[j]]
+			if d == Unreachable {
+				return nil, 0, fmt.Errorf("graph: terminals %d and %d are disconnected", terminals[i], terminals[j])
+			}
+			edges = append(edges, WeightedEdge{U: i, V: j, Weight: float64(d)})
+		}
+	}
+	return MST(k, edges)
 }

@@ -9,10 +9,9 @@ import "fmt"
 // deployment algorithms build it once per Instance and then expand every MST
 // edge of every anchor subset from it.
 //
-// The oracle's BFS visits neighbors in adjacency-list order, exactly like
-// Undirected.ShortestPath, so PathInto reproduces ShortestPath's node
-// sequences verbatim. That equivalence is what lets the optimized subset
-// evaluation produce byte-identical deployments to the allocating path.
+// The oracle's BFS visits neighbors in adjacency-list order, so each path is
+// the one a plain BFS from the source finds; the tests check PathInto
+// against one node for node.
 type PathOracle struct {
 	n    int
 	prev []int32 // prev[src*n+v]: predecessor of v on a shortest src-v path; -1 at src, -2 unreachable
@@ -53,16 +52,6 @@ func NewPathOracle(g *Undirected) *PathOracle {
 	return o
 }
 
-// N returns the number of nodes the oracle was built over.
-func (o *PathOracle) N() int { return o.n }
-
-// Hop returns the hop distance from a to b, or Unreachable.
-func (o *PathOracle) Hop(a, b int) int {
-	o.check(a)
-	o.check(b)
-	return int(o.dist[a*o.n+b])
-}
-
 // DistRow returns the hop distances from src to every node as a fresh []int
 // slice (the oracle stores them compactly as int32). It equals BFS(src).
 func (o *PathOracle) DistRow(src int) []int {
@@ -99,9 +88,8 @@ func (o *PathOracle) MultiSourceDistInto(sources, dist []int) {
 }
 
 // PathInto appends one shortest (fewest-hops) path from src to dst —
-// inclusive of both endpoints, node-for-node identical to
-// Undirected.ShortestPath on the oracle's graph — into path[:0] and returns
-// it, or nil if dst is unreachable. With sufficient capacity in path the
+// inclusive of both endpoints, the one a BFS from src in adjacency-list
+// order finds — into path[:0] and returns it, or nil if dst is unreachable. With sufficient capacity in path the
 // call performs no allocation.
 func (o *PathOracle) PathInto(src, dst int, path []int) []int {
 	o.check(src)

@@ -253,3 +253,10 @@ func TestUnionFindReset(t *testing.T) {
 		}
 	}
 }
+
+// Hop returns the hop distance from a to b, or Unreachable.
+func (o *PathOracle) Hop(a, b int) int {
+	o.check(a)
+	o.check(b)
+	return int(o.dist[a*o.n+b])
+}

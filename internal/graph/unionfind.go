@@ -8,19 +8,6 @@ type UnionFind struct {
 	sets   int
 }
 
-// NewUnionFind returns a union-find structure over n singleton sets.
-func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{
-		parent: make([]int, n),
-		rank:   make([]int, n),
-		sets:   n,
-	}
-	for i := range uf.parent {
-		uf.parent[i] = i
-	}
-	return uf
-}
-
 // Reset re-initializes the structure to n singleton sets, growing the
 // backing arrays when needed but never shrinking them, so steady-state reuse
 // across many MST runs is allocation-free.
@@ -64,9 +51,6 @@ func (uf *UnionFind) Union(x, y int) bool {
 	uf.sets--
 	return true
 }
-
-// Same reports whether x and y are in the same set.
-func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }
 
 // Sets returns the current number of disjoint sets.
 func (uf *UnionFind) Sets() int { return uf.sets }

@@ -55,15 +55,6 @@ func (b Bitset) Or(a Bitset) {
 	}
 }
 
-// Count returns the number of set bits.
-func (b Bitset) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // AndNotCount returns |a \ b|, the popcount of a AND NOT b — the marginal
 // coverage a candidate's eligibility mask adds over an accumulated union.
 func AndNotCount(a, b Bitset) int {

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -50,4 +51,13 @@ func TestBitsetOrCountAndNotCount(t *testing.T) {
 			t.Fatalf("trial %d: union.Count() = %d, want %d", trial, got, len(inB)+wantDiff)
 		}
 	}
+}
+
+// Count returns the number of set bits.
+func (b Bitset) Count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }

@@ -1,20 +1,20 @@
-package assign
+package match
 
 import (
 	"testing"
 
-	"github.com/uav-coverage/uavnet/internal/match"
+	"github.com/uav-coverage/uavnet/internal/assign"
 )
 
 // decodeFuzzProblem maps arbitrary fuzz bytes onto a small Problem with the
 // eligibility invariant the matcher documents (sorted ascending, no
 // duplicates): each station's eligible set is read as a user bitmask, so the
 // lists come out sorted for free.
-func decodeFuzzProblem(data []byte) (Problem, bool) {
+func decodeFuzzProblem(data []byte) (assign.Problem, bool) {
 	if len(data) < 2 {
-		return Problem{}, false
+		return assign.Problem{}, false
 	}
-	p := Problem{NumUsers: 1 + int(data[0])%24}
+	p := assign.Problem{NumUsers: 1 + int(data[0])%24}
 	stations := 1 + int(data[1])%6
 	pos := 2
 	maskBytes := (p.NumUsers + 7) / 8
@@ -36,13 +36,13 @@ func decodeFuzzProblem(data []byte) (Problem, bool) {
 		p.Eligible = append(p.Eligible, el)
 	}
 	if len(p.Capacities) == 0 {
-		return Problem{}, false
+		return assign.Problem{}, false
 	}
 	return p, true
 }
 
 // FuzzAssignDifferential cross-checks the incremental matcher against the
-// flow-based reference on random problems: committing the stations one by one
+// flow-based reference, assign.Solve, on random problems: committing the stations one by one
 // must serve exactly Solve's optimum, every speculative Gain must equal the
 // realized Commit gain, and the matcher's per-station loads must respect
 // capacities.
@@ -55,11 +55,11 @@ func FuzzAssignDifferential(f *testing.F) {
 		if !ok {
 			return
 		}
-		ref, err := Solve(p)
+		ref, err := assign.Solve(p)
 		if err != nil {
 			t.Fatalf("Solve rejected decoded problem: %v", err)
 		}
-		m, err := match.NewMatcher(p.NumUsers, len(p.Capacities))
+		m, err := NewMatcher(p.NumUsers, len(p.Capacities))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +82,7 @@ func FuzzAssignDifferential(f *testing.F) {
 		// Capacity feasibility and owner/load consistency.
 		loads := make([]int, len(p.Capacities))
 		for u := 0; u < p.NumUsers; u++ {
-			if k := m.Owner(u); k != match.Unassigned {
+			if k := m.Owner(u); k != Unassigned {
 				loads[k]++
 			}
 		}

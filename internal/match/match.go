@@ -12,11 +12,11 @@
 // re-acquires elsewhere) until it frees up a previously-unserved user. There
 // is no per-query edge construction, no residual-graph journaling beyond a
 // flat owner journal, and no level-graph BFS over untouched parts of the
-// network — the costs the Dinic-based assign.Evaluator pays on every what-if
-// query.
+// network — the costs a max-flow solver pays on every what-if query.
 //
 // Correctness rests on two classical matching facts, both exercised by the
-// package tests and the differential fuzz target in internal/assign:
+// package tests, including the differential fuzz target against
+// assign.Solve:
 //
 //  1. Adding one station copy to a graph whose matching is maximum admits an
 //     augmenting path only with the new copy as an endpoint, so searching
@@ -24,8 +24,8 @@
 //  2. A failed search leaves the matching untouched, and the station's cap
 //     copies are interchangeable, so the first failed attempt ends the query.
 //
-// assign.Evaluator (Dinic over internal/flow) remains the reference
-// implementation the matcher is verified against.
+// assign.Solve (Dinic over internal/flow) is the reference the matcher is
+// verified against, here and in internal/core's TestOracleEquivalence.
 package match
 
 import (
@@ -42,8 +42,8 @@ type journalEntry struct {
 }
 
 // Matcher incrementally evaluates and commits station placements over a
-// fixed user population, mirroring assign.Evaluator's contract: Gain answers
-// what-if queries without mutating committed state, Commit realizes one.
+// fixed user population: Gain answers what-if queries without mutating
+// committed state, Commit realizes one.
 // A Matcher must not be shared between goroutines.
 //
 //uavlint:scratch epoch=epoch tables=visited
@@ -134,18 +134,8 @@ func (m *Matcher) Reset() error {
 // Served returns the number of users served by the committed stations.
 func (m *Matcher) Served() int { return m.served }
 
-// Stations returns the number of committed stations.
-func (m *Matcher) Stations() int { return m.stations }
-
-// Owner returns the committed station serving user u, or Unassigned.
-func (m *Matcher) Owner(u int) int { return int(m.owner[u]) }
-
-// Load returns the number of users served by committed station k.
-func (m *Matcher) Load(k int) int { return m.load[k] }
-
-// checkStation validates a Gain/Commit request the same way assign.Evaluator
-// does: a free slot must remain, the capacity must be non-negative, and every
-// eligible user must be in range.
+// checkStation validates a Gain/Commit request: a free slot must remain, the
+// capacity must be non-negative, and every eligible user must be in range.
 func (m *Matcher) checkStation(capacity int, eligible []int) error {
 	if m.stations >= m.maxSlots {
 		return fmt.Errorf("match: all %d station slots committed", m.maxSlots)

@@ -329,3 +329,94 @@ func TestBitsetBasics(t *testing.T) {
 		t.Errorf("Fill(70) set %d bits, want 70", got)
 	}
 }
+
+// Stations returns the number of committed stations.
+func (m *Matcher) Stations() int { return m.stations }
+
+// Owner returns the committed station serving user u, or Unassigned.
+func (m *Matcher) Owner(u int) int { return int(m.owner[u]) }
+
+// Load returns the number of users served by committed station k.
+func (m *Matcher) Load(k int) int { return m.load[k] }
+
+// bruteReach returns the users an augmenting chain can enter through once
+// the committed stations are in place: the unserved ones, and the served
+// ones whose owner can reach an unserved user along an alternating chain
+// (owner -> an eligible user it does not hold -> that user's owner -> ...).
+// It searches from every station on its own, independently of
+// recomputeReach's fixpoint.
+func bruteReach(m *Matcher) []bool {
+	sat := make([]bool, m.stations)
+	for k := range sat {
+		seen := make([]bool, m.stations)
+		seen[k] = true
+		stack := []int{k}
+		for len(stack) > 0 && !sat[k] {
+			j := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, u := range m.elig[j] {
+				o := int(m.owner[u])
+				if o == Unassigned {
+					sat[k] = true
+					break
+				}
+				if o != j && !seen[o] {
+					seen[o] = true
+					stack = append(stack, o)
+				}
+			}
+		}
+	}
+	reach := make([]bool, m.numUsers)
+	for u, o := range m.owner {
+		reach[u] = o == Unassigned || sat[o]
+	}
+	return reach
+}
+
+// TestReachExactProperty pins the reach set GainBound counts against to
+// bruteReach after every Commit, reading it through GainBound the way the
+// greedy's RoundBound does, so a commit that left a stale set behind fails
+// here too. Before each commit it probes random candidate stations:
+// GainBound must never fall below Gain.
+func TestReachExactProperty(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewSource(91))
+	for trial := 0; trial < 2000; trial++ {
+		p := randomProblem(r)
+		m, err := NewMatcher(p.numUsers, len(p.caps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range p.caps {
+			for probe := 0; probe < 4; probe++ {
+				capacity := r.Intn(5)
+				var el []int
+				for u := 0; u < p.numUsers; u++ {
+					if r.Intn(2) == 0 {
+						el = append(el, u)
+					}
+				}
+				bound := m.GainBound(capacity, BitsetFromSorted(p.numUsers, el))
+				g, err := m.Gain(capacity, el)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bound < g {
+					t.Fatalf("trial %d, before commit %d: GainBound %d < Gain %d (cap=%d elig=%v p=%+v)",
+						trial, j, bound, g, capacity, el, p)
+				}
+			}
+			if _, err := m.Commit(p.caps[j], p.elig[j]); err != nil {
+				t.Fatal(err)
+			}
+			m.GainBound(0, NewBitset(p.numUsers))
+			for u, want := range bruteReach(m) {
+				if m.reach.Has(u) != want {
+					t.Fatalf("trial %d, after commit %d: user %d in reach = %v, want %v (p=%+v)",
+						trial, j, u, m.reach.Has(u), want, p)
+				}
+			}
+		}
+	}
+}

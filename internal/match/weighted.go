@@ -51,7 +51,6 @@ type WeightedMatcher struct {
 
 	// weight[u] is node u's demand; immutable after construction.
 	weight []int
-	total  int
 
 	// flow[k*numNodes+u] is the demand of node u absorbed by station k;
 	// residual[u] = weight[u] - sum_k flow[k][u]. Slot maxSlots is the
@@ -116,7 +115,6 @@ func NewWeightedMatcher(weights []int, maxSlots int) (*WeightedMatcher, error) {
 		}
 		m.weight[u] = w
 		m.residual[u] = int32(w)
-		m.total += w
 		if w > 0 {
 			m.hasDemand.Set(u)
 		}
@@ -148,21 +146,6 @@ func (m *WeightedMatcher) Reset() error {
 
 // Served returns the total demand absorbed by the committed stations.
 func (m *WeightedMatcher) Served() int { return m.served }
-
-// Stations returns the number of committed stations.
-func (m *WeightedMatcher) Stations() int { return m.stations }
-
-// Load returns the demand absorbed by committed station k.
-func (m *WeightedMatcher) Load(k int) int { return m.load[k] }
-
-// NumNodes returns the number of demand nodes.
-func (m *WeightedMatcher) NumNodes() int { return m.numNodes }
-
-// Weight returns node u's demand.
-func (m *WeightedMatcher) Weight(u int) int { return m.weight[u] }
-
-// TotalDemand returns the sum of all node weights.
-func (m *WeightedMatcher) TotalDemand() int { return m.total }
 
 // Flow returns the demand of node u absorbed by committed station k. The
 // demand-expansion step reads the final per-(station, node) flows back

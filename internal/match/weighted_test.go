@@ -437,3 +437,109 @@ func TestAndWeightSum(t *testing.T) {
 		t.Errorf("AndWeightSum with empty = %d, want 0", got)
 	}
 }
+
+// Load returns the demand absorbed by committed station k.
+func (m *WeightedMatcher) Load(k int) int { return m.load[k] }
+
+// NumNodes returns the number of demand nodes.
+func (m *WeightedMatcher) NumNodes() int { return m.numNodes }
+
+// Weight returns node u's demand.
+func (m *WeightedMatcher) Weight(u int) int { return m.weight[u] }
+
+// TotalDemand returns the sum of all node weights.
+func (m *WeightedMatcher) TotalDemand() int {
+	total := 0
+	for _, w := range m.weight {
+		total += w
+	}
+	return total
+}
+
+// bruteWeightedReach is bruteReach for demand nodes: a node is in reach
+// when it has residual demand, or when a station holding part of it can
+// absorb one more unit along an alternating chain (station -> an eligible
+// node it has room on -> another holder of that node -> ...) that ends at
+// a node with residual demand.
+func bruteWeightedReach(m *WeightedMatcher) []bool {
+	n := m.numNodes
+	flow := func(k, u int) int32 { return m.flow[k*n+u] }
+	sat := make([]bool, m.stations)
+	for k := range sat {
+		seen := make([]bool, m.stations)
+		seen[k] = true
+		stack := []int{k}
+		for len(stack) > 0 && !sat[k] {
+			j := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, u := range m.elig[j] {
+				if flow(j, u) >= int32(m.weight[u]) {
+					continue
+				}
+				if m.residual[u] > 0 {
+					sat[k] = true
+					break
+				}
+				for h := 0; h < m.stations; h++ {
+					if h != j && flow(h, u) > 0 && !seen[h] {
+						seen[h] = true
+						stack = append(stack, h)
+					}
+				}
+			}
+		}
+	}
+	reach := make([]bool, n)
+	for u := range reach {
+		reach[u] = m.residual[u] > 0
+		for k := 0; k < m.stations && !reach[u]; k++ {
+			reach[u] = sat[k] && flow(k, u) > 0
+		}
+	}
+	return reach
+}
+
+// TestWeightedReachExactProperty is TestReachExactProperty for the
+// weighted matcher.
+func TestWeightedReachExactProperty(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewSource(92))
+	for trial := 0; trial < 2000; trial++ {
+		p := randomWeighted(r, false)
+		n := len(p.weights)
+		m, err := NewWeightedMatcher(p.weights, len(p.caps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range p.caps {
+			for probe := 0; probe < 4; probe++ {
+				capacity := r.Intn(7)
+				var el []int
+				for u := 0; u < n; u++ {
+					if r.Intn(2) == 0 {
+						el = append(el, u)
+					}
+				}
+				bound := m.GainBound(capacity, BitsetFromSorted(n, el))
+				g, err := m.Gain(capacity, el)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bound < g {
+					t.Fatalf("trial %d, before commit %d: GainBound %d < Gain %d (cap=%d elig=%v p=%+v)",
+						trial, j, bound, g, capacity, el, p)
+				}
+			}
+			if _, err := m.Commit(p.caps[j], p.elig[j]); err != nil {
+				t.Fatal(err)
+			}
+			m.GainBound(0, NewBitset(n))
+			for u, want := range bruteWeightedReach(m) {
+				if m.reach.Has(u) != want {
+					t.Fatalf("trial %d, after commit %d: node %d in reach = %v, want %v (p=%+v)",
+						trial, j, u, m.reach.Has(u), want, p)
+				}
+			}
+		}
+	}
+}

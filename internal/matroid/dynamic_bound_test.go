@@ -75,7 +75,7 @@ func TestLazyGreedyDynamicBoundMatchesNaiveProperty(t *testing.T) {
 		} else {
 			oracle = &slackCoverOracle{coverOracle: newCoverOracle(covers), slack: r.Intn(4)}
 		}
-		dynSel, err := LazyGreedy(ground, rounds, unconstrained, oracle)
+		dynSel, err := lazyGreedy(ground, rounds, unconstrained, oracle)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestLazyGreedyDynamicBoundSkipsGainCalls(t *testing.T) {
 	ground := []int{0, 1, 2, 3, 4, 5}
 
 	dyn := &dynCoverOracle{coverOracle: newCoverOracle(covers)}
-	sel, err := LazyGreedy(ground, 2, unconstrained, dyn)
+	sel, err := lazyGreedy(ground, 2, unconstrained, dyn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestLazyGreedyDynamicBoundTerminates(t *testing.T) {
 	t.Parallel()
 	covers := [][]int{{0}, {1}, {2}}
 	oracle := &slackCoverOracle{coverOracle: newCoverOracle(covers), slack: 100}
-	sel, err := LazyGreedy([]int{0, 1, 2}, 3, unconstrained, oracle)
+	sel, err := lazyGreedy([]int{0, 1, 2}, 3, unconstrained, oracle)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,12 @@
 // Package matroid provides the matroid machinery of Section II-E and
-// Sections III-B/III-C: a matroid interface over integer ground sets, the
-// partition matroid M1 (each UAV deployed at most once), the hop-count
-// matroid M2 (Eq. (1): at most Q_h chosen locations at hop distance >= h
-// from the anchor set), and a lazy greedy that maximizes a monotone
-// submodular function subject to the intersection of matroid constraints
-// with the 1/(rho+1) guarantee of Fisher, Nemhauser and Wolsey [9].
+// Sections III-B/III-C: the hop-count matroid M2 (Eq. (1): at most Q_h
+// chosen locations at hop distance >= h from the anchor set), and a lazy
+// greedy that maximizes a monotone submodular function subject to the
+// intersection of matroid constraints with the 1/(rho+1) guarantee of
+// Fisher, Nemhauser and Wolsey [9]. The partition matroid M1 (each UAV
+// deployed at most once) needs no code: the greedy's round r places the
+// r-th UAV. The package's tests hold the matroid interface, M1, their
+// intersection and a non-lazy reference greedy.
 package matroid
 
 import (
@@ -12,80 +14,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Matroid is an independence system over ground-set elements 0..N-1. All
-// implementations in this package satisfy the matroid axioms (non-empty,
-// hereditary, augmentation); the test suite verifies this exhaustively on
-// small instances.
-type Matroid interface {
-	// Independent reports whether the given element set is independent.
-	// Elements may appear in any order; duplicates are the caller's bug.
-	Independent(set []int) bool
-	// CanAdd reports whether set + {e} is independent, assuming set already
-	// is. Implementations may exploit the assumption for speed.
-	CanAdd(set []int, e int) bool
-}
-
-// Partition is a partition matroid: ground elements are labeled with a part,
-// and an independent set contains at most Cap[p] elements of part p.
-//
-// M1 of Section III-B is the instance where element <k, v_j> has part k
-// (the UAV index) and every capacity is 1: a UAV flies to at most one
-// location.
-type Partition struct {
-	// Part[e] is the part label of element e, in [0, len(Cap)).
-	Part []int
-	// Cap[p] is the maximum number of elements of part p in an independent set.
-	Cap []int
-}
-
-// NewUAVPlacementMatroid returns M1 for k UAVs and m candidate locations:
-// element index e = uav*m + loc, part = uav, capacity 1 per UAV.
-func NewUAVPlacementMatroid(k, m int) Partition {
-	part := make([]int, k*m)
-	capacities := make([]int, k)
-	for uav := 0; uav < k; uav++ {
-		capacities[uav] = 1
-		for loc := 0; loc < m; loc++ {
-			part[uav*m+loc] = uav
-		}
-	}
-	return Partition{Part: part, Cap: capacities}
-}
-
-// Independent implements Matroid.
-func (p Partition) Independent(set []int) bool {
-	counts := make(map[int]int)
-	for _, e := range set {
-		if e < 0 || e >= len(p.Part) {
-			return false
-		}
-		pt := p.Part[e]
-		counts[pt]++
-		if counts[pt] > p.Cap[pt] {
-			return false
-		}
-	}
-	return true
-}
-
-// CanAdd implements Matroid.
-func (p Partition) CanAdd(set []int, e int) bool {
-	if e < 0 || e >= len(p.Part) {
-		return false
-	}
-	pt := p.Part[e]
-	count := 1
-	for _, x := range set {
-		if p.Part[x] == pt {
-			count++
-			if count > p.Cap[pt] {
-				return false
-			}
-		}
-	}
-	return count <= p.Cap[pt]
-}
 
 // HopCount is the matroid M2 of Section III-C. Ground elements are candidate
 // locations; Dist[e] is the minimum hop distance (in the location graph G)
@@ -106,7 +34,7 @@ const Unreachable = -1
 // HMax returns hmax, the largest admissible hop distance.
 func (m HopCount) HMax() int { return len(m.Q) - 1 }
 
-// Independent implements Matroid.
+// Independent reports whether set is independent in M2.
 func (m HopCount) Independent(set []int) bool {
 	counts := make([]int, len(m.Q))
 	for _, e := range set {
@@ -128,15 +56,10 @@ func (m HopCount) Independent(set []int) bool {
 	return true
 }
 
-// CanAdd implements Matroid.
-func (m HopCount) CanAdd(set []int, e int) bool {
-	return m.CanAddInto(set, e, make([]int, len(m.Q)))
-}
-
-// CanAddInto is CanAdd with a caller-provided counting buffer of length at
-// least len(m.Q); reusing the buffer across the many feasibility probes of a
-// greedy run removes the per-probe allocation. The verdict is identical to
-// CanAdd's.
+// CanAddInto reports whether set + {e} is independent, assuming set already
+// is, using a caller-provided counting buffer of length at least len(m.Q);
+// reusing the buffer across the many feasibility probes of a greedy run
+// removes the per-probe allocation.
 func (m HopCount) CanAddInto(set []int, e int, counts []int) bool {
 	if e < 0 || e >= len(m.Dist) {
 		return false
@@ -182,31 +105,6 @@ func (m HopCount) Limit(counts []int) int {
 	return m.HMax()
 }
 
-// Intersection bundles several matroids; a set is feasible if independent in
-// every one. The intersection of rho matroids is what the greedy's
-// 1/(rho+1) guarantee is stated against.
-type Intersection []Matroid
-
-// Independent reports independence in every member matroid.
-func (in Intersection) Independent(set []int) bool {
-	for _, m := range in {
-		if !m.Independent(set) {
-			return false
-		}
-	}
-	return true
-}
-
-// CanAdd reports addability in every member matroid.
-func (in Intersection) CanAdd(set []int, e int) bool {
-	for _, m := range in {
-		if !m.CanAdd(set, e) {
-			return false
-		}
-	}
-	return true
-}
-
 // Oracle answers marginal-gain queries for the lazy greedy. Gains must be
 // consistent with a monotone submodular objective: the gain of an element
 // must not increase as the committed set grows (rounds advance). Commit
@@ -222,7 +120,7 @@ type Oracle interface {
 // Bounder is an optional Oracle extension: Bound(e) returns a static upper
 // bound on the marginal gain of element e that is valid at every round
 // (e.g. min(capacity, reachable users) for UAV placement). When an oracle
-// implements Bounder, LazyGreedy seeds the priority queue with these bounds
+// implements Bounder, the lazy greedy seeds its priority queue with these bounds
 // instead of +infinity, skipping exact evaluations of hopeless elements.
 type Bounder interface {
 	Bound(e int) int
@@ -317,39 +215,10 @@ func (q pq) down(i int) {
 	}
 }
 
-// LazyGreedy selects up to rounds elements from the ground set, each round
-// adding the feasible element of maximum marginal gain (ties broken by the
-// smallest element index), using lazy re-evaluation of stale gain bounds.
-//
-// feasible(selected, e) must report whether selected+{e} stays independent in
-// the constraint system; with matroid constraints pass Intersection.CanAdd.
-// The function stops early when no feasible element remains and returns the
-// selected elements in selection order.
-//
-// Lazy evaluation is exact for monotone submodular objectives: a gain bound
-// computed at an earlier round upper-bounds the true current gain, so when a
-// freshly evaluated element still tops the queue it is the true argmax.
-//
-// Callers that run many selections over the same universe should keep a
-// LazyRunner instead: this convenience wrapper pays the working-memory
-// allocations on every call.
-func LazyGreedy(ground []int, rounds int, feasible func(selected []int, e int) bool, o Oracle) ([]int, error) {
-	var lr LazyRunner
-	sel, err := lr.Run(ground, rounds, feasible, o)
-	if err != nil {
-		return nil, err
-	}
-	if sel == nil {
-		return nil, nil
-	}
-	return append([]int(nil), sel...), nil
-}
-
-// LazyRunner runs the LazyGreedy selection rule with all working memory —
-// the lazy priority queue, the selected list, the membership mask and M2's
-// threshold counts — reused across calls, on the same pattern as
-// assign.Evaluator: construct once per worker, Run or RunHop once per
-// subset. The zero value is ready to use.
+// LazyRunner runs the lazy greedy with all working memory — the lazy
+// priority queue, the selected list, the membership mask and M2's threshold
+// counts — reused across calls: construct once per worker, Run or RunHop
+// once per subset. The zero value is ready to use.
 type LazyRunner struct {
 	q        pq
 	selected []int
@@ -357,9 +226,20 @@ type LazyRunner struct {
 	counts   []int  // counts[h]: selected elements at hop distance >= h (RunHop)
 }
 
-// Run performs one lazy-greedy selection, identical in outcome to
-// LazyGreedy. The returned slice is owned by the runner and only valid until
-// the next Run call; callers that retain it must copy.
+// Run selects up to rounds elements from the ground set, each round adding
+// the feasible element of maximum marginal gain (ties broken by the smallest
+// element index), using lazy re-evaluation of stale gain bounds.
+//
+// feasible(selected, e) must report whether selected+{e} stays independent
+// in the constraint system. Run stops early when no feasible element
+// remains and returns the selected elements in selection order.
+//
+// Lazy evaluation is exact for monotone submodular objectives: a gain bound
+// computed at an earlier round upper-bounds the true current gain, so when a
+// freshly evaluated element still tops the queue it is the true argmax.
+//
+// The returned slice is owned by the runner and only valid until the next
+// Run call; callers that retain it must copy.
 func (lr *LazyRunner) Run(ground []int, rounds int, feasible func(selected []int, e int) bool, o Oracle) ([]int, error) {
 	if rounds < 0 {
 		return nil, fmt.Errorf("matroid: negative round count %d", rounds)
@@ -564,39 +444,4 @@ func (q pq) within(dist []int, limit int) pq {
 	}
 	kept.init()
 	return kept
-}
-
-// NaiveGreedy is the reference implementation of the same selection rule
-// without lazy evaluation; used by tests to validate LazyGreedy and by
-// callers that prefer simplicity over speed.
-func NaiveGreedy(ground []int, rounds int, feasible func(selected []int, e int) bool, o Oracle) ([]int, error) {
-	if rounds < 0 {
-		return nil, fmt.Errorf("matroid: negative round count %d", rounds)
-	}
-	var selected []int
-	inSelected := make(map[int]bool)
-	for round := 0; round < rounds; round++ {
-		best, bestGain := -1, -1
-		for _, e := range ground {
-			if inSelected[e] || !feasible(selected, e) {
-				continue
-			}
-			g, err := o.Gain(round, e)
-			if err != nil {
-				return nil, fmt.Errorf("matroid: gain(%d, %d): %w", round, e, err)
-			}
-			if g > bestGain || (g == bestGain && best != -1 && e < best) {
-				best, bestGain = e, g
-			}
-		}
-		if best == -1 {
-			break
-		}
-		if _, err := o.Commit(round, best); err != nil {
-			return nil, fmt.Errorf("matroid: commit(%d, %d): %w", round, best, err)
-		}
-		selected = append(selected, best)
-		inSelected[best] = true
-	}
-	return selected, nil
 }

@@ -167,24 +167,6 @@ func (m *LevyFlight) Step(positions []geom.Point2, dt float64) error {
 	return nil
 }
 
-// Trace runs a model for steps epochs of dt seconds from the given start
-// positions and returns the position snapshot after every epoch (the start
-// positions are not included). The start slice is not modified.
-func Trace(model Model, start []geom.Point2, steps int, dt float64) ([][]geom.Point2, error) {
-	if steps < 0 {
-		return nil, fmt.Errorf("mobility: negative step count %d", steps)
-	}
-	cur := append([]geom.Point2(nil), start...)
-	out := make([][]geom.Point2, 0, steps)
-	for s := 0; s < steps; s++ {
-		if err := model.Step(cur, dt); err != nil {
-			return nil, err
-		}
-		out = append(out, append([]geom.Point2(nil), cur...))
-	}
-	return out, nil
-}
-
 // Displacement returns the mean distance between two equal-length position
 // snapshots, a cheap drift measure used to decide when to re-deploy.
 func Displacement(a, b []geom.Point2) (float64, error) {

@@ -180,43 +180,6 @@ func TestLevyFlightMoveProbability(t *testing.T) {
 	}
 }
 
-func TestTrace(t *testing.T) {
-	grid := testGrid()
-	m, err := NewRandomWaypoint(grid, 5, 1, 2, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := startPositions(5)
-	snaps, err := Trace(m, start, 4, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snaps) != 4 {
-		t.Fatalf("got %d snapshots, want 4", len(snaps))
-	}
-	// Start positions must be untouched.
-	for i, p := range start {
-		if p != (geom.Point2{X: 1500, Y: 1500}) {
-			t.Errorf("start position %d mutated: %v", i, p)
-		}
-	}
-	// Snapshots must be independent copies.
-	snaps[0][0] = geom.Point2{X: -1, Y: -1}
-	if snaps[1][0] == (geom.Point2{X: -1, Y: -1}) {
-		t.Error("snapshots alias each other")
-	}
-}
-
-func TestTraceErrors(t *testing.T) {
-	m, _ := NewRandomWaypoint(testGrid(), 2, 1, 2, 0)
-	if _, err := Trace(m, startPositions(2), -1, 1); err == nil {
-		t.Error("negative steps should fail")
-	}
-	if _, err := Trace(m, startPositions(3), 1, 1); err == nil {
-		t.Error("size mismatch should propagate")
-	}
-}
-
 func TestDisplacement(t *testing.T) {
 	a := []geom.Point2{{X: 0, Y: 0}, {X: 0, Y: 0}}
 	b := []geom.Point2{{X: 3, Y: 4}, {X: 0, Y: 0}}

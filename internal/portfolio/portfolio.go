@@ -130,34 +130,6 @@ func (p *problem) hopOK(c int, a []int) bool {
 	return true
 }
 
-// admissible reports whether the full subset is inside the search region:
-// sorted distinct cells, one component, pairwise maxHop+1 <= K.
-func (p *problem) admissible(a []int) bool {
-	if len(a) != p.s {
-		return false
-	}
-	for i, c := range a {
-		if c < 0 || c >= p.m || p.compOf[c] < 0 {
-			return false
-		}
-		if i > 0 && a[i-1] >= c {
-			return false
-		}
-		if i > 0 && p.compOf[a[i-1]] != p.compOf[c] {
-			return false
-		}
-	}
-	for i := 0; i < len(a); i++ {
-		for j := i + 1; j < len(a); j++ {
-			d := p.in.Hop[a[i]][a[j]]
-			if d == graph.Unreachable || d+1 > p.k {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // contains reports whether sorted slice a contains c.
 func contains(a []int, c int) bool {
 	i := sort.SearchInts(a, c)

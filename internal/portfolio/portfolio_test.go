@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"github.com/uav-coverage/uavnet/internal/graph"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -342,4 +343,32 @@ func TestUnmarshalCheckpointRejectsWrongAlgorithm(t *testing.T) {
 	if _, err := Race(context.Background(), testInstance(t, 16), opts); err == nil || !strings.Contains(err.Error(), `"approAlg"`) {
 		t.Fatalf("Race resumed an enumeration checkpoint: %v", err)
 	}
+}
+
+// admissible reports whether the full subset is inside the search region:
+// sorted distinct cells, one component, pairwise maxHop+1 <= K.
+func (p *problem) admissible(a []int) bool {
+	if len(a) != p.s {
+		return false
+	}
+	for i, c := range a {
+		if c < 0 || c >= p.m || p.compOf[c] < 0 {
+			return false
+		}
+		if i > 0 && a[i-1] >= c {
+			return false
+		}
+		if i > 0 && p.compOf[a[i-1]] != p.compOf[c] {
+			return false
+		}
+	}
+	for i := 0; i < len(a); i++ {
+		for j := i + 1; j < len(a); j++ {
+			d := p.in.Hop[a[i]][a[j]]
+			if d == graph.Unreachable || d+1 > p.k {
+				return false
+			}
+		}
+	}
+	return true
 }

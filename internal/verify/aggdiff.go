@@ -28,6 +28,8 @@ import (
 //
 // Any disagreement or violation comes back as an error naming the seed so
 // the failure replays exactly.
+//
+//uavlint:allow testonly -- the harness behind TestAggregateDifferentialRandomScenarios, kept beside the oracle it drives
 func AggregateDifferential(ctx context.Context, seed int64) error {
 	r := rand.New(rand.NewSource(seed))
 	sc, err := RandomScenario(r)

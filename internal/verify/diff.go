@@ -87,6 +87,8 @@ type DiffResult struct {
 // per-algorithm results; any oracle violation or broken guarantee comes
 // back as an error naming the seed so the failure replays exactly. The
 // context bounds the approAlg run (long fuzz campaigns abort cleanly).
+//
+//uavlint:allow testonly -- the harness behind TestDifferentialRandomScenarios, kept beside the oracle it drives
 func Differential(ctx context.Context, seed int64) ([]DiffResult, error) {
 	r := rand.New(rand.NewSource(seed))
 	sc, err := RandomScenario(r)

@@ -13,8 +13,8 @@ import (
 // incremental matcher's score of the winning anchor subset (what
 // core.SubsetEvaluator reports, and what the enumeration ranks subsets by)
 // equals the served count of the deployment's final max-flow assignment,
-// over the same placement. The greedy-level comparison against the Dinic
-// reference engine lives in internal/core's TestOracleEquivalence.
+// over the same placement. The per-subset comparison against assign.Solve
+// lives in internal/core's TestOracleEquivalence.
 func TestOracleEquivalence(t *testing.T) {
 	t.Parallel()
 	seeds := int64(diffSeeds)

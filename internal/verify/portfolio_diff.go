@@ -24,6 +24,8 @@ import (
 //
 // Any violation comes back as an error naming the seed so the failure
 // replays exactly, mirroring Differential.
+//
+//uavlint:allow testonly -- the harness behind TestPortfolioDifferentialRandomScenarios, kept beside the oracle it drives
 func PortfolioDifferential(ctx context.Context, seed int64, budget int64, exhaustive bool) ([]DiffResult, error) {
 	in, s, err := portfolioScenario(seed)
 	if err != nil {

@@ -78,24 +78,6 @@ type Report struct {
 // OK reports whether the deployment satisfies every checked invariant.
 func (r Report) OK() bool { return len(r.Violations) == 0 }
 
-// Has reports whether some violation names the given constraint.
-func (r Report) Has(c Constraint) bool {
-	for _, v := range r.Violations {
-		if v.Constraint == c {
-			return true
-		}
-	}
-	return false
-}
-
-// Err returns nil for a clean report, or an error listing every violation.
-func (r Report) Err() error {
-	if r.OK() {
-		return nil
-	}
-	return fmt.Errorf("verify: %s", r.String())
-}
-
 // String renders the report; "ok" when clean.
 func (r Report) String() string {
 	if r.OK() {

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -299,4 +300,22 @@ func TestNodeBudgetViolation(t *testing.T) {
 	if rep := CheckDeployment(in, dep); !rep.OK() {
 		t.Errorf("clean deployment reported %s", rep)
 	}
+}
+
+// Has reports whether some violation names the given constraint.
+func (r Report) Has(c Constraint) bool {
+	for _, v := range r.Violations {
+		if v.Constraint == c {
+			return true
+		}
+	}
+	return false
+}
+
+// Err returns nil for a clean report, or an error listing every violation.
+func (r Report) Err() error {
+	if r.OK() {
+		return nil
+	}
+	return fmt.Errorf("verify: %s", r.String())
 }

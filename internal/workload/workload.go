@@ -92,13 +92,8 @@ func (o UserOptions) withDefaults(grid geom.Grid, n int) UserOptions {
 	return o
 }
 
-// Users generates n user positions inside the grid area under the given
-// distribution and seed.
-func Users(grid geom.Grid, n int, dist Distribution, seed int64) ([]geom.Point2, error) {
-	return UsersWithOptions(grid, n, dist, seed, UserOptions{})
-}
-
-// UsersWithOptions is Users with explicit fat-tailed tuning.
+// UsersWithOptions generates n user positions inside the grid area under
+// the given distribution, fat-tailed tuning and seed.
 func UsersWithOptions(grid geom.Grid, n int, dist Distribution, seed int64, opts UserOptions) ([]geom.Point2, error) {
 	return UsersRand(rand.New(rand.NewSource(seed)), grid, n, dist, opts)
 }
@@ -248,28 +243,4 @@ func CapacitiesRand(r *rand.Rand, k, cmin, cmax int) ([]int, error) {
 		out[i] = cmin + r.Intn(cmax-cmin+1)
 	}
 	return out, nil
-}
-
-// GiniCoefficient measures the spatial skew of positions over the grid's
-// cells: 0 means perfectly even occupancy, values near 1 mean extreme
-// concentration. Tests use it to verify the fat-tailed generator actually
-// produces a skewed density.
-func GiniCoefficient(grid geom.Grid, positions []geom.Point2) float64 {
-	m := grid.NumCells()
-	if m == 0 || len(positions) == 0 {
-		return 0
-	}
-	counts := make([]float64, m)
-	for _, p := range positions {
-		counts[grid.CellOf(p)]++
-	}
-	// Gini = sum_i sum_j |x_i - x_j| / (2 n^2 mean).
-	var num float64
-	for i := range counts {
-		for j := range counts {
-			num += math.Abs(counts[i] - counts[j])
-		}
-	}
-	mean := float64(len(positions)) / float64(m)
-	return num / (2 * float64(m) * float64(m) * mean)
 }

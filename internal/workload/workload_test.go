@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 
 	"github.com/uav-coverage/uavnet/internal/geom"
@@ -14,7 +15,7 @@ func TestUsersCountAndBounds(t *testing.T) {
 	grid := testGrid()
 	for _, dist := range []Distribution{FatTailed, Uniform, SingleHotspot} {
 		t.Run(dist.String(), func(t *testing.T) {
-			users, err := Users(grid, 500, dist, 42)
+			users, err := UsersWithOptions(grid, 500, dist, 42, UserOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,11 +33,11 @@ func TestUsersCountAndBounds(t *testing.T) {
 
 func TestUsersDeterministic(t *testing.T) {
 	grid := testGrid()
-	a, err := Users(grid, 200, FatTailed, 7)
+	a, err := UsersWithOptions(grid, 200, FatTailed, 7, UserOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Users(grid, 200, FatTailed, 7)
+	b, err := UsersWithOptions(grid, 200, FatTailed, 7, UserOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +50,8 @@ func TestUsersDeterministic(t *testing.T) {
 
 func TestUsersSeedsDiffer(t *testing.T) {
 	grid := testGrid()
-	a, _ := Users(grid, 100, FatTailed, 1)
-	b, _ := Users(grid, 100, FatTailed, 2)
+	a, _ := UsersWithOptions(grid, 100, FatTailed, 1, UserOptions{})
+	b, _ := UsersWithOptions(grid, 100, FatTailed, 2, UserOptions{})
 	same := 0
 	for i := range a {
 		if a[i] == b[i] {
@@ -64,19 +65,19 @@ func TestUsersSeedsDiffer(t *testing.T) {
 
 func TestUsersErrors(t *testing.T) {
 	grid := testGrid()
-	if _, err := Users(grid, -1, Uniform, 0); err == nil {
+	if _, err := UsersWithOptions(grid, -1, Uniform, 0, UserOptions{}); err == nil {
 		t.Error("negative n should fail")
 	}
-	if _, err := Users(geom.Grid{}, 10, Uniform, 0); err == nil {
+	if _, err := UsersWithOptions(geom.Grid{}, 10, Uniform, 0, UserOptions{}); err == nil {
 		t.Error("invalid grid should fail")
 	}
-	if _, err := Users(grid, 10, Distribution(99), 0); err == nil {
+	if _, err := UsersWithOptions(grid, 10, Distribution(99), 0, UserOptions{}); err == nil {
 		t.Error("unknown distribution should fail")
 	}
 }
 
 func TestUsersZero(t *testing.T) {
-	users, err := Users(testGrid(), 0, FatTailed, 3)
+	users, err := UsersWithOptions(testGrid(), 0, FatTailed, 3, UserOptions{})
 	if err != nil || len(users) != 0 {
 		t.Errorf("n=0: users=%v err=%v", users, err)
 	}
@@ -84,11 +85,11 @@ func TestUsersZero(t *testing.T) {
 
 func TestFatTailedIsSkewed(t *testing.T) {
 	grid := testGrid()
-	fat, err := Users(grid, 3000, FatTailed, 11)
+	fat, err := UsersWithOptions(grid, 3000, FatTailed, 11, UserOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	uni, err := Users(grid, 3000, Uniform, 11)
+	uni, err := UsersWithOptions(grid, 3000, Uniform, 11, UserOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,4 +201,28 @@ func TestDistributionString(t *testing.T) {
 	if Distribution(42).String() == "" {
 		t.Error("unknown distribution should still print")
 	}
+}
+
+// GiniCoefficient measures the spatial skew of positions over the grid's
+// cells: 0 means perfectly even occupancy, values near 1 mean extreme
+// concentration. The tests use it to verify the fat-tailed generator
+// actually produces a skewed density.
+func GiniCoefficient(grid geom.Grid, positions []geom.Point2) float64 {
+	m := grid.NumCells()
+	if m == 0 || len(positions) == 0 {
+		return 0
+	}
+	counts := make([]float64, m)
+	for _, p := range positions {
+		counts[grid.CellOf(p)]++
+	}
+	// Gini = sum_i sum_j |x_i - x_j| / (2 n^2 mean).
+	var num float64
+	for i := range counts {
+		for j := range counts {
+			num += math.Abs(counts[i] - counts[j])
+		}
+	}
+	mean := float64(len(positions)) / float64(m)
+	return num / (2 * float64(m) * float64(m) * mean)
 }
