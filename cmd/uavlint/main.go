@@ -94,7 +94,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var users []*analysis.Package
 	if slices.Contains(analyzers, analysis.TestOnly) {
-		users, err = analysis.LoadUsers(*dir, pkgs)
+		users, err = analysis.LoadUsers(*dir, patterns, pkgs)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 2

@@ -126,6 +126,29 @@ func (s *S) Bump() {
 	}
 }
 
+// TestTestOnlyOverPartOfTheModule lints one package of a module with
+// testonly, named by path or as ./... below the root: the rest of the module
+// still loads as users, so a declaration that another package uses stays
+// live while one only tests use is reported.
+func TestTestOnlyOverPartOfTheModule(t *testing.T) {
+	t.Parallel()
+	dir := seedModule(t, map[string]string{
+		"internal/lib/lib.go":      "package lib\n\nfunc Used() int { return 1 }\n\nfunc Orphan() int { return 2 }\n",
+		"internal/lib/lib_test.go": "package lib\n\nimport \"testing\"\n\nfunc TestOrphan(t *testing.T) { _ = Orphan() }\n",
+		"main.go":                  "package main\n\nimport \"github.com/uav-coverage/uavnet/seeded/internal/lib\"\n\nfunc main() { _ = lib.Used() }\n",
+	})
+	for _, args := range [][]string{
+		{"-C", dir, "-only", "testonly", "./internal/lib"},
+		{"-C", filepath.Join(dir, "internal", "lib"), "-only", "testonly", "./..."},
+	} {
+		var out, errb strings.Builder
+		code := run(args, &out, &errb)
+		if code != 1 || !strings.Contains(out.String(), "Orphan is referenced only by tests") || strings.Contains(out.String(), "Used") {
+			t.Errorf("uavlint %v: exit %d, want 1 reporting Orphan but not Used\nstdout:\n%s\nstderr:\n%s", args, code, out.String(), errb.String())
+		}
+	}
+}
+
 // TestJSONOutput proves -json emits the machine-readable shape CI uploads:
 // every field populated, same exit semantics as the text mode.
 func TestJSONOutput(t *testing.T) {

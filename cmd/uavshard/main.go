@@ -177,8 +177,8 @@ func workerCmd(args []string) error {
 		return err
 	}
 
-	// SIGINT stops the shard gracefully: workers drain their claimed chunks
-	// and the partial checkpoint still lands in -out.
+	// SIGINT stops the shard gracefully: each worker finishes the subset it
+	// has claimed and the partial checkpoint still lands in -out.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stopSignals()
 	if *timeout > 0 {

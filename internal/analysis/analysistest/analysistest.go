@@ -122,11 +122,12 @@ func RunExpectClean(t *testing.T, testdata string, a *analysis.Analyzer, fixture
 //uavlint:allow testonly -- the analyzer fixture tests of internal/analysis
 func RunModule(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
-	pkgs, err := analysis.LoadPackages(dir, []string{"./..."})
+	patterns := []string{"./..."}
+	pkgs, err := analysis.LoadPackages(dir, patterns)
 	if err != nil {
 		t.Fatalf("loading fixture module %s: %v", dir, err)
 	}
-	users, err := analysis.LoadUsers(dir, pkgs)
+	users, err := analysis.LoadUsers(dir, patterns, pkgs)
 	if err != nil {
 		t.Fatalf("loading users of fixture module %s: %v", dir, err)
 	}

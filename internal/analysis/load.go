@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -146,23 +147,29 @@ func LoadPackages(dir string, patterns []string) ([]*Package, error) {
 }
 
 // LoadUsers loads, like LoadPackages, the packages that count as users of
-// the loaded ones without being analyzed: the rest of the module containing
-// dir, and every module nested in it — a directory with its own go.mod,
-// outside testdata, vendor and the names the go command ignores (a leading
-// "." or "_"). The benchmark module is one; it imports the outer module's
-// internal packages.
-func LoadUsers(dir string, loaded []*Package) ([]*Package, error) {
-	root, err := filepath.Abs(dir)
+// the ones loaded for patterns without being analyzed: the rest of the
+// module containing dir, and every module nested in it — a directory with
+// its own go.mod, outside testdata, vendor and the names the go command
+// ignores (a leading "." or "_"). The benchmark module is one; it imports
+// the outer module's internal packages. When dir is the module root and
+// patterns include "./...", the targets' own listing already is the whole
+// module, so only the nested modules are listed.
+func LoadUsers(dir string, patterns []string, loaded []*Package) ([]*Package, error) {
+	abs, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
 	}
+	root := abs
 	for !hasGoMod(root) {
 		if filepath.Dir(root) == root {
 			return nil, fmt.Errorf("analysis: no go.mod at or above %s", dir)
 		}
 		root = filepath.Dir(root)
 	}
-	modules := []string{root}
+	var modules []string
+	if root != abs || !slices.Contains(patterns, "./...") {
+		modules = append(modules, root)
+	}
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() || path == root {
 			return err

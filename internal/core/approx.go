@@ -183,32 +183,14 @@ func (d *Deployment) DeployedCount() int {
 	return c
 }
 
-// subsetResult is one anchor subset's outcome, used for the deterministic
-// parallel reduction.
-type subsetResult struct {
-	idx    int64 // enumeration index of the subset
-	served int
-	locs   []int // location per sorted-capacity UAV slot (slot i -> locs[i])
-	nsel   int   // prefix of locs chosen by the M1 /\ M2 greedy phase
-}
-
-// better reports whether a beats b under the deterministic order
-// (more served users first, then smaller enumeration index).
-func (a subsetResult) better(b subsetResult) bool {
-	if a.served != b.served {
-		return a.served > b.served
-	}
-	return a.idx < b.idx
-}
-
 // Approx runs Algorithm 2 on the instance and returns the best deployment it
 // finds. The returned deployment always satisfies all three constraints of
 // Section II-C: per-UAV capacities, per-user minimum rates (by construction
 // of the eligibility lists), and connectivity of the deployed network.
 //
 // Run control: the enumeration honors ctx. On cancellation or deadline,
-// workers finish only their already-claimed chunk, every goroutine and the
-// results channel are torn down, and Approx returns the best-so-far
+// each worker finishes only the subset it has claimed, every goroutine and
+// the results channel are torn down, and Approx returns the best-so-far
 // deployment with Status StatusStopped and a resumable Checkpoint — TOGETHER
 // WITH ctx.Err(). Callers that care about partial results must therefore
 // inspect the deployment even when the error is non-nil; callers that treat
@@ -223,26 +205,18 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 	if !opts.SolverIsEnum() {
 		return nil, fmt.Errorf("core: Approx runs the enumeration only; solver %q is served by portfolio.Race (use the uavnet facade)", opts.Solver)
 	}
-	sc := in.Scenario
-	k, m := sc.K(), sc.M()
-
-	s, err := effectiveS(opts.S, k, m)
-	if err != nil {
-		return nil, err
+	// Each worker scores subsets through its own evaluator, the object each
+	// portfolio member scores with, so the steady-state loop allocates
+	// nothing.
+	evals := make([]*SubsetEvaluator, opts.Workers)
+	for w := range evals {
+		ev, err := NewSubsetEvaluator(in, opts)
+		if err != nil {
+			return nil, err
+		}
+		evals[w] = ev
 	}
-
-	budget, err := PlanBudget(k, s)
-	if err != nil {
-		return nil, err
-	}
-	q := QValues(budget.LMax, budget.P)
-
-	// Capacities in greedy order: round r deploys the r-th largest capacity.
-	caps := make([]int, k)
-	for r, uav := range in.ByCapacity {
-		caps[r] = sc.UAVs[uav].Capacity
-	}
-
+	m, s, budget := in.Scenario.M(), evals[0].s, evals[0].budget
 	total, sampled := subsetSpace(m, s, opts)
 
 	if err := opts.Shard.check(); err != nil {
@@ -261,7 +235,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 	// enumeration is a pure function of (Seed, index), so the processed set
 	// plus the checkpointed best reproduce the interrupted run's state with
 	// no RNG snapshotting (sampling reseeds per index).
-	best := subsetResult{idx: -1, served: -1}
+	best := CheckpointBest{Idx: -1, Served: -1}
 	var baseEvaluated, basePruned int64
 	if opts.Resume != nil {
 		if err := opts.Resume.validate(in, s, opts, total, sampled); err != nil {
@@ -271,7 +245,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 		baseEvaluated = opts.Resume.Evaluated
 		basePruned = opts.Resume.Pruned
 		if b := opts.Resume.Best; b != nil {
-			best = subsetResult{idx: b.Idx, served: b.Served, locs: append([]int(nil), b.Locs...), nsel: b.NSel}
+			best = *b
 		}
 	}
 	// Workers claim virtual offsets in [0, stopV) — a flattened view of the
@@ -293,112 +267,74 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 		prefix[i+1] = prefix[i] + sp.Len()
 	}
 
-	// Workers claim fixed-size chunks of the virtual offset space from a
-	// shared cursor and fold local bests. Each worker owns a subset source
-	// (stepping incrementally inside a span run), a placement oracle, and a
-	// scratch arena, so the steady-state evaluation loop allocates nothing.
-	// The reduction — most served users, then smallest enumeration index —
-	// is associative and order-independent, so the chosen deployment never
-	// depends on the worker count or on how chunks interleave.
+	// Workers claim one virtual offset at a time from a shared cursor and
+	// fold local bests. The reduction — most served users, then smallest
+	// enumeration index — is associative and order-independent, so the
+	// chosen deployment never depends on the worker count or on how claims
+	// interleave.
 	//
-	// Cancellation is checked between chunks, never inside one: a claimed
-	// chunk is always finished. That bounds the drain latency by one chunk
-	// (16 subset evaluations) and makes the processed offsets the exact
-	// contiguous prefix [0, min(cursor, stopV)) of the work list, which is
-	// what lets a checkpoint record a cursor (plus the work list's holes,
-	// if any) instead of a bitmap.
+	// The context is checked before every claim, and a claimed subset is
+	// always finished. That bounds the drain latency by one evaluation per
+	// worker and makes the processed offsets the exact contiguous prefix
+	// [0, min(cursor, stopV)) of the work list, which is what lets a
+	// checkpoint record a cursor (plus the work list's holes, if any)
+	// instead of a bitmap.
+	//
+	// done, evaluated and bestServed are the run's counters and the Progress
+	// hook's source. done and evaluated count this run's processed and
+	// scored subsets only, starting at zero even on a resumed run; a worker
+	// counts a subset done before it counts it evaluated.
 	type workerOut struct {
-		best              subsetResult
-		pruned, evaluated int64
-		err               error
+		best CheckpointBest
+		err  error
 	}
-	results := make(chan workerOut, opts.Workers)
-	var cursor atomic.Int64
+	results := make(chan workerOut, len(evals))
+	var cursor, done, evaluated, bestServed atomic.Int64
 	var abort atomic.Bool
-	const chunk = 16 // subsets per claim: small enough to balance load, large enough to amortize stepping
+	bestServed.Store(int64(best.Served))
 
-	// Shared live counters feeding the Progress hook; workers fold their
-	// per-chunk deltas in after finishing each chunk, so the monitor's reads
-	// are cheap and the hot per-subset loop stays atomics-free. progDone
-	// counts this run's processed units only (virtual offsets), starting at
-	// zero even on a resumed run.
-	var progDone, progEvaluated, progBestServed atomic.Int64
-	progEvaluated.Store(baseEvaluated)
-	progBestServed.Store(int64(best.served))
-
-	for w := 0; w < opts.Workers; w++ {
+	for _, ev := range evals {
 		go func() {
-			out := workerOut{best: subsetResult{idx: -1, served: -1}}
+			out := workerOut{best: CheckpointBest{Idx: -1, Served: -1}}
 			defer func() { results <- out }()
-			// One oracle per worker, reset per subset, so the matcher's
-			// memory is reused across the whole enumeration.
-			oracle, err := newPlacementOracle(in, caps)
-			if err != nil {
-				out.err = err
-				return
-			}
 			src := newSubsetSource(m, s, opts, sampled)
-			scr := newEvalScratch(in, q, oracle)
 			var bestLocs []int
-			for !abort.Load() {
-				if ctx.Err() != nil {
-					return // drain: claimed chunks are complete, so the prefix stays exact
-				}
-				vlo := cursor.Add(chunk) - chunk
-				if vlo >= stopV {
+			si := 0 // the work span holding the claimed offset; a worker's claims ascend
+			for !abort.Load() && ctx.Err() == nil {
+				v := cursor.Add(1) - 1
+				if v >= stopV {
 					return
 				}
-				vhi := vlo + chunk
-				if vhi > stopV {
-					vhi = stopV
+				for prefix[si+1] <= v {
+					si++
 				}
-				chunkEvaluated, chunkPruned := int64(0), int64(0)
-				// A chunk of virtual offsets may straddle span boundaries;
-				// walk it run by run, mapping each run back to real
-				// enumeration indices through the prefix sums. Within a run
-				// the source steps incrementally as before.
-				si := sort.Search(len(work), func(i int) bool { return prefix[i+1] > vlo })
-				for v := vlo; v < vhi; si++ {
-					idx := work[si].Start + (v - prefix[si])
-					runEnd := vhi
-					if prefix[si+1] < runEnd {
-						runEnd = prefix[si+1]
-					}
-					for ; v < runEnd; v, idx = v+1, idx+1 {
-						anchors, err := src.at(idx)
-						if err != nil {
-							out.err = err
-							abort.Store(true)
-							return
-						}
-						res, ok, wasPruned, err := evaluateSubset(in, idx, anchors, budget, q, caps, opts, oracle, scr)
-						if err != nil {
-							out.err = err
-							abort.Store(true)
-							return
-						}
-						if wasPruned {
-							chunkPruned++
-							continue
-						}
-						chunkEvaluated++
-						if ok && res.better(out.best) {
-							// res.locs aliases the scratch arena and is
-							// overwritten by the next evaluation; copy it into
-							// the worker-owned buffer before retaining.
-							bestLocs = append(bestLocs[:0], res.locs...)
-							res.locs = bestLocs
-							out.best = res
-						}
-					}
+				idx := work[si].Start + (v - prefix[si])
+				anchors, err := src.at(idx)
+				var res EvalResult
+				var pruned bool
+				if err == nil {
+					res, pruned, err = ev.evaluate(anchors)
 				}
-				out.pruned += chunkPruned
-				out.evaluated += chunkEvaluated
-				progDone.Add(vhi - vlo)
-				progEvaluated.Add(chunkEvaluated)
+				if err != nil {
+					out.err = err
+					abort.Store(true)
+					return
+				}
+				done.Add(1)
+				if pruned {
+					continue
+				}
+				evaluated.Add(1)
+				if cand := (CheckpointBest{Idx: idx, Served: res.Served}); !res.Feasible || !cand.better(out.best) {
+					continue
+				}
+				// res.Locs aliases the evaluator's scratch and is overwritten
+				// by the next evaluation; keep a copy in the worker's buffer.
+				bestLocs = append(bestLocs[:0], res.Locs...)
+				out.best = CheckpointBest{Idx: idx, Served: res.Served, Locs: bestLocs, NSel: res.NSel}
 				for {
-					cur := progBestServed.Load()
-					if int64(out.best.served) <= cur || progBestServed.CompareAndSwap(cur, int64(out.best.served)) {
+					cur := bestServed.Load()
+					if int64(res.Served) <= cur || bestServed.CompareAndSwap(cur, int64(res.Served)) {
 						break
 					}
 				}
@@ -407,34 +343,23 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 	}
 
 	stopProgress := MonitorProgress(start, opts, func() Progress {
-		scopeDone := progDone.Load()
-		evaluated := progEvaluated.Load()
-		bestServed := progBestServed.Load()
-		if bestServed < 0 {
-			bestServed = 0
-		}
-		done := baseDone + scopeDone
-		return Progress{
-			Done:       done,
-			Total:      scope.Len(),
-			Evaluated:  evaluated,
-			Pruned:     done - evaluated,
-			BestServed: int(bestServed),
-			ScopeDone:  scopeDone,
-			ScopeTotal: stopV,
-		}
+		// evaluated first: every subset it counts is already counted done,
+		// so Pruned never reads negative.
+		p := Progress{Evaluated: baseEvaluated + evaluated.Load(), Total: scope.Len(), ScopeTotal: stopV}
+		p.ScopeDone = done.Load()
+		p.Done = baseDone + p.ScopeDone
+		p.Pruned = p.Done - p.Evaluated
+		p.BestServed = int(max(bestServed.Load(), 0))
+		return p
 	})
 
-	var pruned, evaluated int64
 	var evalErr error
-	for w := 0; w < opts.Workers; w++ {
+	for range evals {
 		out := <-results
 		if out.err != nil && evalErr == nil {
 			evalErr = out.err
 		}
-		pruned += out.pruned
-		evaluated += out.evaluated
-		if out.best.idx >= 0 && out.best.better(best) {
+		if out.best.better(best) {
 			best = out.best
 		}
 	}
@@ -442,11 +367,11 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 	if evalErr != nil {
 		return nil, evalErr
 	}
-	evaluated += baseEvaluated
-	pruned += basePruned
+	evaluatedAll := baseEvaluated + evaluated.Load()
+	prunedAll := basePruned + done.Load() - evaluated.Load()
 
 	// The processed virtual offsets are the exact prefix [0, vFrontier):
-	// claims are contiguous and every claimed chunk below stopV was
+	// claims are contiguous and every claimed offset below stopV was
 	// finished. Mapping that prefix back through the work list yields the
 	// sub-ranges still unprocessed within the scope.
 	vFrontier := cursor.Load()
@@ -464,17 +389,17 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 		// scope was exhausted — sharded or not.
 		status = StatusStopped
 		runErr = ctx.Err() // nil when only StopAfter cut the run short
-		cp = newCheckpoint(in, s, opts, total, sampled, rem, evaluated, pruned, best)
+		cp = newCheckpoint(in, s, opts, total, sampled, rem, evaluatedAll, prunedAll, best)
 	case opts.Shard.sharded():
 		// The shard's own range is exhausted: emit the partial checkpoint
 		// MergeCheckpoints combines. Not an error — the run did all it was
 		// asked to.
 		status = StatusPartial
-		cp = newCheckpoint(in, s, opts, total, sampled, nil, evaluated, pruned, best)
+		cp = newCheckpoint(in, s, opts, total, sampled, nil, evaluatedAll, prunedAll, best)
 	default:
 		status = StatusComplete
 	}
-	dep, err := assembleDeployment(in, s, opts, sampled, budget, best, evaluated, pruned, status, cp)
+	dep, err := assembleDeployment(in, s, opts, sampled, budget, best, evaluatedAll, prunedAll, status, cp)
 	if err != nil {
 		return nil, err
 	}
@@ -502,28 +427,24 @@ func effectiveS(s, k, m int) (int, error) {
 // a merged shard result field-for-field identical to the unsharded run's:
 // same finalization, same anchor reconstruction, same counters, same
 // "no feasible deployment" error on a complete search with no best.
-func assembleDeployment(in *Instance, s int, opts Options, sampled bool, budget Budget, best subsetResult, evaluated, pruned int64, status RunStatus, cp *Checkpoint) (*Deployment, error) {
-	if best.idx < 0 {
-		if status == StatusComplete {
-			return nil, fmt.Errorf("core: no feasible deployment: every anchor subset needs more than K=%d UAVs", in.Scenario.K())
+func assembleDeployment(in *Instance, s int, opts Options, sampled bool, budget Budget, best CheckpointBest, evaluated, pruned int64, status RunStatus, cp *Checkpoint) (*Deployment, error) {
+	var dep *Deployment
+	switch {
+	case best.Idx >= 0:
+		var err error
+		if dep, err = finalizeDeployment(in, best.Locs, best.NSel); err != nil {
+			return nil, err
 		}
-		dep := EmptyDeployment(in, "approAlg")
-		dep.Budget = budget
-		dep.SubsetsEvaluated = evaluated
-		dep.SubsetsPruned = pruned
-		dep.Status = status
-		dep.Checkpoint = cp
-		return dep, nil
+		dep.Algorithm = "approAlg"
+		if anchors, err := newSubsetSource(in.Scenario.M(), s, opts, sampled).at(best.Idx); err == nil {
+			dep.Anchors = append([]int(nil), anchors...)
+		}
+	case status == StatusComplete:
+		return nil, fmt.Errorf("core: no feasible deployment: every anchor subset needs more than K=%d UAVs", in.Scenario.K())
+	default:
+		dep = EmptyDeployment(in, "approAlg")
 	}
-	dep, err := finalizeDeployment(in, best)
-	if err != nil {
-		return nil, err
-	}
-	dep.Algorithm = "approAlg"
 	dep.Budget = budget
-	if anchors, err := newSubsetSource(in.Scenario.M(), s, opts, sampled).at(best.idx); err == nil {
-		dep.Anchors = append([]int(nil), anchors...)
-	}
 	dep.SubsetsEvaluated = evaluated
 	dep.SubsetsPruned = pruned
 	dep.Status = status
@@ -553,15 +474,18 @@ func EmptyDeployment(in *Instance, algorithm string) *Deployment {
 	return dep
 }
 
-// evaluateSubset runs the per-subset body of Algorithm 2 (lines 5-23):
-// greedy placement of up to L_max UAVs under M1 /\ M2, MST-based relay
-// connection, feasibility check q_j <= K, and full evaluation. All working
-// memory comes from scr, so the call allocates nothing in steady state; the
-// returned res.locs aliases the scratch arena and must be copied by callers
-// that retain it past the next evaluation.
-func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []int, caps []int, opts Options, oracle *placementOracle, scr *evalScratch) (res subsetResult, ok, pruned bool, err error) {
-	sc := in.Scenario
-	k := sc.K()
+// evaluate runs the per-subset body of Algorithm 2 (lines 5-23) on one
+// anchor subset and counts the evaluation: greedy placement of up to L_max
+// UAVs under M1 /\ M2, MST-based relay connection, feasibility check
+// q_j <= K, and full evaluation. pruned reports a subset that the
+// requirement filter or the sound pruning rule skipped. All working memory
+// comes from the evaluator's scratch, so the call allocates nothing in
+// steady state; the returned res.Locs aliases the scratch arena and must be
+// copied by callers that retain it past the next evaluation.
+func (e *SubsetEvaluator) evaluate(anchors []int) (res EvalResult, pruned bool, err error) {
+	e.evals++
+	in, opts, oracle, scr := e.in, e.opts, e.oracle, e.scr
+	k := in.Scenario.K()
 
 	// Requirement filter: the subset must touch a required cell (if any).
 	if len(opts.RequiredCells) > 0 {
@@ -576,7 +500,7 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 			}
 		}
 		if !found {
-			return res, false, true, nil
+			return res, true, nil
 		}
 	}
 
@@ -591,7 +515,7 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 		for j := i + 1; j < len(anchors); j++ {
 			d := in.Hop[anchors[i]][anchors[j]]
 			if d == graph.Unreachable {
-				return res, false, !opts.DisablePrune, nil
+				return res, !opts.DisablePrune, nil
 			}
 			if d > maxHop {
 				maxHop = d
@@ -599,7 +523,7 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 		}
 	}
 	if !opts.DisablePrune && maxHop+1 > k {
-		return res, false, true, nil
+		return res, true, nil
 	}
 
 	// Hop distances from the anchor set define matroid M2: the element-wise
@@ -609,25 +533,25 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 
 	// The greedy's ground set is every cell within hmax hops of the anchors;
 	// RunHop keeps only the M2-feasible ones on its heap.
-	if err := oracle.reset(); err != nil {
-		return res, false, false, err
+	if err := oracle.engine.Reset(); err != nil {
+		return res, false, err
 	}
-	selected, err := scr.runner.RunHop(scr.order, scr.m2, budget.LMax, oracle)
+	selected, err := scr.runner.RunHop(scr.order, scr.m2, e.budget.LMax, oracle)
 	if err != nil {
-		return res, false, false, err
+		return res, false, err
 	}
 	if len(selected) == 0 {
-		return res, false, false, nil
+		return res, false, nil
 	}
 
 	// Connect V'_j: MST over the hop metric, then union of shortest paths
 	// read from the instance's precomputed path oracle.
 	nodes, err := scr.connectLocations(in, selected)
 	if err != nil {
-		return res, false, false, err
+		return res, false, err
 	}
 	if len(nodes) > k {
-		return res, false, false, nil // q_j > K: infeasible subset (line 16)
+		return res, false, nil // q_j > K: infeasible subset (line 16)
 	}
 
 	// Deploy remaining UAVs (by decreasing capacity) on relay nodes. nodes
@@ -649,7 +573,7 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 	slotLoc = append(slotLoc, relays...)
 
 	if !opts.GroundLeftovers {
-		slotLoc = scr.extendWithLeftovers(in, slotLoc, caps)
+		slotLoc = scr.extendWithLeftovers(in, slotLoc, e.caps)
 	}
 	scr.slotLoc = slotLoc
 
@@ -659,65 +583,33 @@ func evaluateSubset(in *Instance, idx int64, anchors []int, budget Budget, q []i
 	// independent of commit order, so this equals a from-scratch solve.
 	for slot := len(selected); slot < len(slotLoc); slot++ {
 		if _, err := oracle.Commit(slot, slotLoc[slot]); err != nil {
-			return res, false, false, err
+			return res, false, err
 		}
 	}
-	return subsetResult{idx: idx, served: oracle.served(), locs: slotLoc, nsel: len(selected)}, true, false, nil
+	return EvalResult{Feasible: true, Served: oracle.engine.Served(), Locs: slotLoc, NSel: len(selected)}, false, nil
 }
 
-// finalizeDeployment maps the winning slot placement back to the scenario's
-// original UAV order and computes the final assignment (Algorithm 2 line 25).
-// On aggregated instances the assignment comes from the weighted b-matcher
-// and is expanded to per-user form by solveAggregate; either way the
-// returned Assignment is per-user and indexed by original UAV.
-func finalizeDeployment(in *Instance, best subsetResult) (*Deployment, error) {
-	sc := in.Scenario
-	k := sc.K()
+// finalizeDeployment maps a winning slot placement — locs[r] is the cell of
+// the r-th largest-capacity UAV, the first nsel chosen by the greedy phase —
+// back to the scenario's original UAV order and computes the final
+// assignment (Algorithm 2 line 25).
+func finalizeDeployment(in *Instance, locs []int, nsel int) (*Deployment, error) {
+	a, err := assignPlacement(in, in.ByCapacity[:len(locs)], locs)
+	if err != nil {
+		return nil, err
+	}
 	dep := &Deployment{
-		LocationOf: make([]int, k),
-		Selected:   append([]int(nil), best.locs[:best.nsel]...),
+		LocationOf: make([]int, in.Scenario.K()),
+		Selected:   append([]int(nil), locs[:nsel]...),
+		Served:     a.Served,
+		Assignment: a,
 	}
 	for i := range dep.LocationOf {
 		dep.LocationOf[i] = -1
 	}
-	p := assign.Problem{
-		NumUsers:   sc.N(),
-		Capacities: make([]int, len(best.locs)),
-		Eligible:   make([][]int, len(best.locs)),
+	for r, loc := range locs {
+		dep.LocationOf[in.ByCapacity[r]] = loc
 	}
-	for r, loc := range best.locs {
-		uav := in.ByCapacity[r]
-		dep.LocationOf[uav] = loc
-		p.Capacities[r] = sc.UAVs[uav].Capacity
-		p.Eligible[r] = in.EligibleUsers(uav, loc)
-	}
-	var a assign.Assignment
-	var err error
-	if in.Aggregated() {
-		a, err = solveAggregate(in, p.Capacities, p.Eligible)
-	} else {
-		a, err = assign.Solve(p)
-	}
-	if err != nil {
-		return nil, err
-	}
-	// Re-index the assignment from slots to original UAV indices.
-	final := assign.Assignment{
-		Served:      a.Served,
-		UserStation: make([]int, sc.N()),
-		PerStation:  make([]int, k),
-	}
-	for i, slot := range a.UserStation {
-		if slot == assign.Unassigned {
-			final.UserStation[i] = assign.Unassigned
-			continue
-		}
-		uav := in.ByCapacity[slot]
-		final.UserStation[i] = uav
-		final.PerStation[uav]++
-	}
-	dep.Served = a.Served
-	dep.Assignment = final
 	return dep, nil
 }
 
@@ -767,12 +659,6 @@ func newPlacementOracle(in *Instance, caps []int) (*placementOracle, error) {
 	o.engine = m
 	return o, nil
 }
-
-// reset rewinds the oracle for a fresh anchor subset, reusing its memory.
-func (o *placementOracle) reset() error { return o.engine.Reset() }
-
-// served returns the users served by the committed placements.
-func (o *placementOracle) served() int { return o.engine.Served() }
 
 func (o *placementOracle) eligible(round, loc int) []int {
 	uav := o.in.ByCapacity[round]

@@ -345,7 +345,7 @@ func TestApproxGreedyUsesAnchors(t *testing.T) {
 }
 
 // TestConnectorWithinGUpper validates Lemma 2 empirically on the connector
-// evaluateSubset runs: on a line graph with anchors spaced p_i+1 apart, any
+// SubsetEvaluator.evaluate runs: on a line graph with anchors spaced p_i+1 apart, any
 // M2-independent selection connects with at most g(L, p) nodes.
 func TestConnectorWithinGUpper(t *testing.T) {
 	t.Parallel()

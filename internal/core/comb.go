@@ -6,7 +6,7 @@ package core
 // the RNG per index. That purity is a load-bearing property of the
 // run-control layer: a Checkpoint records only a cursor (and Options.Seed),
 // never RNG internals, because replaying any index from scratch yields the
-// same subset no matter which worker, chunk, or resumed run asks for it.
+// same subset no matter which worker or resumed run asks for it.
 
 import (
 	"fmt"

@@ -119,9 +119,10 @@ func TestNextCombinationAgreesWithUnrank(t *testing.T) {
 	}
 }
 
-// TestSubsetSourceRandomAccessMatchesStepping exercises the worker access
-// pattern: chunked ranges claimed out of order, stepping inside each chunk,
-// and checks every yielded subset against direct unranking.
+// TestSubsetSourceRandomAccessMatchesStepping mixes jumps and steps — runs
+// of consecutive indices visited in shuffled order, as a worker's claims
+// jump when other workers interleave or a resumed run crosses a hole — and
+// checks every yielded subset against direct unranking.
 func TestSubsetSourceRandomAccessMatchesStepping(t *testing.T) {
 	t.Parallel()
 	const m, s, chunk = 9, 3, 5

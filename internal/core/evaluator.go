@@ -6,22 +6,20 @@ func errInfeasibleSubset(anchors []int) error {
 	return fmt.Errorf("core: anchor subset %v is infeasible (disconnected or needs more than K nodes)", anchors)
 }
 
-// SubsetEvaluator exposes the allocation-free per-subset body of Algorithm 2
+// SubsetEvaluator is the allocation-free per-subset body of Algorithm 2
 // (greedy placement under M1 /\ M2, MST relay connection, q_j <= K
 // feasibility, leftover extension, exact scoring through the incremental
-// matcher) as a reusable hook for search strategies other than enumeration —
-// the metaheuristic portfolio evaluates its neighborhood moves through one of
-// these, so a move costs the same few microseconds as one enumeration step
-// instead of a from-scratch solve.
+// matcher) as one object. Every enumeration worker scores its anchor subsets
+// through one, and so does every metaheuristic portfolio member, so a
+// neighborhood move costs exactly one enumeration step.
 //
 // An evaluator owns a placement oracle and a scratch arena, so it must not be
-// shared between goroutines; each portfolio member builds its own.
+// shared between goroutines; each worker and each member builds its own.
 type SubsetEvaluator struct {
 	in     *Instance
 	opts   Options
 	s      int
 	budget Budget
-	q      []int
 	caps   []int
 	oracle *placementOracle
 	scr    *evalScratch
@@ -61,7 +59,6 @@ func NewSubsetEvaluator(in *Instance, opts Options) (*SubsetEvaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	q := QValues(budget.LMax, budget.P)
 	caps := make([]int, k)
 	for r, uav := range in.ByCapacity {
 		caps[r] = sc.UAVs[uav].Capacity
@@ -75,10 +72,9 @@ func NewSubsetEvaluator(in *Instance, opts Options) (*SubsetEvaluator, error) {
 		opts:   opts,
 		s:      s,
 		budget: budget,
-		q:      q,
 		caps:   caps,
 		oracle: oracle,
-		scr:    newEvalScratch(in, q, oracle),
+		scr:    newEvalScratch(in, QValues(budget.LMax, budget.P), oracle),
 	}, nil
 }
 
@@ -103,12 +99,8 @@ func (e *SubsetEvaluator) SetEvaluations(n int64) { e.evals = n }
 // enumeration would prune or find infeasible return Feasible == false; that
 // is an answer, not an error. The result's Locs aliases scratch memory.
 func (e *SubsetEvaluator) Evaluate(anchors []int) (EvalResult, error) {
-	e.evals++
-	res, ok, _, err := evaluateSubset(e.in, 0, anchors, e.budget, e.q, e.caps, e.opts, e.oracle, e.scr)
-	if err != nil || !ok {
-		return EvalResult{}, err
-	}
-	return EvalResult{Feasible: true, Served: res.served, Locs: res.locs, NSel: res.nsel}, nil
+	res, _, err := e.evaluate(anchors)
+	return res, err
 }
 
 // BuildDeployment re-evaluates the subset and assembles the full Deployment
@@ -123,13 +115,7 @@ func (e *SubsetEvaluator) BuildDeployment(anchors []int) (*Deployment, error) {
 	if !res.Feasible {
 		return nil, errInfeasibleSubset(anchors)
 	}
-	best := subsetResult{
-		idx:    0,
-		served: res.Served,
-		locs:   append([]int(nil), res.Locs...),
-		nsel:   res.NSel,
-	}
-	dep, err := finalizeDeployment(e.in, best)
+	dep, err := finalizeDeployment(e.in, res.Locs, res.NSel)
 	if err != nil {
 		return nil, err
 	}

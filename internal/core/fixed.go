@@ -20,7 +20,7 @@ func EvaluateFixed(in *Instance, locationOf []int) (*Deployment, error) {
 		return nil, fmt.Errorf("core: placement has %d entries for %d UAVs", len(locationOf), sc.K())
 	}
 	seen := map[int]int{}
-	var deployed []int
+	var deployed, locs []int
 	for uav, loc := range locationOf {
 		if loc < 0 {
 			continue
@@ -33,44 +33,53 @@ func EvaluateFixed(in *Instance, locationOf []int) (*Deployment, error) {
 		}
 		seen[loc] = uav
 		deployed = append(deployed, uav)
+		locs = append(locs, loc)
 	}
+	a, err := assignPlacement(in, deployed, locs)
+	if err != nil {
+		return nil, err
+	}
+	return &Deployment{
+		LocationOf: append([]int(nil), locationOf...),
+		Served:     a.Served,
+		Assignment: a,
+	}, nil
+}
+
+// assignPlacement computes the optimal user assignment (Section II-D) for
+// UAV uavs[i] hovering at locs[i], indexed by original UAV. Station i of the
+// max-flow problem is uavs[i], and that order fixes which maximum assignment
+// the solver returns. On aggregated instances the assignment comes from the
+// weighted b-matcher and is expanded to per-user form by solveAggregate.
+func assignPlacement(in *Instance, uavs, locs []int) (assign.Assignment, error) {
+	sc := in.Scenario
 	p := assign.Problem{
 		NumUsers:   sc.N(),
-		Capacities: make([]int, len(deployed)),
-		Eligible:   make([][]int, len(deployed)),
+		Capacities: make([]int, len(locs)),
+		Eligible:   make([][]int, len(locs)),
 	}
-	for i, uav := range deployed {
+	for i, uav := range uavs {
 		p.Capacities[i] = sc.UAVs[uav].Capacity
-		p.Eligible[i] = in.EligibleUsers(uav, locationOf[uav])
+		p.Eligible[i] = in.EligibleUsers(uav, locs[i])
 	}
 	var a assign.Assignment
 	var err error
 	if in.Aggregated() {
-		// Weighted b-matching over demand cells, expanded back to users.
 		a, err = solveAggregate(in, p.Capacities, p.Eligible)
 	} else {
 		a, err = assign.Solve(p)
 	}
 	if err != nil {
-		return nil, err
+		return assign.Assignment{}, err
 	}
-	dep := &Deployment{
-		LocationOf: append([]int(nil), locationOf...),
-		Served:     a.Served,
-		Assignment: assign.Assignment{
-			Served:      a.Served,
-			UserStation: make([]int, sc.N()),
-			PerStation:  make([]int, sc.K()),
-		},
-	}
+	// Re-index in place: the solvers return fresh per-user slices.
+	perStation := make([]int, sc.K())
 	for i, st := range a.UserStation {
-		if st == assign.Unassigned {
-			dep.Assignment.UserStation[i] = assign.Unassigned
-			continue
+		if st != assign.Unassigned {
+			a.UserStation[i] = uavs[st]
+			perStation[uavs[st]]++
 		}
-		uav := deployed[st]
-		dep.Assignment.UserStation[i] = uav
-		dep.Assignment.PerStation[uav]++
 	}
-	return dep, nil
+	a.PerStation = perStation
+	return a, nil
 }

@@ -9,10 +9,10 @@ import (
 // exact operation the lazy greedy issues thousands of times per subset (a
 // Kuhn augmenting search over the matcher's committed owner array).
 func BenchmarkOracleGain(b *testing.B) {
-	in, _, anchors, _, _, caps, _ := benchInstance(b, 3)
-	m := in.Scenario.M()
+	ev, anchors := benchInstance(b, 3)
+	m := ev.in.Scenario.M()
 	b.Run("matcher", func(b *testing.B) {
-		oracle, err := newPlacementOracle(in, caps)
+		oracle, err := newPlacementOracle(ev.in, ev.caps)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -36,9 +36,9 @@ func BenchmarkOracleGain(b *testing.B) {
 // path adds: a popcount of the candidate's eligibility mask against the
 // still-augmentable user set, amortizing one lazy reach recomputation.
 func BenchmarkOracleRoundBound(b *testing.B) {
-	in, _, anchors, _, _, caps, _ := benchInstance(b, 3)
-	m := in.Scenario.M()
-	oracle, err := newPlacementOracle(in, caps)
+	ev, anchors := benchInstance(b, 3)
+	m := ev.in.Scenario.M()
+	oracle, err := newPlacementOracle(ev.in, ev.caps)
 	if err != nil {
 		b.Fatal(err)
 	}

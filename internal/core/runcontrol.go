@@ -129,8 +129,8 @@ const (
 // fields existed.
 //
 // An enumeration checkpoint is valid because the enumeration is
-// deterministic in (Seed, index): workers claim contiguous chunks from an
-// atomic cursor and always finish a claimed chunk before honoring
+// deterministic in (Seed, index): workers claim one index at a time from an
+// atomic cursor and always finish a claimed index before honoring
 // cancellation, so the processed indices form an exact prefix of the run's
 // range and the sampling RNG needs no state beyond Seed (each index reseeds
 // it — see subsetSource). A sharded run (Options.Shard) freezes the same
@@ -276,7 +276,9 @@ func (c *Checkpoint) remaining() []Span {
 	return nil
 }
 
-// CheckpointBest is the winning subsetResult of the processed prefix.
+// CheckpointBest is the best feasible anchor subset of a processed set. It
+// is also the enumeration's running best while the run is live, with Idx -1
+// and Served -1 while no feasible subset has been seen.
 type CheckpointBest struct {
 	// Idx is the subset's enumeration index (the deterministic tie-break).
 	Idx int64 `json:"idx"`
@@ -286,6 +288,17 @@ type CheckpointBest struct {
 	Locs []int `json:"locs"`
 	// NSel is the prefix of Locs chosen by the M1 /\ M2 greedy phase.
 	NSel int `json:"nsel"`
+}
+
+// better reports whether b beats c under the enumeration's deterministic
+// reduction order: more served users first, then the smaller enumeration
+// index. The order is total, so the reduction's result does not depend on
+// the order it folds in.
+func (b CheckpointBest) better(c CheckpointBest) bool {
+	if b.Served != c.Served {
+		return b.Served > c.Served
+	}
+	return b.Idx < c.Idx
 }
 
 // Marshal serializes the checkpoint as indented JSON.
@@ -436,9 +449,9 @@ func (c *Checkpoint) validate(in *Instance, s int, opts Options, total int64, sa
 // remaining lists the unprocessed sub-ranges of the run's range (ascending,
 // disjoint, coalesced; nil/empty when the range is fully processed); the
 // encoding is canonical — a plain suffix collapses into Cursor, only true
-// holes materialize as Remaining. best.idx < 0 means no feasible subset was
+// holes materialize as Remaining. best.Idx < 0 means no feasible subset was
 // found in the processed set.
-func newCheckpoint(in *Instance, s int, opts Options, total int64, sampled bool, remaining []Span, evaluated, pruned int64, best subsetResult) *Checkpoint {
+func newCheckpoint(in *Instance, s int, opts Options, total int64, sampled bool, remaining []Span, evaluated, pruned int64, best CheckpointBest) *Checkpoint {
 	c := &Checkpoint{
 		Algorithm:           KindEnum,
 		ScenarioFingerprint: in.Fingerprint(),
@@ -466,13 +479,9 @@ func newCheckpoint(in *Instance, s int, opts Options, total int64, sampled bool,
 		c.Cursor = remaining[0].Start
 		c.Remaining = append([]Span(nil), remaining...)
 	}
-	if best.idx >= 0 {
-		c.Best = &CheckpointBest{
-			Idx:    best.idx,
-			Served: best.served,
-			Locs:   append([]int(nil), best.locs...),
-			NSel:   best.nsel,
-		}
+	if best.Idx >= 0 {
+		best.Locs = append([]int(nil), best.Locs...)
+		c.Best = &best
 	}
 	return c
 }

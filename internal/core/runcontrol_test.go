@@ -30,6 +30,30 @@ func runControlScenario(t *testing.T) *Instance {
 	return in
 }
 
+// slowRunScenario builds a 42-cell scenario with 200 users and six UAVs
+// whose user range reaches the neighbouring cells: C(42, 3) = 11,480
+// subsets, so a run outlasts the tens of milliseconds a busy runtime may
+// take to fire a progress tick and can be cancelled from its own progress
+// hook.
+func slowRunScenario(t *testing.T) *Instance {
+	t.Helper()
+	r := rand.New(rand.NewSource(7))
+	var users []geom.Point2
+	for i := 0; i < 200; i++ {
+		users = append(users, geom.Point2{X: r.Float64() * 3500, Y: r.Float64() * 3000})
+	}
+	sc := testScenario(users, []int{30, 25, 20, 15, 10, 8})
+	sc.Grid.Length, sc.Grid.Width = 3500, 3000
+	for i := range sc.UAVs {
+		sc.UAVs[i].UserRange = 500
+	}
+	in, err := NewInstance(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
 func TestCheckpointJSONRoundtrip(t *testing.T) {
 	cp := &Checkpoint{
 		Algorithm:           "approAlg",
@@ -217,6 +241,56 @@ func TestWorkerCountByteIdentical(t *testing.T) {
 		}
 		if got, _ := json.Marshal(dep); string(got) != string(want) {
 			t.Errorf("stopped under workers=%d, resumed under %d: deployment differs", pair[0], pair[1])
+		}
+	}
+}
+
+// TestCancelledRunResumesByteIdentical cancels runs mid-way from their own
+// Progress hook, once they have processed something. Under every worker
+// count the stopped run's checkpoint is a single cursor whose counters cover
+// exactly the prefix below it, because a worker finishes every subset it
+// claims, and resuming it yields the uninterrupted run's bytes.
+func TestCancelledRunResumesByteIdentical(t *testing.T) {
+	in := slowRunScenario(t)
+	full, err := Approx(context.Background(), in, Options{S: 3, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(full)
+	for _, workers := range []int{1, 2, 3} {
+		ctx, cancel := context.WithCancel(context.Background())
+		part, err := Approx(ctx, in, Options{
+			S: 3, Workers: workers,
+			ProgressInterval: time.Millisecond,
+			Progress: func(p Progress) {
+				if p.ScopeDone > 0 {
+					cancel()
+				}
+			},
+		})
+		cancel()
+		if err != context.Canceled {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled from a mid-run cancellation", workers, err)
+		}
+		cp := part.Checkpoint
+		if part.Status != StatusStopped || cp == nil {
+			t.Fatalf("workers=%d: status %q, checkpoint %v", workers, part.Status, cp)
+		}
+		if cp.Remaining != nil {
+			t.Errorf("workers=%d: the checkpoint lists holes %v; want a single cursor", workers, cp.Remaining)
+		}
+		if cp.Cursor <= 0 || cp.Cursor >= cp.Total {
+			t.Errorf("workers=%d: cursor %d, want a cut inside (0, %d)", workers, cp.Cursor, cp.Total)
+		}
+		if cp.Evaluated+cp.Pruned != cp.Cursor {
+			t.Errorf("workers=%d: counters %d+%d do not cover the prefix [0, %d)", workers, cp.Evaluated, cp.Pruned, cp.Cursor)
+		}
+		dep, err := Approx(context.Background(), in, Options{S: 3, Workers: workers, Resume: cp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := json.Marshal(dep); string(got) != string(want) {
+			t.Errorf("workers=%d: cancelled at cursor %d and resumed, the deployment differs from the uninterrupted run", workers, cp.Cursor)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"github.com/uav-coverage/uavnet/internal/matroid"
 )
 
-// evalScratch is one worker's reusable working memory for evaluateSubset.
+// evalScratch is one SubsetEvaluator's reusable working memory.
 // Every buffer the per-subset body of Algorithm 2 needs — M2 distances, the
 // greedy runner's heap and its presorted seed order, the MST edge/tree
 // buffers, relay paths, node sets (boolean masks instead of maps), slot
@@ -75,8 +75,8 @@ func newEvalScratch(in *Instance, q []int, oracle *placementOracle) *evalScratch
 		used:     make([]int64, m),
 		visited:  make([]int64, m),
 	}
-	// The M2 matroid aliases scr.dist, which evaluateSubset refills in place
-	// per subset, so it is built once per worker instead of once per subset.
+	// The M2 matroid aliases scr.dist, which every evaluation refills in
+	// place, so it is built once per evaluator instead of once per subset.
 	scr.m2 = matroid.HopCount{Dist: scr.dist, Q: q}
 	return scr
 }
@@ -232,9 +232,11 @@ func (scr *evalScratch) extendWithLeftovers(in *Instance, slotLoc []int, caps []
 }
 
 // subsetSource deterministically yields the anchor subset for an enumeration
-// index. In exhaustive mode consecutive indices advance by the colex
-// next-combination step (O(s) amortized) and only random accesses — the
-// first index of a worker's chunk — pay the unranking loop; in sampling mode
+// index. In exhaustive mode an index at most m past the previous one is
+// reached by colex next-combination steps (O(s) amortized each) and only
+// other accesses pay the unranking loop: a worker's claims ascend, in steps
+// of one when it runs alone and of about the worker count when several
+// share the cursor; in sampling mode
 // every index reseeds the source's persistent RNG, so the subset depends
 // only on (Seed, idx), never on which worker draws it. The slice returned by
 // at is owned by the source and overwritten by the next call.
@@ -293,9 +295,13 @@ func (src *subsetSource) at(idx int64) ([]int, error) {
 		src.rng.Seed(src.seed + idx*2654435761)
 		return sampleCombination(src.rng, src.perm, src.swaps, src.cur), nil
 	}
-	if idx == src.lastIdx+1 && src.lastIdx >= 0 {
-		if !nextCombination(src.cur, src.m) {
-			return nil, fmt.Errorf("core: combination index %d out of range for C(%d,%d)", idx, src.m, src.s)
+	// A short step forward — the next claim of a worker that shares the
+	// cursor with a few others — costs less than unranking.
+	if gap := idx - src.lastIdx; src.lastIdx >= 0 && gap > 0 && gap <= int64(src.m) {
+		for ; gap > 0; gap-- {
+			if !nextCombination(src.cur, src.m) {
+				return nil, fmt.Errorf("core: combination index %d out of range for C(%d,%d)", idx, src.m, src.s)
+			}
 		}
 	} else if err := unrankCombinationInto(idx, src.m, src.s, src.cur); err != nil {
 		return nil, err

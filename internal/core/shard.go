@@ -2,7 +2,7 @@ package core
 
 // Horizontal sharding of the anchor-subset enumeration. The run-control
 // layer (approx.go, runcontrol.go) already makes the enumeration a pure
-// function of (Seed, index) claimed in contiguous chunks; this file lifts
+// function of (Seed, index) claimed from one contiguous cursor; this file lifts
 // that into a first-class shard protocol: ShardSpec deterministically
 // partitions the index range [0, C(m,s)) — or [0, MaxSubsets) in sampled
 // mode — into contiguous sub-ranges, Options.Shard restricts Approx to one
@@ -260,16 +260,13 @@ func MergeCheckpoints(in *Instance, opts Options, cps []*Checkpoint) (*Deploymen
 	}
 
 	var evaluated, pruned int64
-	best := subsetResult{idx: -1, served: -1}
+	best := CheckpointBest{Idx: -1, Served: -1}
 	var rem []Span
 	for _, cp := range cps {
 		evaluated += cp.Evaluated
 		pruned += cp.Pruned
-		if b := cp.Best; b != nil {
-			r := subsetResult{idx: b.Idx, served: b.Served, locs: append([]int(nil), b.Locs...), nsel: b.NSel}
-			if r.better(best) {
-				best = r
-			}
+		if b := cp.Best; b != nil && b.better(best) {
+			best = *b
 		}
 		rem = append(rem, cp.remaining()...)
 	}

@@ -9,11 +9,9 @@ import (
 )
 
 // benchInstance builds a mid-size random instance (8x8 grid, 60 users, 8
-// heterogeneous UAVs) comparable to one paper data point, plus everything
-// evaluateSubset needs: the Algorithm 1 budget, the Q_h caps, the
-// capacity-ordered caps vector, and the index of the first anchor subset the
-// pruning rule does not discard.
-func benchInstance(b *testing.B, s int) (in *Instance, idx int64, anchors []int, budget Budget, q, caps []int, opts Options) {
+// heterogeneous UAVs) comparable to one paper data point, an evaluator for
+// it, and the first anchor subset that survives pruning and serves someone.
+func benchInstance(b *testing.B, s int) (ev *SubsetEvaluator, anchors []int) {
 	b.Helper()
 	r := rand.New(rand.NewSource(9))
 	sc := &Scenario{
@@ -37,57 +35,44 @@ func benchInstance(b *testing.B, s int) (in *Instance, idx int64, anchors []int,
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts = Options{S: s}.withDefaults()
-	budget, err = PlanBudget(sc.K(), s)
-	if err != nil {
+	opts := Options{S: s}
+	if ev, err = NewSubsetEvaluator(in, opts); err != nil {
 		b.Fatal(err)
 	}
-	q = QValues(budget.LMax, budget.P)
-	caps = make([]int, sc.K())
-	for rr, uav := range in.ByCapacity {
-		caps[rr] = sc.UAVs[uav].Capacity
-	}
-
 	// Find the first subset that survives pruning and yields a feasible
 	// deployment, so every benchmark iteration runs the full evaluation body.
 	src := newSubsetSource(sc.M(), s, opts, false)
-	oracle, err := newPlacementOracle(in, caps)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scr := newEvalScratch(in, q, oracle)
 	total, _ := subsetSpace(sc.M(), s, opts)
-	for idx = 0; idx < total; idx++ {
+	for idx := int64(0); idx < total; idx++ {
 		sub, err := src.at(idx)
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, ok, _, err := evaluateSubset(in, idx, sub, budget, q, caps, opts, oracle, scr)
+		res, err := ev.Evaluate(sub)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if ok && res.served > 0 {
-			return in, idx, append([]int(nil), sub...), budget, q, caps, opts
+		if res.Served > 0 {
+			return ev, append([]int(nil), sub...)
 		}
 	}
 	b.Fatal("no feasible benchmark subset found")
 	return
 }
 
-// subsetBench is one BenchmarkSubsetEval case: an instance, the state
-// evaluateSubset needs, and the anchor subsets the timed loop cycles through.
+// subsetBench is one BenchmarkSubsetEval case: an instance, the options its
+// evaluators score under, and the anchor subsets the timed loop cycles
+// through.
 type subsetBench struct {
 	in      *Instance
-	budget  Budget
-	q, caps []int
 	opts    Options
 	subsets [][]int
 }
 
 // benchCaseM64 is benchInstance's first feasible subset on the 8x8 grid.
 func benchCaseM64(b *testing.B) subsetBench {
-	in, _, anchors, budget, q, caps, opts := benchInstance(b, 3)
-	return subsetBench{in: in, budget: budget, q: q, caps: caps, opts: opts, subsets: [][]int{anchors}}
+	ev, anchors := benchInstance(b, 3)
+	return subsetBench{in: ev.in, opts: ev.opts, subsets: [][]int{anchors}}
 }
 
 // benchCaseM900 is the portfolio-m900 benchmark's scenario shape — a 3 km
@@ -120,29 +105,20 @@ func benchCaseM900(b *testing.B) subsetBench {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sb := subsetBench{in: in, opts: Options{S: 3, Seed: 1}.withDefaults()}
-	if sb.budget, err = PlanBudget(sc.K(), 3); err != nil {
-		b.Fatal(err)
-	}
-	sb.q = QValues(sb.budget.LMax, sb.budget.P)
-	sb.caps = make([]int, sc.K())
-	for rr, uav := range in.ByCapacity {
-		sb.caps[rr] = sc.UAVs[uav].Capacity
-	}
-	oracle, err := newPlacementOracle(in, sb.caps)
+	sb := subsetBench{in: in, opts: Options{S: 3, Seed: 1}}
+	ev, err := NewSubsetEvaluator(in, sb.opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	scr := newEvalScratch(in, sb.q, oracle)
 	src := newSubsetSource(sc.M(), 3, sb.opts, true)
 	for idx := int64(0); len(sb.subsets) < 64; idx++ {
 		sub, err := src.at(idx)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, ok, _, err := evaluateSubset(in, idx, sub, sb.budget, sb.q, sb.caps, sb.opts, oracle, scr); err != nil {
+		if res, err := ev.Evaluate(sub); err != nil {
 			b.Fatal(err)
-		} else if ok {
+		} else if res.Feasible {
 			sb.subsets = append(sb.subsets, append([]int(nil), sub...))
 		}
 	}
@@ -151,10 +127,10 @@ func benchCaseM900(b *testing.B) subsetBench {
 
 // BenchmarkSubsetEval measures one full anchor-subset evaluation (Algorithm 2
 // lines 5-23) at m = 64 and at m = 900. The scratch-reuse variant is the
-// steady-state configuration of the enumeration workers and the portfolio's
-// evaluators and reports 0 allocs/op; the fresh-scratch variant re-creates
-// the per-worker arenas every iteration, which is what the pre-arena
-// implementation effectively paid per subset.
+// steady state of the evaluator every enumeration worker and portfolio
+// member holds, and reports 0 allocs/op; the fresh-scratch variant builds a
+// new evaluator every iteration, which is what the pre-arena implementation
+// effectively paid per subset.
 //
 // To see where an m = 900 evaluation spends its time:
 //
@@ -166,37 +142,36 @@ func BenchmarkSubsetEval(b *testing.B) {
 		build func(*testing.B) subsetBench
 	}{{"m=64", benchCaseM64}, {"m=900", benchCaseM900}} {
 		sb := c.build(b)
-		eval := func(b *testing.B, i int, oracle *placementOracle, scr *evalScratch) {
+		eval := func(b *testing.B, i int, ev *SubsetEvaluator) {
 			anchors := sb.subsets[i%len(sb.subsets)]
-			if _, ok, _, err := evaluateSubset(sb.in, 0, anchors, sb.budget, sb.q, sb.caps, sb.opts, oracle, scr); err != nil || !ok {
-				b.Fatalf("ok=%v err=%v", ok, err)
+			if res, err := ev.Evaluate(anchors); err != nil || !res.Feasible {
+				b.Fatalf("feasible=%v err=%v", res.Feasible, err)
 			}
 		}
-		b.Run(c.name+"/scratch-reuse", func(b *testing.B) {
-			oracle, err := newPlacementOracle(sb.in, sb.caps)
+		newEvaluator := func(b *testing.B) *SubsetEvaluator {
+			ev, err := NewSubsetEvaluator(sb.in, sb.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			scr := newEvalScratch(sb.in, sb.q, oracle)
+			return ev
+		}
+		b.Run(c.name+"/scratch-reuse", func(b *testing.B) {
+			ev := newEvaluator(b)
 			// One untimed pass grows every scratch buffer to its working size.
 			for i := range sb.subsets {
-				eval(b, i, oracle, scr)
+				eval(b, i, ev)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eval(b, i, oracle, scr)
+				eval(b, i, ev)
 			}
 		})
 		b.Run(c.name+"/fresh-scratch", func(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				oracle, err := newPlacementOracle(sb.in, sb.caps)
-				if err != nil {
-					b.Fatal(err)
-				}
-				eval(b, i, oracle, newEvalScratch(sb.in, sb.q, oracle))
+				eval(b, i, newEvaluator(b))
 			}
 		})
 	}
@@ -206,21 +181,16 @@ func BenchmarkSubsetEval(b *testing.B) {
 // lines 13-15), which reads MST edges and paths from the instance's
 // precomputed structures.
 func BenchmarkConnectLocations(b *testing.B) {
-	in, _, _, _, q, caps, _ := benchInstance(b, 3)
-	oracle, err := newPlacementOracle(in, caps)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ev, _ := benchInstance(b, 3)
 	// A spread-out selection so the MST has real paths to expand.
-	m := in.Scenario.M()
+	m := ev.in.Scenario.M()
 	selected := []int{0, m / 3, 2 * m / 3, m - 1}
 
 	b.Run("oracle", func(b *testing.B) {
-		scr := newEvalScratch(in, q, oracle)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := scr.connectLocations(in, selected); err != nil {
+			if _, err := ev.scr.connectLocations(ev.in, selected); err != nil {
 				b.Fatal(err)
 			}
 		}

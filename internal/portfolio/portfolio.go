@@ -26,9 +26,9 @@ import (
 )
 
 // Solver is one portfolio member: a budgeted local search over anchor
-// subsets. Step advances the search by one atomic unit (costing at most a few
-// evaluations — see stepCost); Best reports the best feasible subset seen so
-// far. Solvers are single-goroutine objects; the race gives each its own.
+// subsets. Step advances the search by one atomic unit, costing at most
+// tabuWidth evaluations (a tabu step scores its candidate set, every other
+// step at most one); Best reports the best feasible subset seen so far. Solvers are single-goroutine objects; the race gives each its own.
 type Solver interface {
 	// Name returns the member's canonical name ("anneal", "tabu", "grasp",
 	// "genetic").

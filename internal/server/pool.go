@@ -12,8 +12,9 @@ import (
 
 // Start launches the worker pool under ctx and re-enqueues every unfinished
 // job found at rescan. Cancelling ctx is the shutdown signal: each running
-// solve stops at its next chunk boundary, persists its checkpoint durably,
-// and the job's state returns to queued so the next process resumes it.
+// solve stops once its workers finish the subset evaluation (or portfolio
+// step) in hand, persists its checkpoint durably, and the job's state
+// returns to queued so the next process resumes it.
 // Call Wait to block until every worker has drained.
 func (s *Server) Start(ctx context.Context) {
 	s.mu.Lock()
@@ -127,9 +128,10 @@ func (s *Server) fail(j *Job, err error) {
 // solve runs a job's solver to completion as a sequence of bounded slices:
 // each slice runs under a Config.CheckpointEvery deadline, then the stopped
 // run's checkpoint is persisted durably and the next slice resumes it. A
-// slice can overrun its deadline by the runtime's timer latency: when every
-// P is busy solving, a millisecond deadline may be observed tens of
-// milliseconds late. A resumed run finishes with a deployment
+// slice overruns its deadline by at most one evaluation (or portfolio step)
+// per worker plus the runtime's timer latency: when every P is busy
+// solving, a millisecond deadline may be observed tens of milliseconds
+// late. A resumed run finishes with a deployment
 // byte-identical to an uninterrupted one (the stopped-run contract), so
 // slicing buys crash-safety without changing any result. Returns the
 // completed deployment, or ctx.Err() when the job context was cancelled
@@ -166,6 +168,13 @@ func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) 
 	for {
 		sliceCtx, cancelSlice := context.WithTimeout(ctx, s.cfg.CheckpointEvery)
 		opts.Resume = resume
+		if s.sliceSubsets > 0 && o.enum() {
+			// A slice cut by StopAfter stops with a nil error.
+			opts.StopAfter = s.sliceSubsets
+			if resume != nil {
+				opts.StopAfter += resume.Cursor
+			}
+		}
 		dep, runErr := uavnet.DeployInstanceContext(sliceCtx, in, opts)
 		cancelSlice()
 

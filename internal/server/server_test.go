@@ -29,9 +29,8 @@ func quickScenario(t *testing.T, seed int64) *uavnet.Scenario {
 	return sc
 }
 
-// slowScenario enumerates C(64,3) subsets over 150 users (~0.2s solo): long
-// enough that a short checkpoint cadence produces several durable checkpoints
-// before completion.
+// slowScenario enumerates C(64,3) = 41,664 subsets over 150 users (~0.2s
+// solo): long enough to still be running when a test acts on the job.
 func slowScenario(t *testing.T) *uavnet.Scenario {
 	t.Helper()
 	sc, err := uavnet.GenerateScenario(uavnet.ScenarioSpec{
@@ -551,6 +550,11 @@ func TestSweep(t *testing.T) {
 // stream.
 func TestSSEStream(t *testing.T) {
 	srv, _ := newTestServer(t, t.TempDir(), 1, 40*time.Millisecond)
+	// Slices also end every 10,000 subsets, so the job takes at least four
+	// checkpoints however fast it solves. No job exists yet, and the
+	// submission below passes through the queue's lock before any worker
+	// reads the field.
+	srv.sliceSubsets = 10000
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

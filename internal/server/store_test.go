@@ -234,46 +234,63 @@ type harnessJob struct {
 	body   []byte
 	want   []byte
 	every  time.Duration // the checkpoint cadence of the recorded run
+	slice  int64         // the server's sliceSubsets: zero for a portfolio job
 	writes []fileWrite
+}
+
+// server builds a one-worker server over dir that slices the job as its
+// recorded run did and sends every write through d. run starts it.
+func (job *harnessJob) server(t *testing.T, dir string, d *disk) *Server {
+	t.Helper()
+	srv := newServer(t, dir, job.every, d)
+	srv.sliceSubsets = job.slice
+	return srv
 }
 
 // harnessJobs solves one job per solve path — a multi-slice enumeration, a
 // multi-slice portfolio member and a demand-aggregated enumeration — on a
 // healthy server and records its durable writes. The jobs are small, since
-// the harnesses restart each one a few dozen times. The cadence starts at a
-// quarter of the solo solve time and halves until the job takes at least
-// two checkpoints, so every run is multi-slice on any machine.
+// the harnesses restart each one a few dozen times.
 //
-// Each job solves on one worker goroutine. Halving the cadence only helps
-// while the slice timer fires on time, and with every P busy solving the
-// runtime observes a millisecond deadline late — 11-28 ms, median 18 ms,
-// with two spinning goroutines at GOMAXPROCS=2 on a 2-vCPU Xeon VM, against
-// a median 0.5 ms with one — so a job shorter than that could finish in one
-// slice at any cadence. Workers is an
-// execution hint outside the job id, so the bytes are unchanged, and it
-// leaves a P free to fire the timer.
+// The two enumeration jobs are multi-slice by construction: at an hour's
+// cadence, the server ends the enum job's slices every 600 of its
+// C(25, 3) = 2,300 subsets and the agg job's every 1,200 of its
+// C(36, 3) = 7,140, so their runs take exactly three and five checkpoints
+// on any machine. The portfolio has no subset index to cut at, so the
+// anneal job's cadence starts at a quarter of its solo solve time and
+// halves until it takes at least three checkpoints. Halving only helps while
+// the slice timer fires on time, and with every P busy solving the runtime
+// observes a millisecond deadline late — 11-28 ms, median 18 ms, with two
+// spinning goroutines at GOMAXPROCS=2 on a 2-vCPU Xeon VM, against a median
+// 0.5 ms with one — so the anneal job solves on one worker goroutine, which
+// leaves a P free to fire the timer. Workers is an execution hint outside
+// the job id, so the bytes are unchanged.
 func harnessJobs(t *testing.T) []*harnessJob {
 	t.Helper()
 	specs := []struct {
-		name string
-		sc   *uavnet.Scenario
-		opts JobOptions
+		name  string
+		sc    *uavnet.Scenario
+		opts  JobOptions
+		slice int64
 	}{
-		{"enum", smallScenario(t), JobOptions{Workers: 1}},
-		{"anneal", quickScenario(t, 5), JobOptions{Solver: "anneal", SolverBudget: 500, Workers: 1}},
-		{"agg", quickScenario(t, 6), JobOptions{AggCell: 200, Workers: 1}},
+		{"enum", smallScenario(t), JobOptions{}, 600},
+		{"anneal", quickScenario(t, 5), JobOptions{Solver: "anneal", SolverBudget: 500, Workers: 1}, 0},
+		{"agg", quickScenario(t, 6), JobOptions{AggCell: 200}, 1200},
 	}
 	var jobs []*harnessJob
 	for _, spec := range specs {
 		sc := spec.sc
 		start := time.Now()
 		job := &harnessJob{name: spec.name, id: JobID(sc, spec.opts), body: submitBody(t, sc, spec.opts),
-			want: soloBytes(t, sc, spec.opts)}
+			want: soloBytes(t, sc, spec.opts), slice: spec.slice}
 		job.every = time.Since(start) / 4
+		if job.slice > 0 {
+			job.every = time.Hour
+		}
 		for try := 0; ; try++ {
 			dir := t.TempDir()
 			d := &disk{}
-			srv := newServer(t, dir, job.every, d)
+			srv := job.server(t, dir, d)
 			stop := run(t, srv)
 			if rec := do(srv, "POST", "/v1/jobs", job.body); rec.Code != http.StatusCreated {
 				t.Fatalf("%s: submit: status %d: %s", spec.name, rec.Code, rec.Body)
@@ -290,11 +307,11 @@ func harnessJobs(t *testing.T) []*harnessJob {
 			if s := states(t, job.writes); len(s) != 0 {
 				t.Fatalf("%s: a healthy run wrote state records %v", spec.name, s)
 			}
-			if checkpoints >= 2 {
+			if checkpoints >= 3 {
 				t.Logf("%s: %d writes, %d of them checkpoints, at a %v cadence", spec.name, len(job.writes), checkpoints, job.every)
 				break
 			}
-			if try == 5 {
+			if try == 5 || job.slice > 0 {
 				t.Fatalf("%s: %d checkpoints at a %v cadence; want a multi-slice run", spec.name, checkpoints, job.every)
 			}
 			job.every /= 2
@@ -422,7 +439,7 @@ func crashAt(t *testing.T, job *harnessJob, k int, torn bool) {
 	}
 
 	d := &disk{}
-	srv := newServer(t, dir, job.every, d)
+	srv := job.server(t, dir, d)
 	stop := run(t, srv)
 	j := srv.lookup(job.id)
 	switch {
@@ -500,7 +517,7 @@ func faultAt(t *testing.T, job *harnessJob, d *disk) {
 	case d.replaced:
 		cause = syscall.EIO.Error()
 	}
-	srv := newServer(t, dir, job.every, d)
+	srv := job.server(t, dir, d)
 	stop := run(t, srv)
 	rec := do(srv, "POST", "/v1/jobs", job.body)
 	var wantStates []JobState
@@ -545,7 +562,7 @@ func faultAt(t *testing.T, job *harnessJob, d *disk) {
 		}
 	}
 
-	srv = newServer(t, dir, job.every, &disk{})
+	srv = job.server(t, dir, &disk{})
 	run(t, srv)
 	finish(t, srv, job.id, job.body, job.want)
 }
