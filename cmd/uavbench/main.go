@@ -54,6 +54,12 @@ func run() error {
 		timeout    = flag.Duration("timeout", 0, "abort the whole campaign after this long (0 = none)")
 	)
 	flag.Parse()
+	// The sweeps give -max-subsets to the enumeration and -budget to a
+	// metaheuristic only: refuse a flag set a solver would, not drop a flag.
+	if err := (uavnet.Options{S: *s, Workers: *workers, MaxSubsets: *maxSubsets,
+		Solver: *solver, SolverBudget: *budget}).Validate(); err != nil {
+		return err
+	}
 
 	// SIGINT (or -timeout) aborts the campaign between algorithm runs instead
 	// of leaving half-written output; approAlg runs also stop mid-enumeration.

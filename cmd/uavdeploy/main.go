@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"time"
 
@@ -73,7 +74,7 @@ func run() error {
 		workers      = flag.Int("workers", 0, "approAlg worker goroutines (0 = all cores)")
 		maxSubsets   = flag.Int("max-subsets", 0, "approAlg anchor-subset cap (0 = exhaustive)")
 		solver       = flag.String("solver", "enum", "anchor-subset solver: enum | anneal | tabu | grasp | genetic | portfolio (race all four)")
-		budget       = flag.Int64("budget", 0, "evaluations per solver member for -solver (0 = default; enum ignores it)")
+		budget       = flag.Int64("budget", 0, "evaluations per solver member for -solver (0 = default; the enumeration takes none)")
 		n            = flag.Int("n", 500, "users when generating inline")
 		k            = flag.Int("k", 8, "UAVs when generating inline")
 		seed         = flag.Int64("seed", 1, "seed when generating inline; also drives the -solver RNGs")
@@ -90,6 +91,23 @@ func run() error {
 		outPath      = flag.String("out", "", "write the final deployment as JSON here")
 	)
 	flag.Parse()
+
+	opts := uavnet.Options{
+		S: *s, Workers: *workers, MaxSubsets: *maxSubsets, GroundLeftovers: *literal,
+		Solver: *solver, SolverBudget: *budget,
+	}
+	if !opts.SolverIsEnum() {
+		if *alg != "approAlg" {
+			return fmt.Errorf("-solver replaces the approAlg enumeration; it needs -alg approAlg")
+		}
+		// -seed drives the solver RNGs. The enumeration has no seed flag of
+		// its own: a fresh run keeps Seed zero, a resumed one the
+		// checkpoint's.
+		opts.Seed = *seed
+	}
+	if err := opts.Validate(); err != nil {
+		return err
+	}
 
 	// SIGINT stops the solver gracefully: workers drain, the best-so-far
 	// deployment is reported, and -checkpoint captures the frontier.
@@ -115,19 +133,6 @@ func run() error {
 	if *alg == "all" {
 		names = uavnet.AlgorithmNames()
 	}
-	solverIsEnum := *solver == "" || *solver == "enum"
-	if !solverIsEnum {
-		switch {
-		case *alg != "approAlg":
-			return fmt.Errorf("-solver replaces the approAlg enumeration; it needs -alg approAlg")
-		case *maxSubsets != 0:
-			return fmt.Errorf("-max-subsets and -solver are incompatible: cap work with -budget instead")
-		case *gatewayAt != "":
-			return fmt.Errorf("-gateway and -solver are incompatible: gateway planning needs the enumeration's required-cell filter")
-		}
-	} else if *budget != 0 {
-		return fmt.Errorf("-budget needs a metaheuristic -solver (anneal | tabu | grasp | genetic | portfolio)")
-	}
 	var in *uavnet.Instance
 	if *aggCell > 0 {
 		for _, name := range names {
@@ -152,15 +157,6 @@ func run() error {
 			len(dem.Cells), dem.Grid.Side, in.Fingerprint())
 	}
 	fmt.Println()
-	opts := uavnet.Options{
-		S: *s, Workers: *workers, MaxSubsets: *maxSubsets, GroundLeftovers: *literal,
-		Solver: *solver, SolverBudget: *budget,
-	}
-	if !solverIsEnum {
-		// -seed drives the solver RNGs; enum runs keep Seed zero so existing
-		// -max-subsets checkpoints stay resumable.
-		opts.Seed = *seed
-	}
 	if *progressIntv > 0 {
 		opts.ProgressInterval = *progressIntv
 		opts.Progress = printProgress
@@ -171,6 +167,9 @@ func run() error {
 			return err
 		}
 		opts.Resume = cp
+		if opts.SolverIsEnum() {
+			opts.Seed = cp.Seed
+		}
 		done, total := cp.Frontier()
 		fmt.Printf("resuming %s checkpoint %s at %d / %d\n", cp.Algorithm, *resumePath, done, total)
 	}
@@ -256,30 +255,18 @@ func printProgress(p uavnet.RunProgress) {
 		eta = p.ETA.Round(time.Second).String()
 	}
 	fmt.Fprintf(os.Stderr, "progress: %d / %d subsets (%.1f%%), %d evaluated, %d pruned, best %d served, elapsed %s, eta %s\n",
-		p.Done, p.Total, 100*float64(p.Done)/float64(maxI64(p.Total, 1)),
+		p.Done, p.Total, 100*float64(p.Done)/float64(max(p.Total, 1)),
 		p.Evaluated, p.Pruned, p.BestServed, p.Elapsed.Round(time.Second), eta)
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // isSolverAlg reports whether the deployment came from the metaheuristic
-// portfolio ("anneal" .. "genetic" when a single member ran,
-// "portfolio/<member>" naming the race's winner, or "portfolio" for a race
-// stopped before any member found a feasible subset).
+// portfolio: a member's name when a single member ran, "portfolio/<member>"
+// naming the race's winner, or "portfolio" for a race stopped before any
+// member found a feasible subset. Enumeration deployments are named
+// "approAlg", never "enum".
 func isSolverAlg(name string) bool {
-	if strings.HasPrefix(name, "portfolio/") {
-		return true
-	}
-	switch name {
-	case "anneal", "tabu", "grasp", "genetic", "portfolio":
-		return true
-	}
-	return false
+	solver, _, _ := strings.Cut(name, "/")
+	return slices.Contains(uavnet.SolverNames(), solver)
 }
 
 // parseGateway parses an "x,y" position in meters.
@@ -366,11 +353,4 @@ func asciiMap(in *uavnet.Instance, dep *uavnet.Deployment) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

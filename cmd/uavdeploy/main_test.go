@@ -70,9 +70,3 @@ func TestVerifyCleanDeployment(t *testing.T) {
 		t.Error("Verify accepted a corrupted Served count")
 	}
 }
-
-func TestMaxHelper(t *testing.T) {
-	if max(2, 3) != 3 || max(3, 2) != 3 || max(-1, -2) != -1 {
-		t.Error("max helper broken")
-	}
-}

@@ -176,6 +176,13 @@ func workerCmd(args []string) error {
 	if err != nil {
 		return err
 	}
+	opts := sf.options()
+	opts.Workers = *workers
+	opts.Shard = shard
+	opts.StopAfter = *stopAfter
+	if err := opts.Validate(); err != nil {
+		return err
+	}
 
 	// SIGINT stops the shard gracefully: each worker finishes the subset it
 	// has claimed and the partial checkpoint still lands in -out.
@@ -191,10 +198,6 @@ func workerCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	opts := sf.options()
-	opts.Workers = *workers
-	opts.Shard = shard
-	opts.StopAfter = *stopAfter
 	if *progressIntv > 0 {
 		opts.ProgressInterval = *progressIntv
 		opts.Progress = printProgress

@@ -196,3 +196,22 @@ func TestMergeIncompleteWritesResumableCheckpoint(t *testing.T) {
 		t.Errorf("resumed merge differs from single-process run:\n got: %s\nwant: %s", data, want)
 	}
 }
+
+// TestWorkerRefusesOptionsBeforeBuildingInstance gives each worker a bad
+// option and a scenario path that names no file: a worker that built the
+// instance before checking its options would fail on the missing file.
+func TestWorkerRefusesOptionsBeforeBuildingInstance(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "part.ckpt")
+	for flag, field := range map[string]string{"-workers": "Workers", "-max-subsets": "MaxSubsets", "-stop-after": "StopAfter"} {
+		err := workerCmd([]string{
+			"-scenario", filepath.Join(dir, "missing.json"), "-shard", "0/2", "-out", out, flag, "-1",
+		})
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("worker %s -1: err = %v, want the %s rule", flag, err, field)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused worker wrote %s (stat: %v)", out, err)
+	}
+}

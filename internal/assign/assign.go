@@ -68,55 +68,84 @@ func Solve(p Problem) (Assignment, error) {
 	if err := p.Validate(); err != nil {
 		return Assignment{}, err
 	}
-	n, k := p.NumUsers, len(p.Capacities)
-	// Node layout: 0 = source, 1 = sink, 2..2+n-1 users, 2+n.. stations.
-	nw := flow.NewNetwork(2 + n + k)
-	const s, t = 0, 1
-	userNode := func(i int) int { return 2 + i }
-	stationNode := func(j int) int { return 2 + n + j }
-
-	for i := 0; i < n; i++ {
-		if _, err := nw.AddEdge(s, userNode(i), 1); err != nil {
-			return Assignment{}, err
-		}
-	}
-	type link struct {
-		user, station, handle int
-	}
-	nLinks := 0
-	for j := 0; j < k; j++ {
-		nLinks += len(p.Eligible[j])
-	}
-	links := make([]link, 0, nLinks)
-	for j := 0; j < k; j++ {
-		for _, u := range p.Eligible[j] {
-			h, err := nw.AddEdge(userNode(u), stationNode(j), 1)
-			if err != nil {
-				return Assignment{}, err
-			}
-			links = append(links, link{user: u, station: j, handle: h})
-		}
-		if _, err := nw.AddEdge(stationNode(j), t, p.Capacities[j]); err != nil {
-			return Assignment{}, err
-		}
-	}
-	served, err := nw.MaxFlow(s, t)
+	nw := flow.NewNetwork(2 + p.NumUsers + len(p.Capacities))
+	links, err := build(p, nil, func(u, v, capacity int, _ int64) (int, error) {
+		return nw.AddEdge(u, v, capacity)
+	})
 	if err != nil {
 		return Assignment{}, err
 	}
+	served, err := nw.MaxFlow(source, sink)
+	if err != nil {
+		return Assignment{}, err
+	}
+	return readBack(p, served, links, nw.Flow), nil
+}
+
+// Node layout of the network Solve and SolveMinCost share: the source, the
+// sink, then one node per user and one per station.
+const source, sink = 0, 1
+
+// link is one user→station edge and the handle its flow is read through.
+type link struct {
+	user, station, handle int
+}
+
+// build adds the assignment network's edges through add in one fixed
+// order: every source→user edge, then per station its user→station links
+// and its station→sink edge. That order fixes which maximum flow each
+// engine returns. A link costs cost(user, station), or zero when cost is
+// nil; every other edge costs zero.
+func build(p Problem, cost LinkCost, add func(u, v, capacity int, cost int64) (int, error)) ([]link, error) {
+	n := p.NumUsers
+	for i := 0; i < n; i++ {
+		if _, err := add(source, 2+i, 1, 0); err != nil {
+			return nil, err
+		}
+	}
+	nLinks := 0
+	for _, elig := range p.Eligible {
+		nLinks += len(elig)
+	}
+	links := make([]link, 0, nLinks)
+	for j, elig := range p.Eligible {
+		station := 2 + n + j
+		for _, u := range elig {
+			var c int64
+			if cost != nil {
+				if c = cost(u, j); c < 0 {
+					return nil, fmt.Errorf("assign: negative cost %d for user %d station %d", c, u, j)
+				}
+			}
+			h, err := add(2+u, station, 1, c)
+			if err != nil {
+				return nil, err
+			}
+			links = append(links, link{user: u, station: j, handle: h})
+		}
+		if _, err := add(station, sink, p.Capacities[j], 0); err != nil {
+			return nil, err
+		}
+	}
+	return links, nil
+}
+
+// readBack reads the assignment off a maximum flow of value served: a user
+// is served by the station whose link carries flow.
+func readBack(p Problem, served int, links []link, flow func(handle int) int) Assignment {
 	out := Assignment{
 		Served:      served,
-		UserStation: make([]int, n),
-		PerStation:  make([]int, k),
+		UserStation: make([]int, p.NumUsers),
+		PerStation:  make([]int, len(p.Capacities)),
 	}
 	for i := range out.UserStation {
 		out.UserStation[i] = Unassigned
 	}
 	for _, l := range links {
-		if nw.Flow(l.handle) == 1 {
+		if flow(l.handle) == 1 {
 			out.UserStation[l.user] = l.station
 			out.PerStation[l.station]++
 		}
 	}
-	return out, nil
+	return out
 }

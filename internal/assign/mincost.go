@@ -23,54 +23,14 @@ func SolveMinCost(p Problem, cost LinkCost) (Assignment, int64, error) {
 	if cost == nil {
 		return Assignment{}, 0, fmt.Errorf("assign: nil cost function")
 	}
-	n, k := p.NumUsers, len(p.Capacities)
-	cn := flow.NewCostNetwork(2 + n + k)
-	const s, t = 0, 1
-	userNode := func(i int) int { return 2 + i }
-	stationNode := func(j int) int { return 2 + n + j }
-
-	for i := 0; i < n; i++ {
-		if _, err := cn.AddEdge(s, userNode(i), 1, 0); err != nil {
-			return Assignment{}, 0, err
-		}
-	}
-	type link struct {
-		user, station, handle int
-	}
-	var links []link
-	for j := 0; j < k; j++ {
-		for _, u := range p.Eligible[j] {
-			c := cost(u, j)
-			if c < 0 {
-				return Assignment{}, 0, fmt.Errorf("assign: negative cost %d for user %d station %d", c, u, j)
-			}
-			h, err := cn.AddEdge(userNode(u), stationNode(j), 1, c)
-			if err != nil {
-				return Assignment{}, 0, err
-			}
-			links = append(links, link{user: u, station: j, handle: h})
-		}
-		if _, err := cn.AddEdge(stationNode(j), t, p.Capacities[j], 0); err != nil {
-			return Assignment{}, 0, err
-		}
-	}
-	served, totalCost, err := cn.MinCostMaxFlow(s, t)
+	cn := flow.NewCostNetwork(2 + p.NumUsers + len(p.Capacities))
+	links, err := build(p, cost, cn.AddEdge)
 	if err != nil {
 		return Assignment{}, 0, err
 	}
-	out := Assignment{
-		Served:      served,
-		UserStation: make([]int, n),
-		PerStation:  make([]int, k),
+	served, totalCost, err := cn.MinCostMaxFlow(source, sink)
+	if err != nil {
+		return Assignment{}, 0, err
 	}
-	for i := range out.UserStation {
-		out.UserStation[i] = Unassigned
-	}
-	for _, l := range links {
-		if cn.Flow(l.handle) == 1 {
-			out.UserStation[l.user] = l.station
-			out.PerStation[l.station]++
-		}
-	}
-	return out, totalCost, nil
+	return readBack(p, served, links, cn.Flow), totalCost, nil
 }

@@ -96,16 +96,11 @@ func Optimal(in *core.Instance) (*core.Deployment, error) {
 		return nil, fmt.Errorf("bruteforce: no connected placement exists")
 	}
 
-	dep := &core.Deployment{
-		Algorithm:  "bruteforce",
-		LocationOf: bestLocs,
-		Served:     best,
-	}
-	a, err := finalAssignment(in, bestLocs)
+	dep, err := core.EvaluateFixed(in, bestLocs)
 	if err != nil {
 		return nil, err
 	}
-	dep.Assignment = a
+	dep.Algorithm = "bruteforce"
 	return dep, nil
 }
 
@@ -136,42 +131,4 @@ func evaluate(in *core.Instance, locs []int, perm []int) (int, error) {
 		return 0, err
 	}
 	return a.Served, nil
-}
-
-// finalAssignment recomputes the user assignment in original-UAV indexing.
-func finalAssignment(in *core.Instance, locationOf []int) (assign.Assignment, error) {
-	sc := in.Scenario
-	var deployed []int
-	for uav, loc := range locationOf {
-		if loc >= 0 {
-			deployed = append(deployed, uav)
-		}
-	}
-	p := assign.Problem{
-		NumUsers:   sc.N(),
-		Capacities: make([]int, len(deployed)),
-		Eligible:   make([][]int, len(deployed)),
-	}
-	for i, uav := range deployed {
-		p.Capacities[i] = sc.UAVs[uav].Capacity
-		p.Eligible[i] = in.EligibleUsers(uav, locationOf[uav])
-	}
-	a, err := assign.Solve(p)
-	if err != nil {
-		return assign.Assignment{}, err
-	}
-	out := assign.Assignment{
-		Served:      a.Served,
-		UserStation: make([]int, sc.N()),
-		PerStation:  make([]int, sc.K()),
-	}
-	for i, st := range a.UserStation {
-		if st == assign.Unassigned {
-			out.UserStation[i] = assign.Unassigned
-			continue
-		}
-		out.UserStation[i] = deployed[st]
-		out.PerStation[deployed[st]]++
-	}
-	return out, nil
 }

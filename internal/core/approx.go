@@ -103,13 +103,55 @@ type Options struct {
 	// spend when Solver selects one (zero picks the portfolio package's
 	// default). The budget is counted in evaluations, never wall clock, so
 	// same seed + same budget reproduce the same deployment byte for byte.
-	// Enumeration ignores it.
+	// The enumeration takes none (see Validate).
 	SolverBudget int64
 }
 
 // SolverIsEnum reports whether the options select the exhaustive/sampled
 // enumeration (Algorithm 2) rather than a metaheuristic solver.
 func (o Options) SolverIsEnum() bool { return o.Solver == "" || o.Solver == "enum" }
+
+// Validate is the one rule set deciding which options a solver accepts;
+// Approx, MergeCheckpoints and portfolio.Race call it first, and every front
+// door delegates to it. S, MaxSubsets, Workers, StopAfter and SolverBudget
+// are non-negative and Shard is well formed; the enumeration takes no
+// SolverBudget, and a metaheuristic takes none of the options that shape
+// the enumeration's index space or its required-cell filter. Solver names
+// are the dispatcher's to check.
+func (o Options) Validate() error {
+	for _, f := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"S", int64(o.S)}, {"MaxSubsets", int64(o.MaxSubsets)}, {"Workers", int64(o.Workers)},
+		{"StopAfter", o.StopAfter}, {"SolverBudget", o.SolverBudget},
+	} {
+		if f.v < 0 {
+			return fmt.Errorf("core: %s must be non-negative, got %d", f.name, f.v)
+		}
+	}
+	if sh := o.Shard; sh != (ShardSpec{}) && (sh.Count < 1 || sh.Index < 0 || sh.Index >= sh.Count) {
+		return fmt.Errorf("core: Shard %d/%d is malformed: want 0 <= Index < Count", sh.Index, sh.Count)
+	}
+	if o.SolverIsEnum() {
+		if o.SolverBudget != 0 {
+			return fmt.Errorf("core: SolverBudget needs a metaheuristic Solver; cap the enumeration with MaxSubsets")
+		}
+		return nil
+	}
+	for _, f := range [...]struct {
+		name string
+		set  bool
+	}{
+		{"MaxSubsets", o.MaxSubsets != 0}, {"StopAfter", o.StopAfter != 0},
+		{"RequiredCells", len(o.RequiredCells) != 0}, {"Shard", o.Shard.sharded()},
+	} {
+		if f.set {
+			return fmt.Errorf("core: %s applies to the enumeration only, not to solver %q", f.name, o.Solver)
+		}
+	}
+	return nil
+}
 
 func (o Options) withDefaults() Options {
 	if o.S == 0 {
@@ -201,6 +243,9 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 		ctx = context.Background() //uavlint:allow ctxthread -- nil-ctx normalization at the API boundary
 	}
 	start := time.Now() //uavlint:allow timenow -- progress/ETA clock; never feeds a solver decision
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	opts = opts.withDefaults()
 	if !opts.SolverIsEnum() {
 		return nil, fmt.Errorf("core: Approx runs the enumeration only; solver %q is served by portfolio.Race (use the uavnet facade)", opts.Solver)
@@ -219,9 +264,6 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 	m, s, budget := in.Scenario.M(), evals[0].s, evals[0].budget
 	total, sampled := subsetSpace(m, s, opts)
 
-	if err := opts.Shard.check(); err != nil {
-		return nil, err
-	}
 	// scope is this run's slice of the enumeration: its shard's range, or
 	// the whole space. work lists the sub-ranges still unprocessed within
 	// the scope — the whole scope on a fresh run, a resumed checkpoint's

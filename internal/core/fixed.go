@@ -47,21 +47,11 @@ func EvaluateFixed(in *Instance, locationOf []int) (*Deployment, error) {
 }
 
 // assignPlacement computes the optimal user assignment (Section II-D) for
-// UAV uavs[i] hovering at locs[i], indexed by original UAV. Station i of the
-// max-flow problem is uavs[i], and that order fixes which maximum assignment
-// the solver returns. On aggregated instances the assignment comes from the
-// weighted b-matcher and is expanded to per-user form by solveAggregate.
+// UAV uavs[i] hovering at locs[i], indexed by original UAV. On aggregated
+// instances the assignment comes from the weighted b-matcher and is
+// expanded to per-user form by solveAggregate.
 func assignPlacement(in *Instance, uavs, locs []int) (assign.Assignment, error) {
-	sc := in.Scenario
-	p := assign.Problem{
-		NumUsers:   sc.N(),
-		Capacities: make([]int, len(locs)),
-		Eligible:   make([][]int, len(locs)),
-	}
-	for i, uav := range uavs {
-		p.Capacities[i] = sc.UAVs[uav].Capacity
-		p.Eligible[i] = in.EligibleUsers(uav, locs[i])
-	}
+	p := placementProblem(in, uavs, locs)
 	var a assign.Assignment
 	var err error
 	if in.Aggregated() {
@@ -72,8 +62,31 @@ func assignPlacement(in *Instance, uavs, locs []int) (assign.Assignment, error) 
 	if err != nil {
 		return assign.Assignment{}, err
 	}
-	// Re-index in place: the solvers return fresh per-user slices.
-	perStation := make([]int, sc.K())
+	return byUAV(in, a, uavs), nil
+}
+
+// placementProblem is the assignment problem of UAV uavs[i] hovering at
+// locs[i]. Station i is uavs[i], and that order fixes which maximum
+// assignment a solver returns.
+func placementProblem(in *Instance, uavs, locs []int) assign.Problem {
+	sc := in.Scenario
+	p := assign.Problem{
+		NumUsers:   sc.N(),
+		Capacities: make([]int, len(locs)),
+		Eligible:   make([][]int, len(locs)),
+	}
+	for i, uav := range uavs {
+		p.Capacities[i] = sc.UAVs[uav].Capacity
+		p.Eligible[i] = in.EligibleUsers(uav, locs[i])
+	}
+	return p
+}
+
+// byUAV re-indexes an assignment of placementProblem(in, uavs, locs) from
+// station i to original UAV uavs[i], in place: the solvers return fresh
+// per-user slices.
+func byUAV(in *Instance, a assign.Assignment, uavs []int) assign.Assignment {
+	perStation := make([]int, in.Scenario.K())
 	for i, st := range a.UserStation {
 		if st != assign.Unassigned {
 			a.UserStation[i] = uavs[st]
@@ -81,5 +94,5 @@ func assignPlacement(in *Instance, uavs, locs []int) (assign.Assignment, error) 
 		}
 	}
 	a.PerStation = perStation
-	return a, nil
+	return a
 }

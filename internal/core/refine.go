@@ -26,29 +26,20 @@ func RefineAssignment(in *Instance, dep *Deployment) (*Deployment, int64, error)
 	if len(dep.LocationOf) != sc.K() {
 		return nil, 0, fmt.Errorf("core: deployment has %d UAVs, scenario %d", len(dep.LocationOf), sc.K())
 	}
-	var deployed []int
+	var deployed, locs []int
 	for uav, loc := range dep.LocationOf {
 		if loc >= 0 {
 			deployed = append(deployed, uav)
+			locs = append(locs, loc)
 		}
-	}
-	p := assign.Problem{
-		NumUsers:   sc.N(),
-		Capacities: make([]int, len(deployed)),
-		Eligible:   make([][]int, len(deployed)),
-	}
-	for i, uav := range deployed {
-		p.Capacities[i] = sc.UAVs[uav].Capacity
-		p.Eligible[i] = in.EligibleUsers(uav, dep.LocationOf[uav])
 	}
 	alt := sc.Grid.Altitude
 	cost := func(user, station int) int64 {
-		uav := deployed[station]
-		horiz := geom.Dist2(sc.Users[user].Pos, in.Centers[dep.LocationOf[uav]])
+		horiz := geom.Dist2(sc.Users[user].Pos, in.Centers[locs[station]])
 		pl := sc.Channel.AirToGroundPathLossDB(horiz, alt)
 		return int64(math.Round(pl * 1000)) // milli-dB keeps integer costs precise
 	}
-	a, totalMilliDB, err := assign.SolveMinCost(p, cost)
+	a, totalMilliDB, err := assign.SolveMinCost(placementProblem(in, deployed, locs), cost)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -60,20 +51,7 @@ func RefineAssignment(in *Instance, dep *Deployment) (*Deployment, int64, error)
 		Budget:           dep.Budget,
 		SubsetsEvaluated: dep.SubsetsEvaluated,
 		SubsetsPruned:    dep.SubsetsPruned,
-		Assignment: assign.Assignment{
-			Served:      a.Served,
-			UserStation: make([]int, sc.N()),
-			PerStation:  make([]int, sc.K()),
-		},
-	}
-	for i, st := range a.UserStation {
-		if st == assign.Unassigned {
-			out.Assignment.UserStation[i] = assign.Unassigned
-			continue
-		}
-		uav := deployed[st]
-		out.Assignment.UserStation[i] = uav
-		out.Assignment.PerStation[uav]++
+		Assignment:       byUAV(in, a, deployed),
 	}
 	return out, totalMilliDB, nil
 }

@@ -43,17 +43,6 @@ type ShardSpec struct {
 // space.
 func (s ShardSpec) sharded() bool { return s.Count != 0 }
 
-// check rejects malformed specs (the zero value passes).
-func (s ShardSpec) check() error {
-	if !s.sharded() && s.Index == 0 {
-		return nil
-	}
-	if s.Count < 1 || s.Index < 0 || s.Index >= s.Count {
-		return fmt.Errorf("core: invalid shard %d/%d: want 0 <= index < count", s.Index, s.Count)
-	}
-	return nil
-}
-
 // Range returns the contiguous sub-range of [0, total) owned by the shard:
 // [floor(Index*total/Count), floor((Index+1)*total/Count)). The cuts are a
 // partition by construction — shard i ends exactly where shard i+1 begins —
@@ -189,6 +178,9 @@ func normalizeSpans(spans []Span) []Span {
 // opts must carry the run's options but neither Resume nor Shard: the
 // checkpoints themselves are the state, and each names its own shard.
 func MergeCheckpoints(in *Instance, opts Options, cps []*Checkpoint) (*Deployment, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if len(cps) == 0 {
 		return nil, fmt.Errorf("core: no checkpoints to merge")
 	}

@@ -48,8 +48,8 @@ func TestShardSpecRangePartition(t *testing.T) {
 		t.Fatalf("zero spec range = %+v", r)
 	}
 	for _, bad := range []ShardSpec{{Index: -1, Count: 2}, {Index: 2, Count: 2}, {Index: 0, Count: -1}, {Index: 3, Count: 0}} {
-		if err := bad.check(); err == nil {
-			t.Errorf("spec %+v passed check", bad)
+		if err := (Options{Shard: bad}).Validate(); err == nil {
+			t.Errorf("spec %+v passed Validate", bad)
 		}
 	}
 }

@@ -142,10 +142,3 @@ func (nw *Network) MaxFlow(s, t int) (int, error) {
 	}
 	return total, nil
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

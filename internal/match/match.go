@@ -58,7 +58,6 @@ type Matcher struct {
 
 	// Committed per-station state; slot maxSlots is the scratch slot Gain
 	// queries borrow, so the arrays hold maxSlots+1 entries.
-	caps []int
 	elig [][]int // borrowed from the caller, never mutated
 	load []int
 
@@ -97,7 +96,6 @@ func NewMatcher(numUsers, maxSlots int) (*Matcher, error) {
 		numUsers:    numUsers,
 		maxSlots:    maxSlots,
 		owner:       make([]int32, numUsers),
-		caps:        make([]int, maxSlots+1),
 		elig:        make([][]int, maxSlots+1),
 		load:        make([]int, maxSlots+1),
 		visited:     make([]uint64, numUsers),
@@ -234,7 +232,6 @@ func (m *Matcher) Commit(capacity int, eligible []int) (int, error) {
 		return 0, err
 	}
 	k := m.stations
-	m.caps[k] = capacity
 	m.elig[k] = eligible
 	// Later commits may steal users from k, but every steal forces the thief
 	// to hand k a replacement through the same chain, so k's load is fixed at

@@ -62,7 +62,6 @@ type WeightedMatcher struct {
 	stations int
 
 	// Committed per-station state (see Matcher).
-	caps []int
 	elig [][]int // borrowed from the caller, never mutated
 	load []int
 
@@ -100,7 +99,6 @@ func NewWeightedMatcher(weights []int, maxSlots int) (*WeightedMatcher, error) {
 		weight:    make([]int, n),
 		flow:      make([]int32, (maxSlots+1)*n),
 		residual:  make([]int32, n),
-		caps:      make([]int, maxSlots+1),
 		elig:      make([][]int, maxSlots+1),
 		load:      make([]int, maxSlots+1),
 		visited:   make([]uint64, n),
@@ -301,7 +299,6 @@ func (m *WeightedMatcher) Commit(capacity int, eligible []int) (int, error) {
 		return 0, err
 	}
 	k := m.stations
-	m.caps[k] = capacity
 	m.elig[k] = eligible
 	m.load[k] = m.augment(k, capacity)
 	m.served += m.load[k]

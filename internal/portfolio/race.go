@@ -58,15 +58,16 @@ func newSolver(name string, p *problem, ev *core.SubsetEvaluator, seed, budget i
 // The reduction is deterministic: most served users, ties to the canonical
 // member order — never arrival order or wall clock.
 //
-// Unsupported enumeration options (MaxSubsets, Shard, StopAfter,
-// RequiredCells) are rejected: the first three control the enumeration index
-// space, which a local search does not have; gateway-constrained searches
-// need the enumeration's required-cell filter.
+// The options are checked by core.Options.Validate first, which refuses
+// the enumeration-only ones (MaxSubsets, StopAfter, RequiredCells, Shard).
 func Race(ctx context.Context, in *core.Instance, opts core.Options) (*core.Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background() //uavlint:allow ctxthread -- nil-ctx normalization at the API boundary
 	}
 	start := time.Now() //uavlint:allow timenow -- progress/ETA clock; never feeds a solver decision
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if opts.SolverIsEnum() {
 		return nil, fmt.Errorf("portfolio: Options.Solver %q selects the enumeration; call core.Approx", opts.Solver)
 	}
@@ -74,19 +75,8 @@ func Race(ctx context.Context, in *core.Instance, opts core.Options) (*core.Depl
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case opts.MaxSubsets != 0:
-		return nil, fmt.Errorf("portfolio: MaxSubsets applies to the enumeration only; use SolverBudget")
-	case opts.StopAfter != 0:
-		return nil, fmt.Errorf("portfolio: StopAfter applies to the enumeration only; use SolverBudget or a context deadline")
-	case len(opts.RequiredCells) != 0:
-		return nil, fmt.Errorf("portfolio: RequiredCells (gateway mode) needs the enumeration")
-	}
-	if opts.Shard.Count != 0 || opts.Shard.Index != 0 {
-		return nil, fmt.Errorf("portfolio: Shard applies to the enumeration only")
-	}
 	budget := opts.SolverBudget
-	if budget <= 0 {
+	if budget == 0 {
 		budget = DefaultBudget
 	}
 

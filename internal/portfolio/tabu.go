@@ -58,11 +58,11 @@ func (t *tabuSolver) Step() (bool, error) {
 		width = int(r)
 	}
 	// Sample and evaluate the candidate set, keeping the best admissible
-	// candidate under the tabu/aspiration rule. bestIn/bestOut record the
-	// winning move's entering and leaving cells for the tenure update.
+	// candidate under the tabu/aspiration rule. bestOut records the winning
+	// move's leaving cell for the tenure update.
 	bestServed := infeasibleServed - 1
 	var bestSet []int
-	bestIn, bestOut := -1, -1
+	bestOut := -1
 	for c := 0; c < width; c++ {
 		prop := t.propose()
 		if prop == nil {
@@ -79,13 +79,12 @@ func (t *tabuSolver) Step() (bool, error) {
 		if served > bestServed {
 			bestServed = served
 			bestSet = append(bestSet[:0], prop...)
-			bestIn, bestOut = in, out
+			bestOut = out
 		}
 	}
 	if bestSet == nil {
 		return true, nil // every candidate was tabu; the ring ages via future removals
 	}
-	_ = bestIn
 	t.accept(bestSet, bestServed)
 	t.ring[t.head] = bestOut
 	t.head = (t.head + 1) % len(t.ring)

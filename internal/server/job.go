@@ -12,6 +12,7 @@ package server
 import (
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 
 	uavnet "github.com/uav-coverage/uavnet"
@@ -84,43 +85,33 @@ func (o JobOptions) normalized() JobOptions {
 	return o
 }
 
-// enum reports whether the (normalized) options select the enumeration.
-func (o JobOptions) enum() bool { return o.Solver == "" || o.Solver == "enum" }
+// options maps the wire options onto the solver's; it is the one
+// JobOptions→Options mapping, shared by Validate and Server.solve.
+func (o JobOptions) options() uavnet.Options {
+	return uavnet.Options{
+		S:               o.S,
+		Workers:         o.Workers,
+		MaxSubsets:      o.MaxSubsets,
+		Seed:            o.Seed,
+		DisablePrune:    o.DisablePrune,
+		GroundLeftovers: o.GroundLeftovers,
+		Solver:          o.Solver,
+		SolverBudget:    o.SolverBudget,
+	}
+}
 
-// Validate rejects option combinations the solvers would reject mid-run, so
-// a bad submission fails at POST time with a 400 instead of becoming a
-// failed job. The rules mirror cmd/uavdeploy's flag validation.
+// Validate rejects a submission the solvers would refuse, so it fails at
+// POST time with a 400 instead of becoming a failed job. It checks what the
+// wire adds (agg_cell and the solver name) and leaves every other rule to
+// uavnet.Options.Validate, whose errors name the Options fields.
 func (o JobOptions) Validate() error {
-	switch {
-	case o.S < 0:
-		return fmt.Errorf("s must be non-negative, got %d", o.S)
-	case o.MaxSubsets < 0:
-		return fmt.Errorf("max_subsets must be non-negative, got %d", o.MaxSubsets)
-	case o.SolverBudget < 0:
-		return fmt.Errorf("solver_budget must be non-negative, got %d", o.SolverBudget)
-	case o.AggCell < 0:
+	if o.AggCell < 0 {
 		return fmt.Errorf("agg_cell must be non-negative, got %g", o.AggCell)
-	case o.Workers < 0:
-		return fmt.Errorf("workers must be non-negative, got %d", o.Workers)
 	}
-	known := false
-	for _, name := range uavnet.SolverNames() {
-		if o.normalized().Solver == name {
-			known = true
-			break
-		}
-	}
-	if !known {
+	if !slices.Contains(uavnet.SolverNames(), o.normalized().Solver) {
 		return fmt.Errorf("unknown solver %q (want one of %v)", o.Solver, uavnet.SolverNames())
 	}
-	if o.normalized().enum() {
-		if o.SolverBudget != 0 {
-			return fmt.Errorf("solver_budget needs a metaheuristic solver; the enumeration is budgeted with max_subsets")
-		}
-	} else if o.MaxSubsets != 0 {
-		return fmt.Errorf("max_subsets and solver %q are incompatible: cap work with solver_budget instead", o.Solver)
-	}
-	return nil
+	return o.options().Validate()
 }
 
 // JobID returns the deterministic job id of a submission: an FNV-1a hash of

@@ -137,7 +137,6 @@ func (s *Server) fail(j *Job, err error) {
 // completed deployment, or ctx.Err() when the job context was cancelled
 // (the latest checkpoint is on disk either way).
 func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) {
-	o := j.Options.normalized()
 	in, err := s.instance(j)
 	if err != nil {
 		return nil, err
@@ -150,25 +149,16 @@ func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) 
 		return nil, err
 	}
 
-	opts := uavnet.Options{
-		S:                o.S,
-		Workers:          o.Workers,
-		MaxSubsets:       o.MaxSubsets,
-		Seed:             o.Seed,
-		DisablePrune:     o.DisablePrune,
-		GroundLeftovers:  o.GroundLeftovers,
-		Solver:           o.Solver,
-		SolverBudget:     o.SolverBudget,
-		ProgressInterval: s.cfg.ProgressEvery,
-		Progress: func(p uavnet.RunProgress) {
-			j.publish(Event{Type: "progress", Progress: progressInfo(p)})
-		},
+	opts := j.Options.normalized().options()
+	opts.ProgressInterval = s.cfg.ProgressEvery
+	opts.Progress = func(p uavnet.RunProgress) {
+		j.publish(Event{Type: "progress", Progress: progressInfo(p)})
 	}
 
 	for {
 		sliceCtx, cancelSlice := context.WithTimeout(ctx, s.cfg.CheckpointEvery)
 		opts.Resume = resume
-		if s.sliceSubsets > 0 && o.enum() {
+		if s.sliceSubsets > 0 && opts.SolverIsEnum() {
 			// A slice cut by StopAfter stops with a nil error.
 			opts.StopAfter = s.sliceSubsets
 			if resume != nil {

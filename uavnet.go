@@ -247,14 +247,10 @@ func GatewayReachable(in *Instance, dep *Deployment, gw Gateway) bool {
 // network includes a cell within relay range of the gateway: the gateway's
 // cells are injected as required anchors, so reachability is guaranteed by
 // construction rather than patched afterwards. It fails if no candidate
-// cell lies within UAV range of the gateway. See DeployContext for the
-// stopped-run contract.
+// cell lies within UAV range of the gateway, and Options.Validate refuses a
+// metaheuristic opts.Solver, whose search has no required-cell filter. See
+// DeployContext for the stopped-run contract.
 func DeployToGatewayContext(ctx context.Context, in *Instance, gw Gateway, opts Options) (*Deployment, error) {
-	if !opts.SolverIsEnum() {
-		// The gateway guarantee rides on the enumeration's required-cell
-		// filter; the portfolio's neighborhood has no such constraint yet.
-		return nil, fmt.Errorf("uavnet: gateway-constrained deployment needs the enumeration (got solver %q)", opts.Solver)
-	}
 	cells := in.GatewayCells(gw)
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("uavnet: no candidate cell within %g m of the gateway",
