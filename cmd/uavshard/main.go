@@ -263,6 +263,9 @@ func mergeCmd(args []string) error {
 	if len(paths) == 0 {
 		return fmt.Errorf("merge needs the partial checkpoint files as arguments")
 	}
+	if err := sf.options().Validate(); err != nil {
+		return err
+	}
 	in, err := buildInstance(*scenarioPath, *sf.aggCell)
 	if err != nil {
 		return err

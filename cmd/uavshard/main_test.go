@@ -197,21 +197,28 @@ func TestMergeIncompleteWritesResumableCheckpoint(t *testing.T) {
 	}
 }
 
-// TestWorkerRefusesOptionsBeforeBuildingInstance gives each worker a bad
-// option and a scenario path that names no file: a worker that built the
-// instance before checking its options would fail on the missing file.
+// TestWorkerRefusesOptionsBeforeBuildingInstance gives each worker and each
+// merge a bad option and a scenario path that names no file: a command that
+// built the instance before checking its options would fail on the missing
+// file. merge has only the flags that shape the enumeration.
 func TestWorkerRefusesOptionsBeforeBuildingInstance(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "part.ckpt")
-	for flag, field := range map[string]string{"-workers": "Workers", "-max-subsets": "MaxSubsets", "-stop-after": "StopAfter"} {
-		err := workerCmd([]string{
-			"-scenario", filepath.Join(dir, "missing.json"), "-shard", "0/2", "-out", out, flag, "-1",
-		})
-		if err == nil || !strings.Contains(err.Error(), field) {
+	missing := filepath.Join(dir, "missing.json")
+	for flag, field := range map[string]string{"-s": "S", "-workers": "Workers", "-max-subsets": "MaxSubsets", "-stop-after": "StopAfter"} {
+		err := workerCmd([]string{"-scenario", missing, "-shard", "0/2", "-out", out, flag, "-1"})
+		if err == nil || !strings.Contains(err.Error(), "core: "+field+" must") {
 			t.Errorf("worker %s -1: err = %v, want the %s rule", flag, err, field)
+		}
+		if flag != "-s" && flag != "-max-subsets" {
+			continue
+		}
+		err = mergeCmd([]string{"-scenario", missing, "-out", out, flag, "-1", out})
+		if err == nil || !strings.Contains(err.Error(), "core: "+field+" must") {
+			t.Errorf("merge %s -1: err = %v, want the %s rule", flag, err, field)
 		}
 	}
 	if _, err := os.Stat(out); !os.IsNotExist(err) {
-		t.Errorf("a refused worker wrote %s (stat: %v)", out, err)
+		t.Errorf("a refused command wrote %s (stat: %v)", out, err)
 	}
 }

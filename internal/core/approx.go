@@ -63,14 +63,17 @@ type Options struct {
 	// deterministic and disjoint by construction. The zero value solves the
 	// whole space.
 	Shard ShardSpec
-	// StopAfter, when positive, stops the run once the claim cursor reaches
-	// this absolute enumeration index (counting from the start of the
-	// enumeration, including any prefix covered by a resumed checkpoint —
-	// under Shard, indices below the shard's range are not counted against
-	// the budget since they were never this run's work). The run then
-	// returns a StatusStopped deployment carrying a Checkpoint, exactly as
-	// if the context had been cancelled at that point — a deterministic
-	// work budget for incremental sweeps. Zero runs to completion.
+	// StopAfter, when positive, stops the run at this absolute work count:
+	// the enumeration once the claim cursor reaches this enumeration index
+	// (counting from the start of the enumeration, including any prefix
+	// covered by a resumed checkpoint — under Shard, indices below the
+	// shard's range are not counted against the budget since they were never
+	// this run's work), a metaheuristic race each member at the first step
+	// boundary where its own evaluation count reaches it (see portfolio.Race).
+	// The run then returns a StatusStopped deployment carrying a Checkpoint
+	// and a nil error, exactly as if the context had been cancelled at that
+	// point — a deterministic work budget for incremental sweeps. Zero runs
+	// to completion.
 	StopAfter int64
 	// Resume restarts a run from a checkpoint produced by an earlier
 	// stopped run. The checkpoint must match this run exactly (scenario
@@ -116,8 +119,8 @@ func (o Options) SolverIsEnum() bool { return o.Solver == "" || o.Solver == "enu
 // door delegates to it. S, MaxSubsets, Workers, StopAfter and SolverBudget
 // are non-negative and Shard is well formed; the enumeration takes no
 // SolverBudget, and a metaheuristic takes none of the options that shape
-// the enumeration's index space or its required-cell filter. Solver names
-// are the dispatcher's to check.
+// the enumeration's index space or its required-cell filter (StopAfter
+// applies to both). Solver names are the dispatcher's to check.
 func (o Options) Validate() error {
 	for _, f := range [...]struct {
 		name string
@@ -143,8 +146,7 @@ func (o Options) Validate() error {
 		name string
 		set  bool
 	}{
-		{"MaxSubsets", o.MaxSubsets != 0}, {"StopAfter", o.StopAfter != 0},
-		{"RequiredCells", len(o.RequiredCells) != 0}, {"Shard", o.Shard.sharded()},
+		{"MaxSubsets", o.MaxSubsets != 0}, {"RequiredCells", len(o.RequiredCells) != 0}, {"Shard", o.Shard.sharded()},
 	} {
 		if f.set {
 			return fmt.Errorf("core: %s applies to the enumeration only, not to solver %q", f.name, o.Solver)

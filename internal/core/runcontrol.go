@@ -31,9 +31,9 @@ const (
 // to the Options.Progress hook from a monitor goroutine and once more,
 // synchronously, just before Approx returns.
 type Progress struct {
-	// Done counts the enumeration indices of this run's range fully
-	// processed so far, including any prefix covered by a resumed
-	// checkpoint. Done = Evaluated + Pruned.
+	// Done counts the enumeration indices of this run's range (a race's
+	// evaluations) processed so far, including any prefix covered by a
+	// resumed checkpoint. Done = Evaluated + Pruned.
 	Done int64
 	// Total is the enumeration range size for this run: C(m, s) (or
 	// MaxSubsets when sampling), or the shard's range size under
@@ -50,9 +50,11 @@ type Progress struct {
 	Elapsed time.Duration
 	// ScopeDone and ScopeTotal count only this run's own claimable work:
 	// the indices left after subtracting a resumed checkpoint's prefix and
-	// truncating to the StopAfter budget. ScopeDone therefore starts at 0
-	// even on a resumed run, and ScopeDone == ScopeTotal exactly when the
-	// run finished everything it was asked to do this invocation.
+	// truncating to the StopAfter budget, or for a race each member's
+	// evaluations from its resumed count up to min(budget, StopAfter).
+	// ScopeDone therefore starts at 0 even on a resumed run, and reaches
+	// ScopeTotal when the run finished everything it was asked to do this
+	// invocation (a race may pass it by the few evaluations of a tabu step).
 	ScopeDone, ScopeTotal int64
 	// ETA estimates the remaining wall-clock time to finish this run's
 	// scope, from the processing rate observed this run

@@ -7,7 +7,7 @@ import (
 	"github.com/uav-coverage/uavnet/internal/graph"
 	"math/rand"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
@@ -128,7 +128,9 @@ func TestSeedSubsetAndRepairAdmissible(t *testing.T) {
 
 // TestRaceDeterminism checks the package's determinism contract: same
 // scenario + same seed + same budget reproduce the deployment byte for byte,
-// for every single member and for the full race.
+// for every single member and for the full race. The second run is cut by a
+// StopAfter equal to the budget, which every member reaches by finishing, so
+// it completes too.
 func TestRaceDeterminism(t *testing.T) {
 	t.Parallel()
 	in := testInstance(t, 11)
@@ -143,9 +145,10 @@ func TestRaceDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if dep.Checkpoint != nil {
-					t.Fatal("uninterrupted run returned a checkpoint")
+				if dep.Status != core.StatusComplete || dep.Checkpoint != nil {
+					t.Fatalf("run with StopAfter %d ended %q with checkpoint %v", opts.StopAfter, dep.Status, dep.Checkpoint)
 				}
+				opts.StopAfter = opts.SolverBudget
 				if solver != "portfolio" && dep.Algorithm != solver {
 					t.Fatalf("Algorithm = %q, want %q", dep.Algorithm, solver)
 				}
@@ -163,10 +166,13 @@ func TestRaceDeterminism(t *testing.T) {
 	}
 }
 
-// TestRaceSingleMemberStreamStable checks that a member draws the same RNG
-// stream alone as inside the full race: the anneal-only deployment equals a
-// portfolio deployment whenever anneal wins the race — more fundamentally,
-// the member seed is keyed on the canonical index, not the racing lineup.
+// TestRaceMemberSeedIndependentOfLineup checks that a member runs the same
+// trajectory alone as inside the full race: the member seed is keyed on the
+// canonical index, not the racing lineup, so the anneal-only deployment
+// equals a portfolio deployment whenever anneal wins. The StopAfter cut reads
+// only the member's own evaluation count, so each member's state in a cut
+// race's checkpoint equals the state of the same member cut alone, and lies
+// within one step past the cut.
 func TestRaceMemberSeedIndependentOfLineup(t *testing.T) {
 	t.Parallel()
 	in := testInstance(t, 12)
@@ -182,73 +188,137 @@ func TestRaceMemberSeedIndependentOfLineup(t *testing.T) {
 	if solo.Served != dep.Served {
 		t.Fatalf("%s alone served %d, inside the race %d", winner, solo.Served, dep.Served)
 	}
+
+	opts := core.Options{S: 2, Solver: "portfolio", SolverBudget: 1000, StopAfter: 700, Seed: 3}
+	race := stoppedState(t, in, opts)
+	for i, name := range Members() {
+		opts.Solver = name
+		got, want := race[i], stoppedState(t, in, opts)[0]
+		if got != want {
+			t.Errorf("%s cut inside the race:\n%s\nalone:\n%s", name, got, want)
+		}
+		var st core.SolverState
+		if err := json.Unmarshal([]byte(got), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Evals < opts.StopAfter || st.Evals >= opts.StopAfter+tabuWidth {
+			t.Errorf("%s stopped at %d evaluations, want [%d, %d)", name, st.Evals, opts.StopAfter, opts.StopAfter+tabuWidth)
+		}
+	}
 }
 
-// TestRaceResumeByteIdentity interrupts a race mid-run, resumes it from the
-// checkpoint, and requires the resumed deployment to be byte-identical to an
+// stoppedState runs a race that StopAfter must cut and returns its members'
+// checkpointed states as JSON.
+func stoppedState(t *testing.T, in *core.Instance, opts core.Options) []string {
+	t.Helper()
+	dep, err := Race(context.Background(), in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dep.Status != core.StatusStopped || dep.Checkpoint == nil {
+		t.Fatalf("%s cut at %d ended %q; want a stopped run with a checkpoint", opts.Solver, opts.StopAfter, dep.Status)
+	}
+	var out []string
+	for _, st := range dep.Checkpoint.Members {
+		blob, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, string(blob))
+	}
+	return out
+}
+
+// TestRaceResumeByteIdentity solves every member and the full race as a
+// chain of StopAfter slices, each resuming the last one's checkpoint after a
+// JSON round trip, and requires the chain to end byte-identical to an
 // uninterrupted run with the same options.
 func TestRaceResumeByteIdentity(t *testing.T) {
 	t.Parallel()
 	in := testInstance(t, 13)
-	opts := core.Options{S: 2, Solver: "portfolio", SolverBudget: 4000, Seed: 5}
-
-	full, err := Race(context.Background(), in, opts)
-	if err != nil || full.Checkpoint != nil {
-		t.Fatalf("uninterrupted run: err=%v cp=%v", err, full.Checkpoint)
+	for _, solver := range append(Members(), "portfolio") {
+		t.Run(solver, func(t *testing.T) {
+			t.Parallel()
+			opts := core.Options{S: 2, Solver: solver, SolverBudget: 4000, Seed: 5}
+			full, err := Race(context.Background(), in, opts)
+			if err != nil || full.Checkpoint != nil {
+				t.Fatalf("uninterrupted run: err=%v cp=%v", err, full.Checkpoint)
+			}
+			wantJSON, err := json.Marshal(full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resumed, slices := raceInSlices(t, in, opts, 350)
+			if slices < 12 {
+				t.Fatalf("the chain took %d slices, want at least 12", slices)
+			}
+			gotJSON, err := json.Marshal(resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(gotJSON) != string(wantJSON) {
+				t.Fatalf("resumed deployment differs from uninterrupted:\n%s\nvs\n%s", gotJSON, wantJSON)
+			}
+		})
 	}
-	wantJSON, err := json.Marshal(full)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	// Interrupt once a few evaluations are in: the progress monitor drives
-	// the cancellation, so the cut lands at an arbitrary step boundary.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	iopts := opts
-	iopts.ProgressInterval = time.Millisecond
-	var cancelled atomic.Bool
-	iopts.Progress = func(p core.Progress) {
-		if p.Evaluated > 200 && !cancelled.Swap(true) {
-			cancel()
+// raceInSlices runs opts as a chain of StopAfter slices and returns the
+// complete deployment and the number of slices. Each slice resumes the last
+// one's checkpoint, and its cut lies slice evaluations past the checkpoint's
+// furthest member, as the job server's test seam cuts. Each cut slice must
+// stop with a nil error and a checkpoint that survives a JSON round trip.
+// Each slice's progress must count from the checkpoint on: no snapshot
+// reads Done below the checkpoint's frontier, and the last reads ScopeDone
+// equal to the evaluations this slice spent.
+func raceInSlices(t *testing.T, in *core.Instance, opts core.Options, slice int64) (*core.Deployment, int) {
+	t.Helper()
+	for n := 1; ; n++ {
+		var from int64
+		opts.StopAfter = slice
+		if cp := opts.Resume; cp != nil {
+			from, _ = cp.Frontier()
+			for _, m := range cp.Members {
+				opts.StopAfter = max(opts.StopAfter, m.Evals+slice)
+			}
 		}
-	}
-	stopDep, err := Race(ctx, in, iopts)
-	if err == nil && stopDep.Checkpoint == nil {
-		t.Skip("run finished before the interrupt landed; nothing to resume")
-	}
-	if err == nil {
-		t.Fatal("stopped run returned no error")
-	}
-	if stopDep == nil || stopDep.Status != core.StatusStopped || stopDep.Checkpoint == nil {
-		t.Fatalf("stopped run returned %+v, want a StatusStopped deployment with a checkpoint", stopDep)
-	}
-
-	// A checkpoint must round-trip through its JSON form unharmed.
-	blob, err := stopDep.Checkpoint.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := core.UnmarshalCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ropts := opts
-	ropts.Resume = restored
-	resumed, err := Race(context.Background(), in, ropts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Checkpoint != nil {
-		t.Fatal("resumed run returned a checkpoint despite completing")
-	}
-	gotJSON, err := json.Marshal(resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(gotJSON) != string(wantJSON) {
-		t.Fatalf("resumed deployment differs from uninterrupted:\n%s\nvs\n%s", gotJSON, wantJSON)
+		var mu sync.Mutex
+		var last core.Progress
+		opts.ProgressInterval = time.Millisecond
+		opts.Progress = func(p core.Progress) {
+			mu.Lock()
+			defer mu.Unlock()
+			if p.Done < from {
+				t.Errorf("slice %d: progress read Done %d, below the checkpoint's %d", n, p.Done, from)
+			}
+			last = p
+		}
+		dep, err := Race(context.Background(), in, opts)
+		if err != nil {
+			t.Fatalf("slice %d: %v", n, err)
+		}
+		spent := dep.SubsetsEvaluated
+		if dep.Checkpoint != nil {
+			spent, _ = dep.Checkpoint.Frontier()
+		}
+		mu.Lock()
+		if spent -= from; last.ScopeDone != spent {
+			t.Errorf("slice %d: progress read ScopeDone %d, the slice spent %d", n, last.ScopeDone, spent)
+		}
+		mu.Unlock()
+		if dep.Status != core.StatusStopped {
+			if dep.Status != core.StatusComplete || dep.Checkpoint != nil {
+				t.Fatalf("slice %d ended %q with checkpoint %v", n, dep.Status, dep.Checkpoint)
+			}
+			return dep, n
+		}
+		blob, err := dep.Checkpoint.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.Resume, err = core.UnmarshalCheckpoint(blob); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -263,7 +333,6 @@ func TestRaceRejectsEnumOptions(t *testing.T) {
 		{"enum solver", func(o *core.Options) { o.Solver = "enum" }},
 		{"unknown solver", func(o *core.Options) { o.Solver = "hillclimb" }},
 		{"max subsets", func(o *core.Options) { o.MaxSubsets = 10 }},
-		{"stop after", func(o *core.Options) { o.StopAfter = 10 }},
 		{"shard", func(o *core.Options) { o.Shard.Count = 2 }},
 		{"required cells", func(o *core.Options) { o.RequiredCells = []int{0} }},
 	}
@@ -276,25 +345,21 @@ func TestRaceRejectsEnumOptions(t *testing.T) {
 	}
 }
 
-// TestCheckpointValidateRejectsMismatch interrupts a run and then tries to
-// resume it under each differing option, expecting a refusal.
+// TestCheckpointValidateRejectsMismatch cuts a run with StopAfter and then
+// tries to resume it under each differing option, or with a member count
+// edited out of range, expecting a refusal.
 func TestCheckpointValidateRejectsMismatch(t *testing.T) {
 	t.Parallel()
 	in := testInstance(t, 15)
-	opts := core.Options{S: 2, Solver: "portfolio", SolverBudget: 100000, Seed: 9}
-	ctx, cancel := context.WithCancel(context.Background())
-	iopts := opts
-	iopts.ProgressInterval = time.Millisecond
-	var cancelled atomic.Bool
-	iopts.Progress = func(p core.Progress) {
-		if p.Evaluated > 50 && !cancelled.Swap(true) {
-			cancel()
-		}
+	opts := core.Options{S: 2, Solver: "portfolio", SolverBudget: 400, Seed: 9}
+	cut := opts
+	cut.StopAfter = 50
+	dep, err := Race(context.Background(), in, cut)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dep, err := Race(ctx, in, iopts)
-	cancel()
-	if dep == nil || dep.Checkpoint == nil {
-		t.Fatalf("no checkpoint from interrupted run (err=%v)", err)
+	if dep.Checkpoint == nil {
+		t.Fatal("no checkpoint from the cut run")
 	}
 	cp := dep.Checkpoint
 
@@ -311,6 +376,8 @@ func TestCheckpointValidateRejectsMismatch(t *testing.T) {
 			c.Members[0].Name, c.Members[1].Name = c.Members[1].Name, c.Members[0].Name
 		}},
 		{"overspent member", func(o *core.Options, c *core.Checkpoint) { c.Members[0].Evals = c.Budget + 1 }},
+		{"negative member evaluations", func(o *core.Options, c *core.Checkpoint) { c.Members[0].Evals = -1000 }},
+		{"negative member steps", func(o *core.Options, c *core.Checkpoint) { c.Members[1].Steps = -1 }},
 	}
 	for _, tc := range cases {
 		mutated := *cp

@@ -52,14 +52,18 @@ func newSolver(name string, p *problem, ev *core.SubsetEvaluator, seed, budget i
 // and a cancelled run returns its best-so-far deployment with Status
 // StatusStopped and a resumable Checkpoint (kind core.KindPortfolio)
 // TOGETHER with ctx.Err(); a race stopped before any member found a feasible
-// subset returns the all-grounded deployment with the checkpoint. Resuming
-// through opts.Resume continues every member's exact trajectory, so an
-// interrupted-then-resumed race is byte-identical to an uninterrupted one.
+// subset returns the all-grounded deployment with the checkpoint. A member
+// stops at the first step boundary where its own evaluation count reaches
+// opts.StopAfter (a tabu step is never split, so it may pass by up to
+// tabuWidth-1), and a race so cut stops the same way with a nil error; a
+// member whose budget ends first completes. Resuming through opts.Resume
+// continues every member's exact trajectory, so an interrupted-then-resumed
+// race is byte-identical to an uninterrupted one.
 // The reduction is deterministic: most served users, ties to the canonical
 // member order — never arrival order or wall clock.
 //
 // The options are checked by core.Options.Validate first, which refuses
-// the enumeration-only ones (MaxSubsets, StopAfter, RequiredCells, Shard).
+// the enumeration-only ones (MaxSubsets, RequiredCells, Shard).
 func Race(ctx context.Context, in *core.Instance, opts core.Options) (*core.Deployment, error) {
 	if ctx == nil {
 		ctx = context.Background() //uavlint:allow ctxthread -- nil-ctx normalization at the API boundary
@@ -111,13 +115,24 @@ func Race(ctx context.Context, in *core.Instance, opts core.Options) (*core.Depl
 		}
 	}
 
-	// Members race on their own goroutines, folding per-step deltas into the
-	// shared progress counters. Determinism needs no synchronization beyond
-	// that: every member's trajectory depends only on its own state.
+	// limit is where StopAfter cuts a member. base counts the evaluations a
+	// resumed checkpoint spent, scope this run's work up to the cut.
+	limit, base, scope := budget, int64(0), int64(0)
+	if opts.StopAfter > 0 {
+		limit = min(budget, opts.StopAfter)
+	}
+	for _, ev := range evs {
+		base += ev.Evaluations()
+		scope += max(limit-ev.Evaluations(), 0)
+	}
+
+	// Members race on their own goroutines, folding this run's per-step
+	// deltas into the shared progress counters. Determinism needs no
+	// synchronization beyond that: every member depends only on its own state.
 	var progEvals, progBest atomic.Int64
 	progBest.Store(-1)
 	type memberOut struct {
-		done bool // budget exhausted (vs. stopped by ctx)
+		done bool // budget exhausted (vs. stopped by ctx or StopAfter)
 		err  error
 	}
 	outs := make([]memberOut, len(solvers))
@@ -126,24 +141,19 @@ func Race(ctx context.Context, in *core.Instance, opts core.Options) (*core.Depl
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sv := solvers[i]
-			var lastEvals int64
-			if resume != nil {
-				lastEvals = resume.Members[i].Evals
-			}
-			progEvals.Add(lastEvals)
-			for {
-				if ctx.Err() != nil {
-					return
-				}
+			sv, ev := solvers[i], evs[i]
+			last := ev.Evaluations()
+			// The cut reads only the member's own count, at a step boundary;
+			// a member whose budget is spent steps once more to finish.
+			for ctx.Err() == nil && (last < limit || last >= budget) {
 				more, err := sv.Step()
 				if err != nil {
 					outs[i].err = err
 					return
 				}
-				if e := evs[i].Evaluations(); e != lastEvals {
-					progEvals.Add(e - lastEvals)
-					lastEvals = e
+				if e := ev.Evaluations(); e != last {
+					progEvals.Add(e - last)
+					last = e
 				}
 				if _, served := sv.Best(); served >= 0 {
 					for {
@@ -161,16 +171,15 @@ func Race(ctx context.Context, in *core.Instance, opts core.Options) (*core.Depl
 		}(i)
 	}
 
-	total := int64(len(members)) * budget
 	stopProgress := core.MonitorProgress(start, opts, func() core.Progress {
 		evals := progEvals.Load()
 		return core.Progress{
-			Done:       evals,
-			Total:      total,
-			Evaluated:  evals,
+			Done:       base + evals,
+			Total:      int64(len(members)) * budget,
+			Evaluated:  base + evals,
 			BestServed: int(max(progBest.Load(), 0)),
 			ScopeDone:  evals,
-			ScopeTotal: total,
+			ScopeTotal: scope,
 		}
 	})
 	wg.Wait()
@@ -231,7 +240,7 @@ func Race(ctx context.Context, in *core.Instance, opts core.Options) (*core.Depl
 	default:
 		return nil, fmt.Errorf("portfolio: no feasible deployment within a budget of %d evaluations per member", budget)
 	}
-	dep.SubsetsEvaluated = progEvals.Load()
+	dep.SubsetsEvaluated = base + progEvals.Load()
 	dep.Status = core.StatusComplete
 	if stopped {
 		dep.Status = core.StatusStopped
@@ -243,7 +252,7 @@ func Race(ctx context.Context, in *core.Instance, opts core.Options) (*core.Depl
 
 // validateResume rejects a checkpoint that was not produced by an identical
 // race: the kind, the scenario and shared options (core.ValidateCommon), the
-// solver and budget, and the member lineup.
+// solver and budget, the member lineup and in-range member counts.
 func validateResume(c *core.Checkpoint, in *core.Instance, s int, opts core.Options, budget int64, members []string) error {
 	if err := c.ValidateCommon(core.KindPortfolio, in, s, opts); err != nil {
 		return err
@@ -261,8 +270,8 @@ func validateResume(c *core.Checkpoint, in *core.Instance, s int, opts core.Opti
 		if c.Members[i].Name != name {
 			return c.Mismatch("member", name, c.Members[i].Name)
 		}
-		if c.Members[i].Evals > budget {
-			return fmt.Errorf("portfolio: checkpoint member %q spent %d evaluations, over the %d budget", name, c.Members[i].Evals, budget)
+		if st := c.Members[i]; st.Steps < 0 || st.Evals < 0 || st.Evals > budget {
+			return fmt.Errorf("portfolio: checkpoint member %q has %d steps and %d evaluations; want non-negative counts within the %d budget", name, st.Steps, st.Evals, budget)
 		}
 	}
 	return nil

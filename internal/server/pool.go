@@ -158,11 +158,15 @@ func (s *Server) solve(ctx context.Context, j *Job) (*uavnet.Deployment, error) 
 	for {
 		sliceCtx, cancelSlice := context.WithTimeout(ctx, s.cfg.CheckpointEvery)
 		opts.Resume = resume
-		if s.sliceSubsets > 0 && opts.SolverIsEnum() {
-			// A slice cut by StopAfter stops with a nil error.
+		if s.sliceSubsets > 0 {
+			// A slice cut by StopAfter stops with a nil error. The next cut lies
+			// sliceSubsets past an enumeration's cursor or a race's furthest member.
 			opts.StopAfter = s.sliceSubsets
 			if resume != nil {
 				opts.StopAfter += resume.Cursor
+				for _, m := range resume.Members {
+					opts.StopAfter = max(opts.StopAfter, s.sliceSubsets+m.Evals)
+				}
 			}
 		}
 		dep, runErr := uavnet.DeployInstanceContext(sliceCtx, in, opts)

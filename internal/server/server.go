@@ -54,9 +54,9 @@ type Server struct {
 	ctx     context.Context //uavlint:guard mu -- the Start context; nil until Start
 	wg      sync.WaitGroup
 	write   func(path string, data []byte, perm os.FileMode) error // every job file write: atomicfile.WriteFile outside tests
-	// sliceSubsets, when positive, also ends each enumeration slice after
-	// that many subsets, so tests get multi-slice jobs by construction
-	// rather than by wall time. Zero outside tests: slices are time-based.
+	// sliceSubsets, when positive, also ends every slice after that much
+	// work (see solve), so tests get multi-slice jobs by construction rather
+	// than by wall time. Zero outside tests: slices are time-based.
 	sliceSubsets int64
 }
 

@@ -233,8 +233,7 @@ type harnessJob struct {
 	id     string
 	body   []byte
 	want   []byte
-	every  time.Duration // the checkpoint cadence of the recorded run
-	slice  int64         // the server's sliceSubsets: zero for a portfolio job
+	slice  int64 // the server's sliceSubsets
 	writes []fileWrite
 }
 
@@ -242,7 +241,7 @@ type harnessJob struct {
 // recorded run did and sends every write through d. run starts it.
 func (job *harnessJob) server(t *testing.T, dir string, d *disk) *Server {
 	t.Helper()
-	srv := newServer(t, dir, job.every, d)
+	srv := newServer(t, dir, time.Hour, d)
 	srv.sliceSubsets = job.slice
 	return srv
 }
@@ -252,69 +251,50 @@ func (job *harnessJob) server(t *testing.T, dir string, d *disk) *Server {
 // healthy server and records its durable writes. The jobs are small, since
 // the harnesses restart each one a few dozen times.
 //
-// The two enumeration jobs are multi-slice by construction: at an hour's
-// cadence, the server ends the enum job's slices every 600 of its
-// C(25, 3) = 2,300 subsets and the agg job's every 1,200 of its
-// C(36, 3) = 7,140, so their runs take exactly three and five checkpoints
-// on any machine. The portfolio has no subset index to cut at, so the
-// anneal job's cadence starts at a quarter of its solo solve time and
-// halves until it takes at least three checkpoints. Halving only helps while
-// the slice timer fires on time, and with every P busy solving the runtime
-// observes a millisecond deadline late — 11-28 ms, median 18 ms, with two
-// spinning goroutines at GOMAXPROCS=2 on a 2-vCPU Xeon VM, against a median
-// 0.5 ms with one — so the anneal job solves on one worker goroutine, which
-// leaves a P free to fire the timer. Workers is an execution hint outside
-// the job id, so the bytes are unchanged.
+// Every job is multi-slice by construction: at an hour's cadence, the server
+// ends the enum job's slices every 600 of its C(25, 3) = 2,300 subsets, the
+// anneal job's every 150 of its 500 evaluations and the agg job's every 1,200
+// of its C(36, 3) = 7,140 subsets, so their runs take exactly three, three
+// and five checkpoints on any machine.
 func harnessJobs(t *testing.T) []*harnessJob {
 	t.Helper()
 	specs := []struct {
-		name  string
-		sc    *uavnet.Scenario
-		opts  JobOptions
-		slice int64
+		name        string
+		sc          *uavnet.Scenario
+		opts        JobOptions
+		slice       int64
+		checkpoints int
 	}{
-		{"enum", smallScenario(t), JobOptions{}, 600},
-		{"anneal", quickScenario(t, 5), JobOptions{Solver: "anneal", SolverBudget: 500, Workers: 1}, 0},
-		{"agg", quickScenario(t, 6), JobOptions{AggCell: 200}, 1200},
+		{"enum", smallScenario(t), JobOptions{}, 600, 3},
+		{"anneal", quickScenario(t, 5), JobOptions{Solver: "anneal", SolverBudget: 500}, 150, 3},
+		{"agg", quickScenario(t, 6), JobOptions{AggCell: 200}, 1200, 5},
 	}
 	var jobs []*harnessJob
 	for _, spec := range specs {
 		sc := spec.sc
-		start := time.Now()
 		job := &harnessJob{name: spec.name, id: JobID(sc, spec.opts), body: submitBody(t, sc, spec.opts),
 			want: soloBytes(t, sc, spec.opts), slice: spec.slice}
-		job.every = time.Since(start) / 4
-		if job.slice > 0 {
-			job.every = time.Hour
+		dir := t.TempDir()
+		d := &disk{}
+		srv := job.server(t, dir, d)
+		stop := run(t, srv)
+		if rec := do(srv, "POST", "/v1/jobs", job.body); rec.Code != http.StatusCreated {
+			t.Fatalf("%s: submit: status %d: %s", spec.name, rec.Code, rec.Body)
 		}
-		for try := 0; ; try++ {
-			dir := t.TempDir()
-			d := &disk{}
-			srv := job.server(t, dir, d)
-			stop := run(t, srv)
-			if rec := do(srv, "POST", "/v1/jobs", job.body); rec.Code != http.StatusCreated {
-				t.Fatalf("%s: submit: status %d: %s", spec.name, rec.Code, rec.Body)
+		checkDone(t, srv, job.id, job.want)
+		stop()
+		job.writes = d.log()
+		checkpoints := 0
+		for _, w := range job.writes {
+			if filepath.Base(w.rel) == checkpointFile {
+				checkpoints++
 			}
-			checkDone(t, srv, job.id, job.want)
-			stop()
-			job.writes = d.log()
-			checkpoints := 0
-			for _, w := range job.writes {
-				if filepath.Base(w.rel) == checkpointFile {
-					checkpoints++
-				}
-			}
-			if s := states(t, job.writes); len(s) != 0 {
-				t.Fatalf("%s: a healthy run wrote state records %v", spec.name, s)
-			}
-			if checkpoints >= 3 {
-				t.Logf("%s: %d writes, %d of them checkpoints, at a %v cadence", spec.name, len(job.writes), checkpoints, job.every)
-				break
-			}
-			if try == 5 || job.slice > 0 {
-				t.Fatalf("%s: %d checkpoints at a %v cadence; want a multi-slice run", spec.name, checkpoints, job.every)
-			}
-			job.every /= 2
+		}
+		if s := states(t, job.writes); len(s) != 0 {
+			t.Fatalf("%s: a healthy run wrote state records %v", spec.name, s)
+		}
+		if checkpoints != spec.checkpoints {
+			t.Fatalf("%s: %d checkpoints in slices of %d; want %d", spec.name, checkpoints, job.slice, spec.checkpoints)
 		}
 		jobs = append(jobs, job)
 	}
@@ -535,10 +515,7 @@ func faultAt(t *testing.T, job *harnessJob, d *disk) {
 		}
 		state, msg := awaitTerminal(t, srv, job.id)
 		if !d.fired() {
-			// This run took one checkpoint, the recorded one two or more.
-			t.Logf("the run ended %s before write %d of %s", state, d.failN, d.failName)
-			checkDone(t, srv, job.id, job.want)
-			return
+			t.Fatalf("the run ended %s before write %d of %s", state, d.failN, d.failName)
 		}
 		prefix := "persist checkpoint: "
 		if d.failName == deploymentFile {
