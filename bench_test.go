@@ -311,19 +311,26 @@ func BenchmarkAssignment(b *testing.B) {
 	}
 }
 
-// BenchmarkInstancePrecompute measures eligibility precomputation: channel
-// radii, location graph, hop matrix.
-func BenchmarkInstancePrecompute(b *testing.B) {
-	p := benchParams()
-	sc, err := uavnet.GenerateScenario(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := uavnet.NewInstance(sc); err != nil {
+// BenchmarkNewInstance measures the instance build: channel radii, the
+// location graph, the path oracle and hop rows, and eligibility. m = 36 is
+// the fig6-s3 shape, m = 900 the portfolio-m900 one (100 m cells), and
+// m = 1600 the same area on 75 m cells, all with 600 users and 10 UAVs.
+func BenchmarkNewInstance(b *testing.B) {
+	for _, side := range []float64{500, 100, 75} {
+		p := benchParams()
+		p.CellSide = side
+		sc, err := uavnet.GenerateScenario(p)
+		if err != nil {
 			b.Fatal(err)
 		}
+		b.Run(fmt.Sprintf("m=%d", sc.M()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := uavnet.NewInstance(sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

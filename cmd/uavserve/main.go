@@ -54,6 +54,30 @@ func main() {
 	}
 }
 
+// The server's timeouts. A client that never finishes its request header
+// is cut after readHeaderTimeout, and an idle keep-alive connection after
+// idleTimeout. There is deliberately no WriteTimeout: its deadline runs for
+// the whole response, so it would cut an SSE stream on
+// /v1/jobs/{id}/events. Nor is there a ReadTimeout, which bounds the read
+// of the whole request body and so would have to allow for the slowest
+// upload of the largest scenario the server accepts.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the service's HTTP server: h on addr, request
+// contexts derived from ctx, and the given header-read and idle timeouts.
+func newHTTPServer(ctx context.Context, addr string, h http.Handler, header, idle time.Duration) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		BaseContext:       func(net.Listener) context.Context { return ctx },
+		ReadHeaderTimeout: header,
+		IdleTimeout:       idle,
+	}
+}
+
 func run() error {
 	var (
 		dir             = flag.String("dir", "", "durable job directory (required)")
@@ -83,11 +107,7 @@ func run() error {
 	defer stop()
 	srv.Start(ctx)
 
-	httpSrv := &http.Server{
-		Addr:        *addr,
-		Handler:     srv.Handler(),
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
+	httpSrv := newHTTPServer(ctx, *addr, srv.Handler(), readHeaderTimeout, idleTimeout)
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- httpSrv.ListenAndServe() }()
 	logger.Printf("listening on %s, jobs in %s", *addr, *dir)

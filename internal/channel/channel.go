@@ -63,8 +63,15 @@ func DefaultParams() Params {
 	}
 }
 
-// Validate reports whether the parameters are physically meaningful.
+// Validate reports whether the parameters are physically meaningful. Every
+// field must be finite: a NaN passes the sign checks below and then makes
+// every coverage radius zero.
 func (p Params) Validate() error {
+	for _, x := range []float64{p.CarrierHz, p.NoiseDBm, p.BandwidthHz, p.Env.A, p.Env.B, p.Env.EtaLoSdB, p.Env.EtaNLoSdB} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("channel: parameters %+v have a non-finite field", p)
+		}
+	}
 	switch {
 	case p.CarrierHz <= 0:
 		return fmt.Errorf("channel: carrier frequency %g Hz must be positive", p.CarrierHz)

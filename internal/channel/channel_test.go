@@ -18,6 +18,11 @@ func TestValidate(t *testing.T) {
 		{"zero-carrier", func(p *Params) { p.CarrierHz = 0 }, true},
 		{"negative-bandwidth", func(p *Params) { p.BandwidthHz = -1 }, true},
 		{"bad-env", func(p *Params) { p.Env.B = 0 }, true},
+		{"nan-carrier", func(p *Params) { p.CarrierHz = math.NaN() }, true},
+		{"inf-bandwidth", func(p *Params) { p.BandwidthHz = math.Inf(1) }, true},
+		{"nan-noise", func(p *Params) { p.NoiseDBm = math.NaN() }, true},
+		{"nan-env-a", func(p *Params) { p.Env.A = math.NaN() }, true},
+		{"inf-eta", func(p *Params) { p.Env.EtaNLoSdB = math.Inf(-1) }, true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

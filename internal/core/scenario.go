@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 
 	"github.com/uav-coverage/uavnet/internal/channel"
@@ -71,24 +72,40 @@ func (sc *Scenario) Validate() error {
 	if len(sc.UAVs) == 0 {
 		return fmt.Errorf("core: scenario has no UAVs")
 	}
-	if sc.UAVRange <= 0 {
-		return fmt.Errorf("core: UAV-to-UAV range %g must be positive", sc.UAVRange)
+	// Non-finite floats are refused outright: a NaN compares false with
+	// everything, so it would pass the sign checks and then silently drop
+	// every edge or user it touches (and an infinite UAVRange links every
+	// pair). JSON cannot carry these values, so no saved scenario has them.
+	if !finite(sc.UAVRange) || sc.UAVRange <= 0 {
+		return fmt.Errorf("core: UAV-to-UAV range %g must be positive and finite", sc.UAVRange)
 	}
 	for k, u := range sc.UAVs {
-		if u.Capacity < 0 {
+		switch {
+		case u.Capacity < 0:
 			return fmt.Errorf("core: UAV %d has negative capacity %d", k, u.Capacity)
-		}
-		if u.UserRange < 0 {
+		case !finite(u.UserRange):
+			return fmt.Errorf("core: UAV %d has non-finite user range %g", k, u.UserRange)
+		case u.UserRange < 0:
 			return fmt.Errorf("core: UAV %d has negative user range %g", k, u.UserRange)
+		case !finite(u.Tx.PowerDBm) || !finite(u.Tx.AntennaGainDBi):
+			return fmt.Errorf("core: UAV %d has non-finite transmitter %+v", k, u.Tx)
 		}
 	}
 	for i, u := range sc.Users {
-		if u.MinRateBps < 0 {
+		switch {
+		case !finite(u.Pos.X) || !finite(u.Pos.Y):
+			return fmt.Errorf("core: user %d has non-finite position %+v", i, u.Pos)
+		case !finite(u.MinRateBps):
+			return fmt.Errorf("core: user %d has non-finite rate requirement %g", i, u.MinRateBps)
+		case u.MinRateBps < 0:
 			return fmt.Errorf("core: user %d has negative rate requirement %g", i, u.MinRateBps)
 		}
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Fingerprint returns a 64-bit FNV-1a hash over every field that shapes the
 // optimization problem: grid, ranges, channel parameters, users, and fleet.
@@ -135,7 +152,8 @@ type Instance struct {
 	// connect pairs within UAVRange.
 	LocGraph *graph.Undirected
 	// Hop[a][b] is the hop distance between locations a and b in LocGraph,
-	// or graph.Unreachable.
+	// or graph.Unreachable. Row a is Paths.DistRow(a), a view of the path
+	// oracle's own distance row, so the rows must not be modified.
 	Hop [][]int
 	// Paths is the precomputed shortest-path oracle over LocGraph: one BFS
 	// predecessor array per source, so the relay-connection step reads MST
@@ -178,6 +196,7 @@ func NewInstance(sc *Scenario) (*Instance, error) {
 		return nil, err
 	}
 	m := len(in.Centers)
+	cols, rows := sc.Grid.Cols(), sc.Grid.Rows()
 
 	// Per-class, per-user maximum serving distance: the lesser of the class's
 	// explicit range cap and the distance at which the channel still meets
@@ -200,18 +219,29 @@ func NewInstance(sc *Scenario) (*Instance, error) {
 			}
 			maxDist[i] = d
 		}
+		// Each user is tested only against the cells in its coverage-radius
+		// window. Users are visited in index order, so every list is
+		// appended in ascending order, as the all-pairs scan built it.
 		perLoc := make([][]int, m)
-		perLocMask := make([]match.Bitset, m)
-		for j := 0; j < m; j++ {
-			var el []int
-			for i := range sc.Users {
-				// A zero radius means the channel cannot meet the user's
-				// rate even directly overhead: never eligible.
-				if maxDist[i] > 0 && geom.Dist2(sc.Users[i].Pos, in.Centers[j]) <= maxDist[i] {
-					el = append(el, i)
+		for i, u := range sc.Users {
+			d := maxDist[i]
+			// A zero radius means the channel cannot meet the user's
+			// rate even directly overhead: never eligible.
+			if d <= 0 {
+				continue
+			}
+			c0, c1 := cellSpan(u.Pos.X, d, sc.Grid.Side, cols)
+			r0, r1 := cellSpan(u.Pos.Y, d, sc.Grid.Side, rows)
+			for row := r0; row <= r1; row++ {
+				for j := row*cols + c0; j <= row*cols+c1; j++ {
+					if geom.Dist2(u.Pos, in.Centers[j]) <= d {
+						perLoc[j] = append(perLoc[j], i)
+					}
 				}
 			}
-			perLoc[j] = el
+		}
+		perLocMask := make([]match.Bitset, m)
+		for j, el := range perLoc {
 			perLocMask[j] = match.BitsetFromSorted(len(sc.Users), el)
 		}
 		in.Eligible[c] = perLoc
@@ -234,21 +264,29 @@ func newInstanceSkeleton(sc *Scenario) (*Instance, []classKey, error) {
 		Centers:  sc.Grid.Centers(),
 	}
 	m := len(in.Centers)
+	cols, rows := sc.Grid.Cols(), sc.Grid.Rows()
 
-	// Location graph and hop matrix.
+	// Location graph and hop matrix. Each cell is tested only against the
+	// cells in its UAVRange window, and only those of higher index, so edges
+	// are added in the (a, b) order of an all-pairs scan and every adjacency
+	// list comes out the same.
 	in.LocGraph = graph.New(m)
-	for a := 0; a < m; a++ {
-		for b := a + 1; b < m; b++ {
-			if geom.Dist2(in.Centers[a], in.Centers[b]) <= sc.UAVRange {
-				if err := in.LocGraph.AddEdge(a, b); err != nil {
-					return nil, nil, err
+	for a, p := range in.Centers {
+		c0, c1 := cellSpan(p.X, sc.UAVRange, sc.Grid.Side, cols)
+		r0, r1 := cellSpan(p.Y, sc.UAVRange, sc.Grid.Side, rows)
+		for row := r0; row <= r1; row++ {
+			for b := max(row*cols+c0, a+1); b <= row*cols+c1; b++ {
+				if geom.Dist2(p, in.Centers[b]) <= sc.UAVRange {
+					if err := in.LocGraph.AddEdge(a, b); err != nil {
+						return nil, nil, err
+					}
 				}
 			}
 		}
 	}
 	// The path oracle's construction BFS doubles as the hop-matrix BFS:
-	// each Hop row is read back from the oracle's distance matrix instead
-	// of running a second all-sources sweep.
+	// each Hop row is a view of the oracle's distance row, so the matrix is
+	// stored once.
 	in.Paths = graph.NewPathOracle(in.LocGraph)
 	in.Hop = make([][]int, m)
 	for a := 0; a < m; a++ {
@@ -283,6 +321,28 @@ func newInstanceSkeleton(sc *Scenario) (*Instance, []classKey, error) {
 		in.ClassOf[k] = id
 	}
 	return in, classes, nil
+}
+
+// cellSpan returns the cells lo..hi along one axis of the grid (n cells of
+// the given side, the center of cell i at (i+0.5)*side) whose center may lie
+// within r of coordinate x. It is a superset of the cells a
+// geom.Dist2(…) <= r test against a point at x accepts, despite float
+// rounding: Dist2 is math.Hypot, which never falls below either coordinate
+// difference, so an accepted center lies within r of x along this axis up
+// to one rounding of the subtraction. The bounds (x±r)/side − 0.5 add a few
+// roundings of relative size 2^-53, and floor and ceil widen them outward to
+// whole cells, so a bound misses an accepted cell only if its accumulated
+// error reaches a whole cell, which takes |x| or r near 2^50 cell sides.
+// Both bounds are clamped to the grid while still floats: converting a
+// float outside the int range is implementation-dependent in Go. An empty
+// window, also for a NaN bound, comes back as hi < lo.
+func cellSpan(x, r, side float64, n int) (lo, hi int) {
+	l := math.Max(math.Floor((x-r)/side-0.5), 0)
+	h := math.Min(math.Ceil((x+r)/side-0.5), float64(n-1))
+	if !(l <= h) {
+		return 0, -1
+	}
+	return int(l), int(h)
 }
 
 // EligibleUsers returns the demand nodes UAV k can serve from location loc:

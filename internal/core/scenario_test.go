@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/uav-coverage/uavnet/internal/channel"
@@ -56,6 +58,44 @@ func TestScenarioValidate(t *testing.T) {
 			t.Error("nil scenario should fail")
 		}
 	})
+}
+
+// TestScenarioValidateRefusesNonFinite refuses every NaN or infinite float a
+// scenario carries with an error that names the field and its index. A NaN
+// passes a sign check, so without these rules a NaN UAVRange would give a
+// graph with no edges, +Inf a complete one, and a NaN user would silently
+// never be eligible.
+func TestScenarioValidateRefusesNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	tests := []struct {
+		name   string
+		mutate func(*Scenario)
+		want   string
+	}{
+		{"nan-uav-range", func(s *Scenario) { s.UAVRange = nan }, "UAV-to-UAV range NaN"},
+		{"inf-uav-range", func(s *Scenario) { s.UAVRange = inf }, "UAV-to-UAV range +Inf"},
+		{"nan-user-x", func(s *Scenario) { s.Users[1].Pos.X = nan }, "user 1 has non-finite position"},
+		{"inf-user-y", func(s *Scenario) { s.Users[0].Pos.Y = -inf }, "user 0 has non-finite position"},
+		{"nan-rate", func(s *Scenario) { s.Users[1].MinRateBps = nan }, "user 1 has non-finite rate requirement NaN"},
+		{"inf-rate", func(s *Scenario) { s.Users[0].MinRateBps = inf }, "user 0 has non-finite rate requirement +Inf"},
+		{"nan-user-range", func(s *Scenario) { s.UAVs[1].UserRange = nan }, "UAV 1 has non-finite user range NaN"},
+		{"inf-user-range", func(s *Scenario) { s.UAVs[0].UserRange = inf }, "UAV 0 has non-finite user range +Inf"},
+		{"nan-power", func(s *Scenario) { s.UAVs[1].Tx.PowerDBm = nan }, "UAV 1 has non-finite transmitter"},
+		{"inf-gain", func(s *Scenario) { s.UAVs[0].Tx.AntennaGainDBi = -inf }, "UAV 0 has non-finite transmitter"},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := validScenario()
+			tc.mutate(sc)
+			err := sc.Validate()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, tc.want)
+			}
+			if _, err := NewInstance(sc); err == nil {
+				t.Fatal("NewInstance built the scenario")
+			}
+		})
+	}
 }
 
 func TestScenarioDimensions(t *testing.T) {

@@ -40,8 +40,14 @@ type Grid struct {
 
 // Validate reports whether the grid parameters are usable. Length and Width
 // must be positive multiples of Side (the paper assumes divisibility), and
-// Altitude must be positive.
+// Altitude must be positive. Every field must be finite: an infinite Side
+// would divide any area into zero cells.
 func (g Grid) Validate() error {
+	for _, x := range []float64{g.Length, g.Width, g.Side, g.Altitude} {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("geom: grid %+v has a non-finite field", g)
+		}
+	}
 	switch {
 	case g.Length <= 0 || g.Width <= 0:
 		return fmt.Errorf("geom: grid area %gx%g must be positive", g.Length, g.Width)

@@ -69,6 +69,9 @@ func TestGridValidate(t *testing.T) {
 		{"zero-side", Grid{3000, 3000, 0, 300}, true},
 		{"zero-altitude", Grid{3000, 3000, 500, 0}, true},
 		{"not-divisible", Grid{3000, 3000, 700, 300}, true},
+		{"nan-length", Grid{math.NaN(), 3000, 500, 300}, true},
+		{"inf-side", Grid{3000, 3000, math.Inf(1), 300}, true},
+		{"inf-altitude", Grid{3000, 3000, 500, math.Inf(1)}, true},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {

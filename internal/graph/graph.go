@@ -12,11 +12,12 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Undirected is an undirected graph on nodes 0..n-1 stored as adjacency
-// lists. The zero value is an empty graph with no nodes; use New to create a
-// graph with a fixed node count.
+// lists, each kept sorted ascending. The zero value is an empty graph with no
+// nodes; use New to create a graph with a fixed node count.
 type Undirected struct {
 	adj [][]int
 }
@@ -32,8 +33,10 @@ func New(n int) *Undirected {
 // N returns the number of nodes.
 func (g *Undirected) N() int { return len(g.adj) }
 
-// AddEdge inserts the undirected edge (u, v). Self loops and duplicate edges
-// are rejected with an error so that callers notice modeling mistakes.
+// AddEdge inserts the undirected edge (u, v), keeping both adjacency lists
+// sorted. Self loops and duplicate edges are rejected with an error so that
+// callers notice modeling mistakes. Edges added in ascending (u, v) order
+// land at the end of each list, so building a graph that way moves nothing.
 func (g *Undirected) AddEdge(u, v int) error {
 	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
 		return fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, len(g.adj))
@@ -41,18 +44,18 @@ func (g *Undirected) AddEdge(u, v int) error {
 	if u == v {
 		return fmt.Errorf("graph: self loop at node %d", u)
 	}
-	for _, w := range g.adj[u] {
-		if w == v {
-			return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
-		}
+	i, dup := slices.BinarySearch(g.adj[u], v)
+	if dup {
+		return fmt.Errorf("graph: duplicate edge (%d,%d)", u, v)
 	}
-	g.adj[u] = append(g.adj[u], v)
-	g.adj[v] = append(g.adj[v], u)
+	g.adj[u] = slices.Insert(g.adj[u], i, v)
+	j, _ := slices.BinarySearch(g.adj[v], u)
+	g.adj[v] = slices.Insert(g.adj[v], j, u)
 	return nil
 }
 
-// Neighbors returns the adjacency list of u. The returned slice is owned by
-// the graph and must not be modified.
+// Neighbors returns the adjacency list of u, sorted ascending. The returned
+// slice is owned by the graph and must not be modified.
 func (g *Undirected) Neighbors(u int) []int { return g.adj[u] }
 
 // Unreachable is the hop distance reported by BFS for nodes that cannot be

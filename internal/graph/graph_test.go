@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -62,6 +63,44 @@ func TestAddEdgeErrors(t *testing.T) {
 				t.Errorf("AddEdge(%d,%d) succeeded, want error", tc.u, tc.v)
 			}
 		})
+	}
+}
+
+// TestAddEdgeKeepsListsSorted adds the edges of a random graph in random
+// order and requires every adjacency list to hold exactly its neighbors,
+// ascending.
+func TestAddEdgeKeepsListsSorted(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	const n = 40
+	want := make([][]int, n)
+	var edges [][2]int
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if r.Intn(4) == 0 {
+				edges = append(edges, [2]int{u, v})
+				want[u] = append(want[u], v)
+				want[v] = append(want[v], u)
+			}
+		}
+	}
+	for _, nb := range want {
+		sort.Ints(nb)
+	}
+	r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	g := New(n)
+	for _, e := range edges {
+		if r.Intn(2) == 0 {
+			e[0], e[1] = e[1], e[0]
+		}
+		mustEdge(t, g, e[0], e[1])
+		if err := g.AddEdge(e[1], e[0]); err == nil {
+			t.Fatalf("AddEdge(%d,%d) accepted a duplicate", e[1], e[0])
+		}
+	}
+	for u := 0; u < n; u++ {
+		if got := g.Neighbors(u); !slices.Equal(got, want[u]) {
+			t.Fatalf("Neighbors(%d) = %v, want %v", u, got, want[u])
+		}
 	}
 }
 

@@ -1,31 +1,56 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// PathOracle precomputes one BFS tree per source node — predecessor and hop
-// distance arrays stored as flat int32 matrices — so shortest paths and hop
-// distances can be read back without re-traversing the graph and without
-// allocating. Building the oracle costs O(N*(N+E)) time and 8*N^2 bytes; the
-// deployment algorithms build it once per Instance and then expand every MST
-// edge of every anchor subset from it.
+// PathOracle precomputes one BFS tree per source node, so shortest paths and
+// hop distances can be read back without re-traversing the graph and without
+// allocating. It stores one row per source: int32 predecessors and int hop
+// distances, 12*N^2 bytes in all. DistRow hands out the distance rows
+// themselves, so a hop matrix built from them is not a second copy.
+// Building the oracle reads at most N/64 bitset words per dequeued node,
+// O(N^3/64) in all; the deployment algorithms build it once per Instance and
+// then expand every MST edge of every anchor subset from it.
 //
-// The oracle's BFS visits neighbors in adjacency-list order, so each path is
-// the one a plain BFS from the source finds; the tests check PathInto
-// against one node for node.
+// The oracle's BFS visits each node's neighbors in ascending order, which
+// is adjacency-list order since AddEdge keeps every list sorted. So each
+// path is the one a plain BFS over the lists finds; the tests check the
+// predecessors and distances against such a BFS entry for entry.
 type PathOracle struct {
 	n    int
 	prev []int32 // prev[src*n+v]: predecessor of v on a shortest src-v path; -1 at src, -2 unreachable
-	dist []int32 // dist[src*n+v]: hop distance, or Unreachable
+	dist []int   // dist[src*n+v]: hop distance, or Unreachable
 }
 
-// NewPathOracle builds the oracle for g by running one BFS per node.
+// NewPathOracle builds the oracle for g by running one BFS per node. Each BFS
+// reads the graph as one adjacency bitset per node: a dequeued node's
+// undiscovered neighbors are adj[u] &^ seen, taken a word at a time in
+// ascending order.
 func NewPathOracle(g *Undirected) *PathOracle {
 	n := g.N()
 	o := &PathOracle{
 		n:    n,
 		prev: make([]int32, n*n),
-		dist: make([]int32, n*n),
+		dist: make([]int, n*n),
 	}
+	// adj[u*words+w] is word w of u's neighbor set. Only the words from
+	// u's lowest neighbor to its highest (the ends of its sorted list) can
+	// be nonzero, so the BFS reads words wlo[u] to whi[u]-1 alone.
+	words := (n + 63) / 64
+	adj := make([]uint64, n*words)
+	wlo, whi := make([]int, n), make([]int, n)
+	for u := 0; u < n; u++ {
+		nb := g.Neighbors(u)
+		for _, v := range nb {
+			adj[u*words+v/64] |= 1 << (v % 64)
+		}
+		if len(nb) > 0 {
+			wlo[u], whi[u] = nb[0]/64, nb[len(nb)-1]/64+1
+		}
+	}
+	seen := make([]uint64, words)
 	queue := make([]int, 0, n)
 	for src := 0; src < n; src++ {
 		prev := o.prev[src*n : (src+1)*n]
@@ -34,16 +59,24 @@ func NewPathOracle(g *Undirected) *PathOracle {
 			prev[i] = -2
 			dist[i] = Unreachable
 		}
+		clear(seen)
+		seen[src/64] |= 1 << (src % 64)
 		prev[src] = -1
 		dist[src] = 0
 		queue = append(queue[:0], src)
-		for head := 0; head < len(queue); head++ {
+		// Once every node is queued, no dequeued node can discover another.
+		for head := 0; head < len(queue) && len(queue) < n; head++ {
 			u := queue[head]
-			du := dist[u]
-			for _, v := range g.Neighbors(u) {
-				if prev[v] == -2 {
+			du := dist[u] + 1
+			lo, hi := wlo[u], whi[u]
+			near := seen[lo:hi]
+			for i, word := range adj[u*words+lo : u*words+hi] {
+				fresh := word &^ near[i]
+				near[i] |= fresh
+				for ; fresh != 0; fresh &= fresh - 1 {
+					v := (lo+i)*64 + bits.TrailingZeros64(fresh)
 					prev[v] = int32(u)
-					dist[v] = du + 1
+					dist[v] = du
 					queue = append(queue, v)
 				}
 			}
@@ -52,16 +85,12 @@ func NewPathOracle(g *Undirected) *PathOracle {
 	return o
 }
 
-// DistRow returns the hop distances from src to every node as a fresh []int
-// slice (the oracle stores them compactly as int32). It equals BFS(src).
+// DistRow returns the hop distances from src to every node; it equals
+// BFS(src). The slice is the oracle's own row, capped at N() so an append
+// cannot reach the next one, and must not be modified.
 func (o *PathOracle) DistRow(src int) []int {
 	o.check(src)
-	row := o.dist[src*o.n : (src+1)*o.n]
-	out := make([]int, o.n)
-	for i, d := range row {
-		out[i] = int(d)
-	}
-	return out
+	return o.dist[src*o.n : (src+1)*o.n : (src+1)*o.n]
 }
 
 // MultiSourceDistInto fills dist[:N()] with every node's hop distance to the
@@ -81,7 +110,7 @@ func (o *PathOracle) MultiSourceDistInto(sources, dist []int) {
 			// Unreachable is -1, the largest value as an unsigned integer,
 			// so one unsigned comparison skips it on either side.
 			if uint(d) < uint(dist[v]) {
-				dist[v] = int(d)
+				dist[v] = d
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -54,6 +55,125 @@ func TestPathOracleMatchesShortestPath(t *testing.T) {
 			}
 		}
 	}
+}
+
+// listPathOracle is the oracle as a BFS over the adjacency lists builds it,
+// each dequeued node's list walked in order: the reference the bitset BFS
+// of NewPathOracle must reproduce entry for entry.
+func listPathOracle(g *Undirected) *PathOracle {
+	n := g.N()
+	o := &PathOracle{n: n, prev: make([]int32, n*n), dist: make([]int, n*n)}
+	for src := 0; src < n; src++ {
+		prev := o.prev[src*n : (src+1)*n]
+		dist := o.dist[src*n : (src+1)*n]
+		for i := range prev {
+			prev[i] = -2
+			dist[i] = Unreachable
+		}
+		prev[src] = -1
+		dist[src] = 0
+		queue := []int{src}
+		for head := 0; head < len(queue); head++ {
+			u := queue[head]
+			for _, v := range g.Neighbors(u) {
+				if prev[v] == -2 {
+					prev[v] = int32(u)
+					dist[v] = dist[u] + 1
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	return o
+}
+
+// decodeOracleGraph turns fuzz bytes into a graph. The first byte picks n in
+// [1, 130], so graphs span one, two and three bitset words; the second an
+// edge probability in 256ths, so sparse draws leave the graph disconnected;
+// the next eight seed the draw. The candidate edges are inserted in a
+// shuffled order, so the adjacency lists are built out of order, and the
+// remaining bytes add explicit (u, v) pairs.
+func decodeOracleGraph(data []byte) *Undirected {
+	at := func(i int) int {
+		if i < len(data) {
+			return int(data[i])
+		}
+		return 0
+	}
+	n := 1 + at(0)%130
+	p := at(1)
+	var seed int64
+	for i := 2; i < 10; i++ {
+		seed = seed<<8 | int64(at(i))
+	}
+	r := rand.New(rand.NewSource(seed))
+	var edges [][2]int
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if r.Intn(256) < p {
+				edges = append(edges, [2]int{v, u})
+			}
+		}
+	}
+	for i := 10; i+1 < len(data); i += 2 {
+		edges = append(edges, [2]int{int(data[i]) % n, int(data[i+1]) % n})
+	}
+	r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+	g := New(n)
+	for _, e := range edges {
+		if e[0] != e[1] && !g.HasEdge(e[0], e[1]) {
+			if err := g.AddEdge(e[0], e[1]); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return g
+}
+
+// checkPathOracle holds NewPathOracle to the adjacency-list reference,
+// predecessors and distances alike, and checks that every adjacency list is
+// sorted, since the bitset BFS visits neighbors in ascending order.
+func checkPathOracle(t *testing.T, g *Undirected) {
+	t.Helper()
+	for u := 0; u < g.N(); u++ {
+		if !sort.IntsAreSorted(g.Neighbors(u)) {
+			t.Fatalf("n=%d: adjacency list of %d is not sorted: %v", g.N(), u, g.Neighbors(u))
+		}
+	}
+	got, want := NewPathOracle(g), listPathOracle(g)
+	if !reflect.DeepEqual(got.dist, want.dist) {
+		t.Fatalf("n=%d: oracle distances differ from the list BFS", g.N())
+	}
+	if !reflect.DeepEqual(got.prev, want.prev) {
+		t.Fatalf("n=%d: oracle predecessors differ from the list BFS", g.N())
+	}
+}
+
+// TestPathOracleMatchesListBFS runs checkPathOracle on graphs of every size
+// around the bitset word boundaries, from empty to nearly complete.
+func TestPathOracleMatchesListBFS(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewSource(37))
+	data := make([]byte, 10)
+	for _, n := range []int{1, 2, 63, 64, 65, 129, 130} {
+		for _, p := range []int{0, 1, 4, 16, 128, 255} {
+			r.Read(data)
+			data[0], data[1] = byte(n-1), byte(p)
+			checkPathOracle(t, decodeOracleGraph(data))
+		}
+	}
+}
+
+// FuzzPathOracle is TestPathOracleMatchesListBFS over fuzzer-chosen graphs.
+func FuzzPathOracle(f *testing.F) {
+	for _, n := range []byte{1, 63, 64, 65, 130} {
+		f.Add([]byte{n - 1, 8, 0, 0, 0, 0, 0, 0, 0, byte(n)})
+	}
+	f.Add([]byte{129, 1, 1, 2, 3, 4, 5, 6, 7, 8, 129, 0, 64, 63, 0, 65})
+	f.Add([]byte{64, 200, 9, 9, 9, 9, 9, 9, 9, 9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkPathOracle(t, decodeOracleGraph(data))
+	})
 }
 
 func TestPathOracleDisconnected(t *testing.T) {
@@ -258,5 +378,5 @@ func TestUnionFindReset(t *testing.T) {
 func (o *PathOracle) Hop(a, b int) int {
 	o.check(a)
 	o.check(b)
-	return int(o.dist[a*o.n+b])
+	return o.dist[a*o.n+b]
 }

@@ -263,6 +263,47 @@ func TestRaceResumeByteIdentity(t *testing.T) {
 	}
 }
 
+// TestRaceResumedAtCutReportsBest resumes a race at the StopAfter cut its
+// checkpoint was taken at. No member steps, yet the final progress snapshot
+// must report the best the restored members hold: the deployment's served
+// count.
+func TestRaceResumedAtCutReportsBest(t *testing.T) {
+	t.Parallel()
+	in := testInstance(t, 13)
+	opts := core.Options{S: 2, Solver: "portfolio", SolverBudget: 4000, Seed: 5, StopAfter: 2000}
+	first, err := Race(context.Background(), in, opts)
+	if err != nil || first.Checkpoint == nil {
+		t.Fatalf("first slice: err=%v cp=%v", err, first.Checkpoint)
+	}
+	blob, err := first.Checkpoint.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Resume, err = core.UnmarshalCheckpoint(blob); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var last core.Progress
+	opts.ProgressInterval = time.Hour // only the final snapshot
+	opts.Progress = func(p core.Progress) {
+		mu.Lock()
+		defer mu.Unlock()
+		last = p
+	}
+	dep, err := Race(context.Background(), in, opts)
+	if err != nil || dep.Status != core.StatusStopped {
+		t.Fatalf("resumed at the cut: status %q, err %v", dep.Status, err)
+	}
+	if dep.SubsetsEvaluated != first.SubsetsEvaluated {
+		t.Fatalf("resumed at the cut evaluated %d subsets, the checkpoint %d", dep.SubsetsEvaluated, first.SubsetsEvaluated)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if dep.Served == 0 || last.BestServed != dep.Served {
+		t.Fatalf("final progress reads BestServed %d, the deployment serves %d", last.BestServed, dep.Served)
+	}
+}
+
 // raceInSlices runs opts as a chain of StopAfter slices and returns the
 // complete deployment and the number of slices. Each slice resumes the last
 // one's checkpoint, and its cut lies slice evaluations past the checkpoint's

@@ -131,6 +131,13 @@ func Race(ctx context.Context, in *core.Instance, opts core.Options) (*core.Depl
 	// synchronization beyond that: every member depends only on its own state.
 	var progEvals, progBest atomic.Int64
 	progBest.Store(-1)
+	// Seed the best from the restored members: a race resumed at its
+	// StopAfter cut takes no step, yet its deployment serves their best.
+	for _, sv := range solvers {
+		if _, served := sv.Best(); int64(served) > progBest.Load() {
+			progBest.Store(int64(served))
+		}
+	}
 	type memberOut struct {
 		done bool // budget exhausted (vs. stopped by ctx or StopAfter)
 		err  error
