@@ -315,6 +315,9 @@ func BenchmarkAssignment(b *testing.B) {
 // location graph, the path oracle and hop rows, and eligibility. m = 36 is
 // the fig6-s3 shape, m = 900 the portfolio-m900 one (100 m cells), and
 // m = 1600 the same area on 75 m cells, all with 600 users and 10 UAVs.
+// The agg legs build the aggregated instance (binning included) at m = 900
+// over 300,000 uniform users, with demand cells of 250, 50 and 20 m: 144,
+// 3,600 and 22,500 demand nodes.
 func BenchmarkNewInstance(b *testing.B) {
 	for _, side := range []float64{500, 100, 75} {
 		p := benchParams()
@@ -327,6 +330,23 @@ func BenchmarkNewInstance(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := uavnet.NewInstance(sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	p := benchParams()
+	p.CellSide, p.N, p.Distribution = 100, 300_000, uavnet.UniformUsers
+	sc, err := uavnet.GenerateScenario(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, side := range []float64{250, 50, 20} {
+		opts := uavnet.AggregateOptions{CellSide: side}
+		b.Run(fmt.Sprintf("agg=%g/m=%d", side, sc.M()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := uavnet.NewAggregateInstance(sc, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -60,37 +60,40 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "uavdeploy:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("uavdeploy", flag.ExitOnError)
 	var (
-		scenarioPath = flag.String("scenario", "", "scenario JSON (from uavgen); empty generates one")
-		alg          = flag.String("alg", "approAlg", `algorithm: approAlg | MCS | MotionCtrl | GreedyAssign | maxThroughput | all`)
-		s            = flag.Int("s", 3, "approAlg anchor parameter s")
-		workers      = flag.Int("workers", 0, "approAlg worker goroutines (0 = all cores)")
-		maxSubsets   = flag.Int("max-subsets", 0, "approAlg anchor-subset cap (0 = exhaustive)")
-		solver       = flag.String("solver", "enum", "anchor-subset solver: enum | anneal | tabu | grasp | genetic | portfolio (race all four)")
-		budget       = flag.Int64("budget", 0, "evaluations per solver member for -solver (0 = default; the enumeration takes none)")
-		n            = flag.Int("n", 500, "users when generating inline")
-		k            = flag.Int("k", 8, "UAVs when generating inline")
-		seed         = flag.Int64("seed", 1, "seed when generating inline; also drives the -solver RNGs")
-		showMap      = flag.Bool("map", true, "print the ASCII placement map")
-		literal      = flag.Bool("literal", false, "run approAlg exactly as the paper's pseudocode (ground leftover UAVs)")
-		refine       = flag.Bool("refine", false, "refine the assignment to minimize total pathloss")
-		gatewayAt    = flag.String("gateway", "", "gateway position as \"x,y\" meters; builds a relay chain to it")
-		verifyDep    = flag.Bool("verify", false, "run the feasibility oracle on every deployment; exit non-zero on violations")
-		timeout      = flag.Duration("timeout", 0, "abort the run after this long, keeping the best-so-far deployment (0 = none)")
-		progressIntv = flag.Duration("progress", 0, "print approAlg progress to stderr at this interval (0 = off)")
-		ckptPath     = flag.String("checkpoint", "", "write a resumable checkpoint here when the run is stopped early")
-		resumePath   = flag.String("resume", "", "resume an approAlg run (enumeration or -solver) from this checkpoint file")
-		aggCell      = flag.Float64("agg-cell", 0, "aggregate users into weighted demand cells with this side in meters before solving (approAlg only; 0 = per-user)")
-		outPath      = flag.String("out", "", "write the final deployment as JSON here")
+		scenarioPath = fs.String("scenario", "", "scenario JSON (from uavgen); empty generates one")
+		alg          = fs.String("alg", "approAlg", `algorithm: approAlg | MCS | MotionCtrl | GreedyAssign | maxThroughput | all`)
+		s            = fs.Int("s", 3, "approAlg anchor parameter s")
+		workers      = fs.Int("workers", 0, "approAlg worker goroutines (0 = all cores)")
+		maxSubsets   = fs.Int("max-subsets", 0, "approAlg anchor-subset cap (0 = exhaustive)")
+		solver       = fs.String("solver", "enum", "anchor-subset solver: enum | anneal | tabu | grasp | genetic | portfolio (race all four)")
+		budget       = fs.Int64("budget", 0, "evaluations per solver member for -solver (0 = default; the enumeration takes none)")
+		n            = fs.Int("n", 500, "users when generating inline")
+		k            = fs.Int("k", 8, "UAVs when generating inline")
+		seed         = fs.Int64("seed", 1, "seed when generating inline; also drives the -solver RNGs")
+		showMap      = fs.Bool("map", true, "print the ASCII placement map")
+		literal      = fs.Bool("literal", false, "run approAlg exactly as the paper's pseudocode (ground leftover UAVs)")
+		refine       = fs.Bool("refine", false, "refine the assignment to minimize total pathloss")
+		gatewayAt    = fs.String("gateway", "", "gateway position as \"x,y\" meters; builds a relay chain to it")
+		verifyDep    = fs.Bool("verify", false, "run the feasibility oracle on every deployment; exit non-zero on violations")
+		timeout      = fs.Duration("timeout", 0, "abort the run after this long, keeping the best-so-far deployment (0 = none)")
+		progressIntv = fs.Duration("progress", 0, "print approAlg progress to stderr at this interval (0 = off)")
+		ckptPath     = fs.String("checkpoint", "", "write a resumable checkpoint here when the run is stopped early")
+		resumePath   = fs.String("resume", "", "resume an approAlg run (enumeration or -solver) from this checkpoint file")
+		aggCell      = fs.Float64("agg-cell", 0, "aggregate users into weighted demand cells with this side in meters before solving (approAlg only; 0 = per-user)")
+		outPath      = fs.String("out", "", "write the final deployment as JSON here")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	opts := uavnet.Options{
 		S: *s, Workers: *workers, MaxSubsets: *maxSubsets, GroundLeftovers: *literal,
@@ -106,6 +109,10 @@ func run() error {
 		opts.Seed = *seed
 	}
 	if err := opts.Validate(); err != nil {
+		return err
+	}
+	aggOpts := uavnet.AggregateOptions{CellSide: *aggCell}
+	if err := aggOpts.Validate(); err != nil {
 		return err
 	}
 
@@ -134,7 +141,7 @@ func run() error {
 		names = uavnet.AlgorithmNames()
 	}
 	var in *uavnet.Instance
-	if *aggCell > 0 {
+	if *aggCell != 0 {
 		for _, name := range names {
 			if name != "approAlg" {
 				return fmt.Errorf("-agg-cell supports only approAlg; %s needs a per-user instance", name)
@@ -143,7 +150,7 @@ func run() error {
 		if *refine {
 			return fmt.Errorf("-agg-cell and -refine are incompatible: pathloss refinement needs a per-user instance")
 		}
-		in, err = uavnet.NewAggregateInstance(sc, uavnet.AggregateOptions{CellSide: *aggCell})
+		in, err = uavnet.NewAggregateInstance(sc, aggOpts)
 	} else {
 		in, err = uavnet.NewInstance(sc)
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -68,5 +69,19 @@ func TestVerifyCleanDeployment(t *testing.T) {
 	dep.Served++
 	if rep := uavnet.Verify(in, dep); rep.OK() {
 		t.Error("Verify accepted a corrupted Served count")
+	}
+}
+
+// TestRefusesBadAggCellBeforeReadingScenario gives -agg-cell sides that
+// demand aggregation refuses and a scenario path that names no file: a run
+// that read the scenario before checking the side would fail on the missing
+// file, and one that ignored the side would solve per user.
+func TestRefusesBadAggCellBeforeReadingScenario(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	for _, side := range []string{"-250", "NaN", "Inf", "-Inf"} {
+		err := run([]string{"-scenario", missing, "-agg-cell", side})
+		if err == nil || !strings.Contains(err.Error(), "demand-cell side") {
+			t.Errorf("-agg-cell %s: err = %v, want the demand-cell side rule", side, err)
+		}
 	}
 }

@@ -27,28 +27,35 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "uavgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("uavgen", flag.ExitOnError)
 	var (
-		out     = flag.String("out", "scenario.json", "output file path")
-		n       = flag.Int("n", 3000, "number of ground users")
-		k       = flag.Int("k", 20, "number of UAVs")
-		area    = flag.Float64("area", 3000, "square area side in meters")
-		cell    = flag.Float64("cell", 500, "grid cell side in meters")
-		cmin    = flag.Int("cmin", 50, "minimum UAV service capacity")
-		cmax    = flag.Int("cmax", 300, "maximum UAV service capacity")
-		dist    = flag.String("dist", "fat-tailed", "user distribution: fat-tailed | uniform | hotspot")
-		seed    = flag.Int64("seed", 1, "random seed")
-		snap    = flag.Float64("snap", 0, "snap user positions to the centers of cells with this side in meters (0 = continuous positions); snapped scenarios aggregate exactly")
-		aggCell = flag.Float64("agg-cell", 0, "also print the aggregate fingerprint for this demand-cell side in meters (0 = skip)")
-		fp      = flag.String("fingerprint", "", "print the scenario fingerprint of this existing file and exit")
+		out     = fs.String("out", "scenario.json", "output file path")
+		n       = fs.Int("n", 3000, "number of ground users")
+		k       = fs.Int("k", 20, "number of UAVs")
+		area    = fs.Float64("area", 3000, "square area side in meters")
+		cell    = fs.Float64("cell", 500, "grid cell side in meters")
+		cmin    = fs.Int("cmin", 50, "minimum UAV service capacity")
+		cmax    = fs.Int("cmax", 300, "maximum UAV service capacity")
+		dist    = fs.String("dist", "fat-tailed", "user distribution: fat-tailed | uniform | hotspot")
+		seed    = fs.Int64("seed", 1, "random seed")
+		snap    = fs.Float64("snap", 0, "snap user positions to the centers of cells with this side in meters (0 = continuous positions); snapped scenarios aggregate exactly")
+		aggCell = fs.Float64("agg-cell", 0, "also print the aggregate fingerprint for this demand-cell side in meters (0 = skip)")
+		fp      = fs.String("fingerprint", "", "print the scenario fingerprint of this existing file and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	aggOpts := uavnet.AggregateOptions{CellSide: *aggCell}
+	if err := aggOpts.Validate(); err != nil {
+		return err
+	}
 
 	if *fp != "" {
 		sc, err := uavnet.LoadScenario(*fp)
@@ -56,7 +63,7 @@ func run() error {
 			return err
 		}
 		fmt.Printf("%s: fingerprint %016x\n", *fp, sc.Fingerprint())
-		return printAggFingerprint(sc, *aggCell)
+		return printAggFingerprint(sc, aggOpts)
 	}
 
 	d, err := parseDistribution(*dist)
@@ -85,21 +92,21 @@ func run() error {
 	// refuses a checkpoint taken on a different scenario).
 	fmt.Printf("wrote %s: %d users, %d UAVs, %d candidate cells (%s), fingerprint %016x\n",
 		*out, sc.N(), sc.K(), sc.M(), *dist, sc.Fingerprint())
-	return printAggFingerprint(sc, *aggCell)
+	return printAggFingerprint(sc, aggOpts)
 }
 
 // printAggFingerprint prints the aggregated-instance fingerprint for the
 // demand-cell side, the value "uavdeploy -agg-cell" checkpoints are keyed
 // on. A zero side prints nothing.
-func printAggFingerprint(sc *uavnet.Scenario, aggCell float64) error {
-	if aggCell == 0 {
+func printAggFingerprint(sc *uavnet.Scenario, opts uavnet.AggregateOptions) error {
+	if opts.CellSide == 0 {
 		return nil
 	}
-	afp, err := uavnet.AggregateFingerprint(sc, uavnet.AggregateOptions{CellSide: aggCell})
+	afp, err := uavnet.AggregateFingerprint(sc, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("aggregate fingerprint %016x (demand-cell side %g m)\n", afp, aggCell)
+	fmt.Printf("aggregate fingerprint %016x (demand-cell side %g m)\n", afp, opts.CellSide)
 	return nil
 }
 

@@ -133,10 +133,14 @@ func (sf solverFlags) options() uavnet.Options {
 	}
 }
 
-// buildInstance loads the scenario and precomputes the (optionally
-// aggregated) instance — identically on workers and the merge, so the
-// fingerprints agree.
+// buildInstance checks the demand-cell side, then loads the scenario and
+// precomputes the (optionally aggregated) instance — identically on workers
+// and the merge, so the fingerprints agree.
 func buildInstance(scenarioPath string, aggCell float64) (*uavnet.Instance, error) {
+	agg := uavnet.AggregateOptions{CellSide: aggCell}
+	if err := agg.Validate(); err != nil {
+		return nil, err
+	}
 	if scenarioPath == "" {
 		return nil, fmt.Errorf("missing -scenario")
 	}
@@ -144,8 +148,8 @@ func buildInstance(scenarioPath string, aggCell float64) (*uavnet.Instance, erro
 	if err != nil {
 		return nil, err
 	}
-	if aggCell > 0 {
-		return uavnet.NewAggregateInstance(sc, uavnet.AggregateOptions{CellSide: aggCell})
+	if aggCell != 0 {
+		return uavnet.NewAggregateInstance(sc, agg)
 	}
 	return uavnet.NewInstance(sc)
 }

@@ -222,3 +222,27 @@ func TestWorkerRefusesOptionsBeforeBuildingInstance(t *testing.T) {
 		t.Errorf("a refused command wrote %s (stat: %v)", out, err)
 	}
 }
+
+// TestRefusesBadAggCellBeforeReadingScenario gives each worker and merge an
+// -agg-cell side that demand aggregation refuses and a scenario path that
+// names no file: a command that read the scenario before checking the side
+// would fail on the missing file, and one that ignored the side would write
+// a per-user checkpoint.
+func TestRefusesBadAggCellBeforeReadingScenario(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "part.ckpt")
+	missing := filepath.Join(dir, "missing.json")
+	for _, side := range []string{"-250", "NaN", "Inf", "-Inf"} {
+		err := workerCmd([]string{"-scenario", missing, "-shard", "0/2", "-out", out, "-agg-cell", side})
+		if err == nil || !strings.Contains(err.Error(), "demand-cell side") {
+			t.Errorf("worker -agg-cell %s: err = %v, want the demand-cell side rule", side, err)
+		}
+		err = mergeCmd([]string{"-scenario", missing, "-out", out, "-agg-cell", side, out})
+		if err == nil || !strings.Contains(err.Error(), "demand-cell side") {
+			t.Errorf("merge -agg-cell %s: err = %v, want the demand-cell side rule", side, err)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused command wrote %s (stat: %v)", out, err)
+	}
+}

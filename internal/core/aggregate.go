@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"github.com/uav-coverage/uavnet/internal/assign"
-	"github.com/uav-coverage/uavnet/internal/channel"
 	"github.com/uav-coverage/uavnet/internal/geom"
 	"github.com/uav-coverage/uavnet/internal/match"
 )
@@ -21,6 +20,16 @@ type AggOptions struct {
 	// problem; CellSide equal to the hovering-grid side is usually a good
 	// starting point.
 	CellSide float64
+}
+
+// Validate reports whether the options are usable: the side must be finite
+// and non-negative. A NaN side would otherwise fail every comparison and
+// silently aggregate at the hovering-grid side.
+func (o AggOptions) Validate() error {
+	if !finite(o.CellSide) || o.CellSide < 0 {
+		return fmt.Errorf("core: demand-cell side %g must be finite and non-negative", o.CellSide)
+	}
+	return nil
 }
 
 // DemandCell is one weighted demand node: the users of one demand-grid cell
@@ -51,8 +60,6 @@ type Demand struct {
 	// Cells are the demand nodes, sorted by (cell index, min rate) — the
 	// node order every aggregated structure indexes by.
 	Cells []DemandCell
-	// NodeOf maps each user index to its demand node.
-	NodeOf []int32
 }
 
 // TotalDemand returns the summed weight of all demand nodes, which always
@@ -82,8 +89,13 @@ func Aggregate(sc *Scenario, opts AggOptions) (*Demand, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if opts.CellSide < 0 {
-		return nil, fmt.Errorf("core: negative demand-cell side %g", opts.CellSide)
+	return aggregate(sc, opts)
+}
+
+// aggregate is Aggregate on a validated scenario.
+func aggregate(sc *Scenario, opts AggOptions) (*Demand, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	grid := sc.Grid
 	if opts.CellSide > 0 {
@@ -93,16 +105,15 @@ func Aggregate(sc *Scenario, opts AggOptions) (*Demand, error) {
 		return nil, fmt.Errorf("core: invalid demand grid: %w", err)
 	}
 
-	nodeIdx := map[aggKey]int{}
 	var keys []aggKey
 	members := map[aggKey][]int32{}
 	for i, u := range sc.Users {
 		key := aggKey{cell: grid.CellOf(u.Pos), rate: u.MinRateBps}
-		if _, ok := nodeIdx[key]; !ok {
-			nodeIdx[key] = 0 // placeholder; final ids assigned after sorting
+		mem, ok := members[key]
+		if !ok {
 			keys = append(keys, key)
 		}
-		members[key] = append(members[key], int32(i))
+		members[key] = append(mem, int32(i))
 	}
 	// Deterministic node order: by (cell, rate). keys was collected in
 	// first-seen order, which depends on user order; sorting decouples the
@@ -114,11 +125,7 @@ func Aggregate(sc *Scenario, opts AggOptions) (*Demand, error) {
 		return keys[a].rate < keys[b].rate
 	})
 
-	dem := &Demand{
-		Grid:   grid,
-		Cells:  make([]DemandCell, len(keys)),
-		NodeOf: make([]int32, len(sc.Users)),
-	}
+	dem := &Demand{Grid: grid, Cells: make([]DemandCell, len(keys))}
 	for id, key := range keys {
 		mem := members[key]
 		cell := DemandCell{
@@ -137,28 +144,19 @@ func Aggregate(sc *Scenario, opts AggOptions) (*Demand, error) {
 			cell.MinY = math.Min(cell.MinY, p.Y)
 			cell.MaxX = math.Max(cell.MaxX, p.X)
 			cell.MaxY = math.Max(cell.MaxY, p.Y)
-			dem.NodeOf[u] = int32(id)
 		}
 		dem.Cells[id] = cell
 	}
 	return dem, nil
 }
 
-// farthestCornerDist returns the largest distance from p to the cell's
-// member bounding box — the distance to its farthest corner. Every member
-// lies within this distance of p, which is what makes bbox eligibility
-// conservative.
-func farthestCornerDist(p geom.Point2, c *DemandCell) float64 {
-	dx := math.Max(c.MaxX-p.X, p.X-c.MinX)
-	dy := math.Max(c.MaxY-p.Y, p.Y-c.MinY)
-	return math.Hypot(dx, dy)
-}
-
 // NewAggregateInstance builds an aggregated Instance: users are coarsened
 // into weighted demand cells (Aggregate), eligibility is computed per
 // (class, location, demand cell) instead of per user — one memoized
-// channel-model coverage radius per (class, rate), one bounding-box test per
-// cell — and the matching layer runs the weighted b-matcher over the cells.
+// channel-model coverage radius per (class, rate), and each cell tested
+// against the locations in its bounding box's window, in the one
+// eligibility pass NewInstance runs over users — and the matching layer runs
+// the weighted b-matcher over the cells.
 //
 // Eligibility is conservative: a demand cell is eligible at a location only
 // if the farthest corner of its member bounding box is within serving
@@ -177,64 +175,14 @@ func farthestCornerDist(p geom.Point2, c *DemandCell) float64 {
 // gateway extension all accept aggregated instances; RefineAssignment,
 // DeployOptimal and the baselines require per-user instances and say so.
 func NewAggregateInstance(sc *Scenario, opts AggOptions) (*Instance, error) {
-	dem, err := Aggregate(sc, opts)
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	dem, err := aggregate(sc, opts)
 	if err != nil {
 		return nil, err
 	}
-	in, classes, err := newInstanceSkeleton(sc)
-	if err != nil {
-		return nil, err
-	}
-	in.Demand = dem
-	nn := len(dem.Cells)
-	in.Weights = make([]int, nn)
-	for i := range dem.Cells {
-		in.Weights[i] = dem.Cells[i].Weight
-	}
-
-	m := len(in.Centers)
-	alt := sc.Grid.Altitude
-	in.Eligible = make([][][]int, len(classes))
-	in.EligMask = make([][]match.Bitset, len(classes))
-	in.EligWeight = make([][]int, len(classes))
-	for c, key := range classes {
-		tx := channel.Transmitter{PowerDBm: key.powerDBm, AntennaGainDBi: key.gainDBi}
-		radiusByRate := map[float64]float64{}
-		maxDist := make([]float64, nn)
-		for i := range dem.Cells {
-			rate := dem.Cells[i].MinRateBps
-			r, ok := radiusByRate[rate]
-			if !ok {
-				r = sc.Channel.CoverageRadius(tx, alt, rate)
-				radiusByRate[rate] = r
-			}
-			d := r
-			if key.userRange > 0 && key.userRange < d {
-				d = key.userRange
-			}
-			maxDist[i] = d
-		}
-		perLoc := make([][]int, m)
-		perLocMask := make([]match.Bitset, m)
-		perLocWeight := make([]int, m)
-		for j := 0; j < m; j++ {
-			var el []int
-			total := 0
-			for i := range dem.Cells {
-				if maxDist[i] > 0 && farthestCornerDist(in.Centers[j], &dem.Cells[i]) <= maxDist[i] {
-					el = append(el, i)
-					total += dem.Cells[i].Weight
-				}
-			}
-			perLoc[j] = el
-			perLocMask[j] = match.BitsetFromSorted(nn, el)
-			perLocWeight[j] = total
-		}
-		in.Eligible[c] = perLoc
-		in.EligMask[c] = perLocMask
-		in.EligWeight[c] = perLocWeight
-	}
-	return in, nil
+	return newInstance(sc, dem)
 }
 
 // aggFingerprint mixes the demand-grid shape into a scenario fingerprint.

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -78,8 +79,11 @@ func TestAggregateBinning(t *testing.T) {
 		if got := dem.TotalDemand(); got != sc.N() {
 			t.Fatalf("trial %d: total demand %d != %d users", trial, got, sc.N())
 		}
-		if len(dem.NodeOf) != sc.N() {
-			t.Fatalf("trial %d: NodeOf has %d entries for %d users", trial, len(dem.NodeOf), sc.N())
+		// The nodes partition the users: each user is a member of exactly
+		// one node.
+		nodeOf := make([]int, sc.N())
+		for u := range nodeOf {
+			nodeOf[u] = -1
 		}
 		seen := 0
 		for id, cell := range dem.Cells {
@@ -96,9 +100,13 @@ func TestAggregateBinning(t *testing.T) {
 				if i > 0 && cell.Users[i-1] >= u {
 					t.Fatalf("trial %d: node %d members not ascending", trial, id)
 				}
-				if dem.NodeOf[u] != int32(id) {
-					t.Fatalf("trial %d: NodeOf[%d] = %d, member of node %d", trial, u, dem.NodeOf[u], id)
+				if u < 0 || int(u) >= sc.N() {
+					t.Fatalf("trial %d: node %d lists user %d of %d", trial, id, u, sc.N())
 				}
+				if nodeOf[u] >= 0 {
+					t.Fatalf("trial %d: user %d is a member of nodes %d and %d", trial, u, nodeOf[u], id)
+				}
+				nodeOf[u] = id
 				pos := sc.Users[u].Pos
 				if got := dem.Grid.CellOf(pos); got != cell.Cell {
 					t.Fatalf("trial %d: user %d at %v bins to cell %d, node says %d", trial, u, pos, got, cell.Cell)
@@ -151,8 +159,14 @@ func TestAggregateBoundaryUsers(t *testing.T) {
 		grid.CellIndex(0, 0),
 		grid.CellIndex(1, 1), // the epsilon floor treats the 1-ulp shortfall as on the boundary
 	}
+	nodeOf := make([]int, sc.N())
+	for id, cell := range dem.Cells {
+		for _, u := range cell.Users {
+			nodeOf[u] = id
+		}
+	}
 	for u, want := range wantCell {
-		node := dem.Cells[dem.NodeOf[u]]
+		node := dem.Cells[nodeOf[u]]
 		if node.Cell != want {
 			t.Errorf("user %d at %v: aggregated into cell %d, per-user path uses %d",
 				u, sc.Users[u].Pos, node.Cell, want)
@@ -169,8 +183,25 @@ func TestAggregateRejectsBadCellSide(t *testing.T) {
 	if _, err := core.Aggregate(sc, core.AggOptions{CellSide: 700}); err == nil {
 		t.Fatal("CellSide 700 does not divide the area; want an error")
 	}
-	if _, err := core.NewAggregateInstance(sc, core.AggOptions{CellSide: -1}); err == nil {
-		t.Fatal("negative CellSide; want an error")
+	for _, side := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		opts := core.AggOptions{CellSide: side}
+		if err := opts.Validate(); err == nil {
+			t.Errorf("Validate accepted CellSide %g", side)
+		}
+		if _, err := core.Aggregate(sc, opts); err == nil {
+			t.Errorf("Aggregate accepted CellSide %g", side)
+		}
+		if _, err := core.NewAggregateInstance(sc, opts); err == nil {
+			t.Errorf("NewAggregateInstance accepted CellSide %g", side)
+		}
+		if _, err := core.AggregateFingerprint(sc, opts); err == nil {
+			t.Errorf("AggregateFingerprint accepted CellSide %g", side)
+		}
+	}
+	for _, side := range []float64{0, 250, 700} {
+		if err := (core.AggOptions{CellSide: side}).Validate(); err != nil {
+			t.Errorf("Validate refused CellSide %g: %v", side, err)
+		}
 	}
 }
 

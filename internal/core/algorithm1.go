@@ -47,11 +47,11 @@ func QValues(l int, p []int) []int {
 	q := make([]int, hm+1)
 	q[0] = l
 	for h := 1; h <= hm; h++ {
-		total := maxInt(p[0]-(h-1), 0)
+		total := max(p[0]-(h-1), 0)
 		for i := 1; i < s; i++ {
-			total += maxInt(p[i]-2*(h-1), 0)
+			total += max(p[i]-2*(h-1), 0)
 		}
-		total += maxInt(p[s]-(h-1), 0)
+		total += max(p[s]-(h-1), 0)
 		q[h] = total
 	}
 	return q
@@ -185,11 +185,4 @@ func ApproxRatio(k, s int) float64 {
 		delta = 1
 	}
 	return 1 / (3 * float64(delta))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -65,6 +65,55 @@ func allPairsEligible(in *Instance) ([][][]int, [][]match.Bitset) {
 	return elig, masks
 }
 
+// allPairsAggEligible is the aggregated eligibility scan over every
+// (location, demand cell) pair for each class of the aggregated instance in:
+// a cell is eligible when the farthest corner of its members' bounding box
+// is within the class's serving distance for the cell's rate. It also
+// returns each location's summed eligible weight.
+func allPairsAggEligible(in *Instance) ([][][]int, [][]match.Bitset, [][]int) {
+	sc := in.Scenario
+	cells := in.Demand.Cells
+	var elig [][][]int
+	var masks [][]match.Bitset
+	var weights [][]int
+	for k, u := range sc.UAVs {
+		if in.ClassOf[k] != len(elig) {
+			continue // not the class's first UAV
+		}
+		maxDist := make([]float64, len(cells))
+		for i := range cells {
+			maxDist[i] = sc.Channel.CoverageRadius(u.Tx, sc.Grid.Altitude, cells[i].MinRateBps)
+			if u.UserRange > 0 && u.UserRange < maxDist[i] {
+				maxDist[i] = u.UserRange
+			}
+		}
+		perLoc := make([][]int, len(in.Centers))
+		perMask := make([]match.Bitset, len(in.Centers))
+		perWeight := make([]int, len(in.Centers))
+		for j, p := range in.Centers {
+			for i := range cells {
+				if maxDist[i] > 0 && farthestCornerDist(p, &cells[i]) <= maxDist[i] {
+					perLoc[j] = append(perLoc[j], i)
+					perWeight[j] += cells[i].Weight
+				}
+			}
+			perMask[j] = match.BitsetFromSorted(len(cells), perLoc[j])
+		}
+		elig = append(elig, perLoc)
+		masks = append(masks, perMask)
+		weights = append(weights, perWeight)
+	}
+	return elig, masks, weights
+}
+
+// farthestCornerDist returns the largest distance from p to the cell's
+// member bounding box: the distance to its farthest corner.
+func farthestCornerDist(p geom.Point2, c *DemandCell) float64 {
+	dx := math.Max(c.MaxX-p.X, p.X-c.MinX)
+	dy := math.Max(c.MaxY-p.Y, p.Y-c.MinY)
+	return math.Hypot(dx, dy)
+}
+
 // listBFS returns the BFS tree from src over g's adjacency lists, each list
 // walked in order: the predecessor of every node (-1 at src, -2 unreached)
 // and its hop distance.
@@ -91,7 +140,11 @@ func listBFS(g *graph.Undirected, src int) (prev, dist []int) {
 // derives from the geometry to the all-pairs references: the centers, the
 // location graph's adjacency lists, Hop and the path oracle (to an
 // adjacency-list BFS from every source: each distance, and each path, whose
-// last step is the destination's predecessor), Eligible and EligMask.
+// last step is the destination's predecessor), Eligible and EligMask. It
+// also builds the aggregated instance at the grid side and, where it divides
+// the area, at twice the grid side, so that some demand cells have real
+// bounding boxes, and holds its Eligible, EligMask and EligWeight to the
+// all-pairs farthest-corner scan.
 func checkInstanceGeometry(t *testing.T, sc *Scenario) {
 	t.Helper()
 	in, err := NewInstance(sc)
@@ -137,6 +190,26 @@ func checkInstanceGeometry(t *testing.T, sc *Scenario) {
 	}
 	if !reflect.DeepEqual(in.EligMask, masks) {
 		fail("EligMask differs from the all-pairs scan")
+	}
+
+	for _, side := range []float64{sc.Grid.Side, 2 * sc.Grid.Side} {
+		if side != sc.Grid.Side && (sc.Grid.Cols()%2 != 0 || sc.Grid.Rows()%2 != 0) {
+			continue // twice the side does not divide the area
+		}
+		agg, err := NewAggregateInstance(sc, AggOptions{CellSide: side})
+		if err != nil {
+			fail("aggregated at side %g: %v", side, err)
+		}
+		elig, masks, weights := allPairsAggEligible(agg)
+		if !reflect.DeepEqual(agg.Eligible, elig) {
+			fail("aggregated at side %g: Eligible differs from the all-pairs scan", side)
+		}
+		if !reflect.DeepEqual(agg.EligMask, masks) {
+			fail("aggregated at side %g: EligMask differs from the all-pairs scan", side)
+		}
+		if !reflect.DeepEqual(agg.EligWeight, weights) {
+			fail("aggregated at side %g: EligWeight differs from the all-pairs scan", side)
+		}
 	}
 }
 
@@ -263,8 +336,42 @@ func TestInstanceGeometryM900(t *testing.T) {
 	checkInstanceGeometry(t, sc)
 }
 
+// TestInstanceGeometryBoxEdges runs checkInstanceGeometry on two users
+// sharing a row, at every pair of half-cell offsets a <= b along it, on a
+// 0.3 m grid. Their demand cell's box then has an end exactly one user range (1,
+// 2 or 2.5 cells) from some centers, and on this grid the window bounds
+// round inward there, so a box window cut exactly at the bounds, without
+// widening to whole cells, misses cells the farthest-corner test accepts.
+func TestInstanceGeometryBoxEdges(t *testing.T) {
+	t.Parallel()
+	const side = 0.3
+	for _, userRange := range []float64{side, 2 * side, 2.5 * side} {
+		for a := 0; a <= 8; a++ {
+			for b := a; b <= 8; b++ {
+				for row := 0; row <= 4; row++ {
+					y := float64(row) * side / 2
+					checkInstanceGeometry(t, &Scenario{
+						Grid: geom.Grid{Length: 4 * side, Width: 2 * side, Side: side, Altitude: 300},
+						Users: []User{
+							{Pos: geom.Point2{X: float64(a) * side / 2, Y: y}},
+							{Pos: geom.Point2{X: float64(b) * side / 2, Y: y}},
+						},
+						UAVs: []UAV{{
+							Capacity:  1,
+							Tx:        channel.Transmitter{PowerDBm: 30, AntennaGainDBi: 3},
+							UserRange: userRange,
+						}},
+						UAVRange: side,
+						Channel:  channel.DefaultParams(),
+					})
+				}
+			}
+		}
+	}
+}
+
 // FuzzInstanceGeometry is TestInstanceGeometryMatchesAllPairs over
-// fuzzer-chosen scenarios.
+// fuzzer-chosen scenarios, per-user and aggregated.
 func FuzzInstanceGeometry(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{11, 3, 3, 0, 2, 40, 1, 1, 1, 2, 4, 7, 3, 0, 0, 3, 2, 1, 0, 1})

@@ -191,77 +191,22 @@ type Instance struct {
 
 // NewInstance validates the scenario and precomputes the derived structures.
 func NewInstance(sc *Scenario) (*Instance, error) {
-	in, classes, err := newInstanceSkeleton(sc)
-	if err != nil {
+	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	m := len(in.Centers)
-	cols, rows := sc.Grid.Cols(), sc.Grid.Rows()
-
-	// Per-class, per-user maximum serving distance: the lesser of the class's
-	// explicit range cap and the distance at which the channel still meets
-	// the user's minimum rate. Coverage radii are cached per distinct rate.
-	in.Eligible = make([][][]int, len(classes))
-	alt := sc.Grid.Altitude
-	for c, key := range classes {
-		tx := channel.Transmitter{PowerDBm: key.powerDBm, AntennaGainDBi: key.gainDBi}
-		radiusByRate := map[float64]float64{}
-		maxDist := make([]float64, len(sc.Users))
-		for i, u := range sc.Users {
-			r, ok := radiusByRate[u.MinRateBps]
-			if !ok {
-				r = sc.Channel.CoverageRadius(tx, alt, u.MinRateBps)
-				radiusByRate[u.MinRateBps] = r
-			}
-			d := r
-			if key.userRange > 0 && key.userRange < d {
-				d = key.userRange
-			}
-			maxDist[i] = d
-		}
-		// Each user is tested only against the cells in its coverage-radius
-		// window. Users are visited in index order, so every list is
-		// appended in ascending order, as the all-pairs scan built it.
-		perLoc := make([][]int, m)
-		for i, u := range sc.Users {
-			d := maxDist[i]
-			// A zero radius means the channel cannot meet the user's
-			// rate even directly overhead: never eligible.
-			if d <= 0 {
-				continue
-			}
-			c0, c1 := cellSpan(u.Pos.X, d, sc.Grid.Side, cols)
-			r0, r1 := cellSpan(u.Pos.Y, d, sc.Grid.Side, rows)
-			for row := r0; row <= r1; row++ {
-				for j := row*cols + c0; j <= row*cols+c1; j++ {
-					if geom.Dist2(u.Pos, in.Centers[j]) <= d {
-						perLoc[j] = append(perLoc[j], i)
-					}
-				}
-			}
-		}
-		perLocMask := make([]match.Bitset, m)
-		for j, el := range perLoc {
-			perLocMask[j] = match.BitsetFromSorted(len(sc.Users), el)
-		}
-		in.Eligible[c] = perLoc
-		in.EligMask = append(in.EligMask, perLocMask)
-	}
-	return in, nil
+	return newInstance(sc, nil)
 }
 
-// newInstanceSkeleton validates the scenario and builds every instance
-// structure that does not depend on the demand representation — the location
-// graph, hop matrix, path oracle, capacity order and eligibility classes —
-// shared by NewInstance and NewAggregateInstance. It returns the class keys
-// in class-id order so the caller can run its own eligibility pass.
-func newInstanceSkeleton(sc *Scenario) (*Instance, []classKey, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, nil, err
-	}
+// newInstance builds an instance of a validated scenario, shared by
+// NewInstance and NewAggregateInstance: the location graph, hop matrix, path
+// oracle, capacity order and eligibility classes, then eligibility over the
+// demand nodes — the users themselves when dem is nil, dem's weighted cells
+// otherwise.
+func newInstance(sc *Scenario, dem *Demand) (*Instance, error) {
 	in := &Instance{
 		Scenario: sc,
 		Centers:  sc.Grid.Centers(),
+		Demand:   dem,
 	}
 	m := len(in.Centers)
 	cols, rows := sc.Grid.Cols(), sc.Grid.Rows()
@@ -272,13 +217,13 @@ func newInstanceSkeleton(sc *Scenario) (*Instance, []classKey, error) {
 	// list comes out the same.
 	in.LocGraph = graph.New(m)
 	for a, p := range in.Centers {
-		c0, c1 := cellSpan(p.X, sc.UAVRange, sc.Grid.Side, cols)
-		r0, r1 := cellSpan(p.Y, sc.UAVRange, sc.Grid.Side, rows)
+		c0, c1 := cellSpan(p.X-sc.UAVRange, p.X+sc.UAVRange, sc.Grid.Side, cols)
+		r0, r1 := cellSpan(p.Y-sc.UAVRange, p.Y+sc.UAVRange, sc.Grid.Side, rows)
 		for row := r0; row <= r1; row++ {
 			for b := max(row*cols+c0, a+1); b <= row*cols+c1; b++ {
 				if geom.Dist2(p, in.Centers[b]) <= sc.UAVRange {
 					if err := in.LocGraph.AddEdge(a, b); err != nil {
-						return nil, nil, err
+						return nil, err
 					}
 				}
 			}
@@ -320,25 +265,122 @@ func newInstanceSkeleton(sc *Scenario) (*Instance, []classKey, error) {
 		}
 		in.ClassOf[k] = id
 	}
-	return in, classes, nil
+
+	if dem != nil {
+		in.Weights = make([]int, len(dem.Cells))
+		for i := range dem.Cells {
+			in.Weights[i] = dem.Cells[i].Weight
+		}
+	}
+	in.buildEligibility(classes)
+	return in, nil
 }
 
-// cellSpan returns the cells lo..hi along one axis of the grid (n cells of
-// the given side, the center of cell i at (i+0.5)*side) whose center may lie
-// within r of coordinate x. It is a superset of the cells a
-// geom.Dist2(…) <= r test against a point at x accepts, despite float
-// rounding: Dist2 is math.Hypot, which never falls below either coordinate
-// difference, so an accepted center lies within r of x along this axis up
-// to one rounding of the subtraction. The bounds (x±r)/side − 0.5 add a few
-// roundings of relative size 2^-53, and floor and ceil widen them outward to
-// whole cells, so a bound misses an accepted cell only if its accumulated
-// error reaches a whole cell, which takes |x| or r near 2^50 cell sides.
-// Both bounds are clamped to the grid while still floats: converting a
-// float outside the int range is implementation-dependent in Go. An empty
-// window, also for a NaN bound, comes back as hi < lo.
-func cellSpan(x, r, side float64, n int) (lo, hi int) {
-	l := math.Max(math.Floor((x-r)/side-0.5), 0)
-	h := math.Min(math.Ceil((x+r)/side-0.5), float64(n-1))
+// demandNode returns node i's minimum rate and bounding box: a user's own
+// position on a per-user instance, the members' box of a demand cell on an
+// aggregated one.
+func (in *Instance) demandNode(i int) (rate, minX, minY, maxX, maxY float64) {
+	if in.Demand != nil {
+		c := &in.Demand.Cells[i]
+		return c.MinRateBps, c.MinX, c.MinY, c.MaxX, c.MaxY
+	}
+	u := &in.Scenario.Users[i]
+	return u.MinRateBps, u.Pos.X, u.Pos.Y, u.Pos.X, u.Pos.Y
+}
+
+// buildEligibility applies the coverage rule (Section II-B) for every class:
+// a UAV of the class at location j serves a demand node iff every point of
+// the node's bounding box lies within d of j's center, d being the lesser of
+// the class's range cap and the distance at which the channel still meets
+// the node's minimum rate. For a user the box is a point and the test is
+// geom.Dist2 bit for bit (fl(a−b) = −fl(b−a), and math.Hypot takes absolute
+// values); for a demand cell it is conservative (see NewAggregateInstance). Each node is tested only against the cells in its
+// window, and nodes are visited in index order, so every list is appended
+// ascending. Coverage radii are cached per distinct rate.
+func (in *Instance) buildEligibility(classes []classKey) {
+	sc := in.Scenario
+	side, alt := sc.Grid.Side, sc.Grid.Altitude
+	cols, rows := sc.Grid.Cols(), sc.Grid.Rows()
+	m, n := len(in.Centers), in.NumNodes()
+	in.Eligible = make([][][]int, len(classes))
+	in.EligMask = make([][]match.Bitset, len(classes))
+	if in.Weights != nil {
+		in.EligWeight = make([][]int, len(classes))
+	}
+	for c, key := range classes {
+		tx := channel.Transmitter{PowerDBm: key.powerDBm, AntennaGainDBi: key.gainDBi}
+		distByRate := map[float64]float64{}
+		perLoc := make([][]int, m)
+		for i := 0; i < n; i++ {
+			rate, minX, minY, maxX, maxY := in.demandNode(i)
+			d, ok := distByRate[rate]
+			if !ok {
+				d = sc.Channel.CoverageRadius(tx, alt, rate)
+				if key.userRange > 0 && key.userRange < d {
+					d = key.userRange
+				}
+				distByRate[rate] = d
+			}
+			// A zero radius means the channel cannot meet the rate even
+			// directly overhead: never eligible.
+			if d <= 0 {
+				continue
+			}
+			c0, c1 := cellSpan(maxX-d, minX+d, side, cols)
+			r0, r1 := cellSpan(maxY-d, minY+d, side, rows)
+			for row := r0; row <= r1; row++ {
+				// The distance from a center to the box's farthest corner;
+				// every center of a row has the same y.
+				cy := in.Centers[row*cols].Y
+				dy := max(maxY-cy, cy-minY)
+				for j := row*cols + c0; j <= row*cols+c1; j++ {
+					cx := in.Centers[j].X
+					if math.Hypot(max(maxX-cx, cx-minX), dy) <= d {
+						perLoc[j] = append(perLoc[j], i)
+					}
+				}
+			}
+		}
+		masks := make([]match.Bitset, m)
+		for j, el := range perLoc {
+			masks[j] = match.BitsetFromSorted(n, el)
+		}
+		in.Eligible[c] = perLoc
+		in.EligMask[c] = masks
+		if in.Weights != nil {
+			total := make([]int, m)
+			for j, el := range perLoc {
+				for _, i := range el {
+					total[j] += in.Weights[i]
+				}
+			}
+			in.EligWeight[c] = total
+		}
+	}
+}
+
+// cellSpan returns the cells first..last along one axis of the grid (n
+// cells of the given side, the center of cell i at (i+0.5)*side) whose
+// center may lie in [lo, hi]. Callers pass an interval widened by a
+// distance d: [x−d, x+d] around a point, and [maxX−d, minX+d] for a box
+// [minX, maxX], whose farthest corner is within d of a center cx only if
+// both ends are. The span is a superset of the cells that a
+// farthest-corner test math.Hypot(max(maxX−cx, cx−minX), …) <= d accepts
+// (geom.Dist2 for a point), despite float rounding: Hypot never falls below
+// either argument, so an accepted center has fl(maxX−cx) <= d and
+// fl(cx−minX) <= d, and lies in [lo, hi] up to one rounding of each
+// subtraction. The bounds lo/side − 0.5 and hi/side − 0.5 add a few
+// roundings of relative size 2^-53, and floor and ceil widen them outward
+// to whole cells, so a bound misses an accepted cell only if its
+// accumulated error reaches a whole cell, which takes coordinates or d near
+// 2^50 cell sides. A box wider than 2d has lo > hi: no center is within d
+// of both ends, and the span is empty or holds only cells the outward
+// rounding adds. Both bounds are clamped to the grid while still floats:
+// converting a float outside the int range is implementation-dependent in
+// Go. An empty span, also for a NaN bound, comes back as last < first.
+func cellSpan(lo, hi, side float64, n int) (first, last int) {
+	l := math.Max(math.Floor(lo/side-0.5), 0)
+	h := math.Min(math.Ceil(hi/side-0.5), float64(n-1))
 	if !(l <= h) {
 		return 0, -1
 	}

@@ -19,20 +19,17 @@ type annealSolver struct {
 
 const annealTMin = 0.05
 
-func newAnneal(p *problem, ev *core.SubsetEvaluator, seed int64, budget int64) *annealSolver {
-	s := newSearch(p, ev, seed, memberIndex("anneal"), budget)
+func newAnneal(s *search) *annealSolver {
 	// T0 scales with the objective: a handful of served users should be an
 	// acceptable initial downhill step. CoverageUpperBound is min(n, total
 	// capacity), so 5% of it tracks the realistic score range.
-	t0 := 0.05 * float64(p.in.CoverageUpperBound())
+	t0 := 0.05 * float64(s.p.in.CoverageUpperBound())
 	if t0 < 1 {
 		t0 = 1
 	}
-	alpha := math.Pow(annealTMin/t0, 1/math.Max(1, float64(budget)))
+	alpha := math.Pow(annealTMin/t0, 1/math.Max(1, float64(s.budget)))
 	return &annealSolver{search: s, t0: t0, alpha: alpha}
 }
-
-func (a *annealSolver) Name() string { return "anneal" }
 
 // temperature returns T at step t: step-indexed geometric cooling.
 func (a *annealSolver) temperature(t int64) float64 {
@@ -66,9 +63,9 @@ func (a *annealSolver) Step() (bool, error) {
 	return true, nil
 }
 
-func (a *annealSolver) State() (core.SolverState, error) { return a.baseState("anneal", nil) }
+func (a *annealSolver) State() (core.SolverState, error) { return a.baseState(nil) }
 
 func (a *annealSolver) Restore(st core.SolverState) error {
-	_, err := a.restoreBase("anneal", st)
+	_, err := a.restoreBase(st)
 	return err
 }

@@ -30,7 +30,7 @@ func FuzzNeighborMove(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sr := newSearch(p, ev, seed, 0, int64(nMoves)+1)
+		sr := newSearch("anneal", p, ev, seed, int64(nMoves)+1)
 
 		a := p.seedSubset(int((uint64(seed) % uint64(p.m))))
 		if a == nil {

@@ -28,12 +28,7 @@ const (
 	geneticMutateEighths = 3
 )
 
-func newGenetic(p *problem, ev *core.SubsetEvaluator, seed int64, budget int64) *geneticSolver {
-	s := newSearch(p, ev, seed, memberIndex("genetic"), budget)
-	return &geneticSolver{search: s}
-}
-
-func (g *geneticSolver) Name() string { return "genetic" }
+func newGenetic(s *search) *geneticSolver { return &geneticSolver{search: s} }
 
 // tournament returns the index of the fittest of geneticTournament uniform
 // draws (ties to the earlier draw, so the result is RNG-determined).
@@ -123,11 +118,11 @@ func (g *geneticSolver) State() (core.SolverState, error) {
 	for i, ind := range g.pop {
 		ex.Pop[i] = append([]int(nil), ind...)
 	}
-	return g.baseState("genetic", ex)
+	return g.baseState(ex)
 }
 
 func (g *geneticSolver) Restore(st core.SolverState) error {
-	raw, err := g.restoreBase("genetic", st)
+	raw, err := g.restoreBase(st)
 	if err != nil {
 		return err
 	}
@@ -136,7 +131,7 @@ func (g *geneticSolver) Restore(st core.SolverState) error {
 		return err
 	}
 	if len(ex.Pop) != len(ex.Fit) {
-		return errStateShape("genetic", "population/fitness length", len(ex.Pop), len(ex.Fit))
+		return g.errStateShape("population/fitness length", len(ex.Pop), len(ex.Fit))
 	}
 	g.pop = ex.Pop
 	g.fit = ex.Fit

@@ -35,12 +35,9 @@ const (
 	graspRCL = 0.8
 )
 
-func newGrasp(p *problem, ev *core.SubsetEvaluator, seed int64, budget int64) *graspSolver {
-	s := newSearch(p, ev, seed, memberIndex("grasp"), budget)
-	return &graspSolver{search: s, union: match.NewBitset(p.in.NumNodes())}
+func newGrasp(s *search) *graspSolver {
+	return &graspSolver{search: s, union: match.NewBitset(s.p.in.NumNodes())}
 }
-
-func (g *graspSolver) Name() string { return "grasp" }
 
 // construct builds one greedy-randomized admissible subset. The coverage
 // heuristic uses the eligibility mask of the highest-capacity UAV's class —
@@ -143,11 +140,11 @@ type graspExtra struct {
 }
 
 func (g *graspSolver) State() (core.SolverState, error) {
-	return g.baseState("grasp", graspExtra{Stall: g.stall})
+	return g.baseState(graspExtra{Stall: g.stall})
 }
 
 func (g *graspSolver) Restore(st core.SolverState) error {
-	raw, err := g.restoreBase("grasp", st)
+	raw, err := g.restoreBase(st)
 	if err != nil {
 		return err
 	}

@@ -30,9 +30,6 @@ import (
 // tabuWidth evaluations (a tabu step scores its candidate set, every other
 // step at most one); Best reports the best feasible subset seen so far. Solvers are single-goroutine objects; the race gives each its own.
 type Solver interface {
-	// Name returns the member's canonical name ("anneal", "tabu", "grasp",
-	// "genetic").
-	Name() string
 	// Step advances the search by one unit. It returns false when the
 	// member's evaluation budget is exhausted and the search is over.
 	Step() (bool, error)
@@ -224,29 +221,10 @@ func (p *problem) repair(cells []int, startOff int) []int {
 	if len(a) > p.s {
 		a = a[:p.s]
 	}
-	// Shrink until pairwise hop-admissible: repeatedly drop the anchor with
-	// the largest eccentricity (ties to the larger cell, so the smallest
-	// cells — the stable part of the set — survive).
+	// Shrink until pairwise hop-admissible: repeatedly drop the most
+	// eccentric anchor.
 	for len(a) > 1 {
-		worstI, worstEcc := -1, -1
-		for i, c := range a {
-			ecc := 0
-			for j, d := range a {
-				if i == j {
-					continue
-				}
-				h := p.in.Hop[c][d]
-				if h == graph.Unreachable {
-					h = p.m + p.k // same component, so unreachable cannot happen; belt and braces
-				}
-				if h > ecc {
-					ecc = h
-				}
-			}
-			if ecc > worstEcc || (ecc == worstEcc && c > a[worstI]) {
-				worstI, worstEcc = i, ecc
-			}
-		}
+		worstI, worstEcc := p.mostEccentric(a)
 		if worstEcc+1 <= p.k {
 			break
 		}
@@ -276,20 +254,34 @@ func (p *problem) repair(cells []int, startOff int) []int {
 		if len(a) <= 1 {
 			return nil
 		}
-		// Drop the most eccentric anchor (ties to the larger cell).
-		worstI, worstEcc := -1, -1
-		for i, c := range a {
-			ecc := 0
-			for j, d := range a {
-				if i != j && p.in.Hop[c][d] > ecc {
-					ecc = p.in.Hop[c][d]
-				}
-			}
-			if ecc > worstEcc || (ecc == worstEcc && c > a[worstI]) {
-				worstI, worstEcc = i, ecc
-			}
-		}
+		worstI, _ := p.mostEccentric(a)
 		a = append(a[:worstI], a[worstI+1:]...)
 	}
 	return a
+}
+
+// mostEccentric returns the position in a (at least two cells) of the anchor
+// with the largest hop eccentricity within a, and that eccentricity. Ties go
+// to the larger cell, so the smallest cells — the stable part of the set —
+// survive a drop. An Unreachable pair counts as m+k hops; repair only passes
+// cells of one component, so that cannot happen.
+func (p *problem) mostEccentric(a []int) (worstI, worstEcc int) {
+	worstI, worstEcc = -1, -1
+	for i, c := range a {
+		ecc := 0
+		for j, d := range a {
+			if i == j {
+				continue
+			}
+			h := p.in.Hop[c][d]
+			if h == graph.Unreachable {
+				h = p.m + p.k
+			}
+			ecc = max(ecc, h)
+		}
+		if ecc > worstEcc || (ecc == worstEcc && c > a[worstI]) {
+			worstI, worstEcc = i, ecc
+		}
+	}
+	return worstI, worstEcc
 }

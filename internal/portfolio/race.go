@@ -29,15 +29,16 @@ func SolverMembers(solver string) ([]string, error) {
 
 // newSolver builds one member by canonical name.
 func newSolver(name string, p *problem, ev *core.SubsetEvaluator, seed, budget int64) (Solver, error) {
+	s := newSearch(name, p, ev, seed, budget)
 	switch name {
 	case "anneal":
-		return newAnneal(p, ev, seed, budget), nil
+		return newAnneal(s), nil
 	case "tabu":
-		return newTabu(p, ev, seed, budget), nil
+		return newTabu(s), nil
 	case "grasp":
-		return newGrasp(p, ev, seed, budget), nil
+		return newGrasp(s), nil
 	case "genetic":
-		return newGenetic(p, ev, seed, budget), nil
+		return newGenetic(s), nil
 	}
 	return nil, fmt.Errorf("portfolio: unknown member %q", name)
 }

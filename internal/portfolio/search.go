@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"github.com/uav-coverage/uavnet/internal/core"
-	"github.com/uav-coverage/uavnet/internal/graph"
 )
 
 // infeasibleServed is the score of an admissible subset the evaluator still
@@ -14,14 +13,16 @@ import (
 // feasible score, so such incumbents are abandoned at the first feasible move.
 const infeasibleServed = -1
 
-// search is the state every member shares: the problem view, the exact
-// evaluator, the member's own RNG, the evaluation budget, and the
-// incumbent/best bookkeeping. Members embed it and add their own memory.
+// search is the state every member shares: the member's canonical name,
+// the problem view, the exact evaluator, the member's own RNG, the
+// evaluation budget, and the incumbent/best bookkeeping. Members embed it
+// and add their own memory.
 type search struct {
-	p   *problem
-	ev  *core.SubsetEvaluator
-	rng *rand.Rand
-	src *splitmix
+	name string
+	p    *problem
+	ev   *core.SubsetEvaluator
+	rng  *rand.Rand
+	src  *splitmix
 
 	budget int64 // evaluation budget (total, incl. spent)
 	steps  int64 // Step calls completed
@@ -41,10 +42,12 @@ type search struct {
 // least one evaluation, so the cap never cuts a healthy search short.
 func (s *search) stepCap() int64 { return 2*s.budget + 128 }
 
-func newSearch(p *problem, ev *core.SubsetEvaluator, seed int64, member int, budget int64) *search {
-	rng, src := newMemberRNG(seed, member)
+// newSearch builds the shared state of the member with the given canonical
+// name, whose index in Members selects its RNG stream.
+func newSearch(name string, p *problem, ev *core.SubsetEvaluator, seed, budget int64) *search {
+	rng, src := newMemberRNG(seed, memberIndex(name))
 	return &search{
-		p: p, ev: ev, rng: rng, src: src,
+		name: name, p: p, ev: ev, rng: rng, src: src,
 		budget:     budget,
 		bestServed: infeasibleServed,
 		curServed:  infeasibleServed,
@@ -82,8 +85,8 @@ func errNoSubset(s int) error {
 
 // errStateShape reports a checkpoint blob whose member-specific state does
 // not fit this run's shape.
-func errStateShape(member, what string, got, want int) error {
-	return fmt.Errorf("portfolio: %s checkpoint state does not match this run: %s is %d, want %d", member, what, got, want)
+func (s *search) errStateShape(what string, got, want int) error {
+	return fmt.Errorf("portfolio: %s checkpoint state does not match this run: %s is %d, want %d", s.name, what, got, want)
 }
 
 // seed installs the member's starting incumbent (one evaluation). Members
@@ -127,21 +130,7 @@ func (s *search) proposeFrom(a []int) []int {
 			}
 			c = nbs[s.rng.Intn(len(nbs))]
 		}
-		if contains(a, c) {
-			continue
-		}
-		ok := true
-		for j, x := range a {
-			if j == i {
-				continue
-			}
-			d := s.p.in.Hop[c][x]
-			if d == graph.Unreachable || d+1 > s.p.k {
-				ok = false
-				break
-			}
-		}
-		if !ok {
+		if contains(a, c) || !s.p.hopOK(c, a[:i]) || !s.p.hopOK(c, a[i+1:]) {
 			continue
 		}
 		s.moveOut, s.moveIn = a[i], c
@@ -166,9 +155,9 @@ func (s *search) Best() ([]int, int) {
 }
 
 // baseState freezes the shared fields; extra carries the member's own memory.
-func (s *search) baseState(name string, extra any) (core.SolverState, error) {
+func (s *search) baseState(extra any) (core.SolverState, error) {
 	st := core.SolverState{
-		Name:       name,
+		Name:       s.name,
 		Steps:      s.steps,
 		Evals:      s.ev.Evaluations(),
 		RNG:        s.src.state,
@@ -191,9 +180,9 @@ func (s *search) baseState(name string, extra any) (core.SolverState, error) {
 // for the caller to decode. The evaluator's evaluation counter is advanced to
 // the frozen value so the remaining budget is exactly what the interrupted
 // run had left.
-func (s *search) restoreBase(name string, st core.SolverState) (json.RawMessage, error) {
-	if st.Name != name {
-		return nil, fmt.Errorf("portfolio: state is for member %q, not %q", st.Name, name)
+func (s *search) restoreBase(st core.SolverState) (json.RawMessage, error) {
+	if st.Name != s.name {
+		return nil, fmt.Errorf("portfolio: state is for member %q, not %q", st.Name, s.name)
 	}
 	s.steps = st.Steps
 	s.src.state = st.RNG

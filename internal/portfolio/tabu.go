@@ -24,17 +24,14 @@ type tabuSolver struct {
 // tabuWidth is how many candidate moves each step samples and evaluates.
 const tabuWidth = 4
 
-func newTabu(p *problem, ev *core.SubsetEvaluator, seed int64, budget int64) *tabuSolver {
-	s := newSearch(p, ev, seed, memberIndex("tabu"), budget)
-	tenure := p.s + 4
+func newTabu(s *search) *tabuSolver {
+	tenure := s.p.s + 4
 	ring := make([]int, tenure)
 	for i := range ring {
 		ring[i] = -1
 	}
 	return &tabuSolver{search: s, ring: ring}
 }
-
-func (t *tabuSolver) Name() string { return "tabu" }
 
 func (t *tabuSolver) isTabu(c int) bool {
 	for _, x := range t.ring {
@@ -98,11 +95,11 @@ type tabuExtra struct {
 }
 
 func (t *tabuSolver) State() (core.SolverState, error) {
-	return t.baseState("tabu", tabuExtra{Ring: append([]int(nil), t.ring...), Head: t.head})
+	return t.baseState(tabuExtra{Ring: append([]int(nil), t.ring...), Head: t.head})
 }
 
 func (t *tabuSolver) Restore(st core.SolverState) error {
-	raw, err := t.restoreBase("tabu", st)
+	raw, err := t.restoreBase(st)
 	if err != nil {
 		return err
 	}
@@ -113,7 +110,7 @@ func (t *tabuSolver) Restore(st core.SolverState) error {
 	if len(ex.Ring) != len(t.ring) {
 		// The tenure is derived from s, so a size mismatch means the state
 		// belongs to a different run shape.
-		return errStateShape("tabu", "tabu-ring length", len(ex.Ring), len(t.ring))
+		return t.errStateShape("tabu-ring length", len(ex.Ring), len(t.ring))
 	}
 	copy(t.ring, ex.Ring)
 	t.head = ex.Head

@@ -105,8 +105,8 @@ func (o JobOptions) options() uavnet.Options {
 // wire adds (agg_cell and the solver name) and leaves every other rule to
 // uavnet.Options.Validate, whose errors name the Options fields.
 func (o JobOptions) Validate() error {
-	if o.AggCell < 0 {
-		return fmt.Errorf("agg_cell must be non-negative, got %g", o.AggCell)
+	if err := (uavnet.AggregateOptions{CellSide: o.AggCell}).Validate(); err != nil {
+		return fmt.Errorf("agg_cell: %w", err)
 	}
 	if !slices.Contains(uavnet.SolverNames(), o.normalized().Solver) {
 		return fmt.Errorf("unknown solver %q (want one of %v)", o.Solver, uavnet.SolverNames())

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -218,6 +219,9 @@ func TestJobOptionsValidate(t *testing.T) {
 		{SolverBudget: 100},               // budget without a metaheuristic
 		{Solver: "anneal", MaxSubsets: 5}, // metaheuristics don't cap subsets
 		{AggCell: -1},
+		{AggCell: math.NaN()},
+		{AggCell: math.Inf(1)},
+		{AggCell: math.Inf(-1)},
 	}
 	for _, o := range bad {
 		if err := o.Validate(); err == nil {

@@ -45,20 +45,8 @@ func (d Distribution) String() string {
 	}
 }
 
-// UserOptions tune the fat-tailed generator. The zero value selects
-// defaults matching the paper's qualitative description.
+// UserOptions tune the generated positions.
 type UserOptions struct {
-	// Clusters is the number of hotspot clusters; 0 selects
-	// max(3, n/250) clusters.
-	Clusters int
-	// ZipfExponent shapes the cluster-mass distribution; 0 selects 1.2.
-	ZipfExponent float64
-	// ClusterSigma is the standard deviation of user spread around a
-	// cluster center, in meters; 0 selects 5% of the shorter area side.
-	ClusterSigma float64
-	// BackgroundFrac is the fraction of users scattered uniformly outside
-	// clusters; 0 selects 0.1. Set to a negative value for exactly zero.
-	BackgroundFrac float64
 	// SnapSide, when positive, snaps every generated position to the center
 	// of its cell on a square grid with this side (which must divide the
 	// area like a hovering-grid side). Snapped scenarios make every demand
@@ -69,31 +57,8 @@ type UserOptions struct {
 	SnapSide float64
 }
 
-func (o UserOptions) withDefaults(grid geom.Grid, n int) UserOptions {
-	if o.Clusters <= 0 {
-		o.Clusters = n / 250
-		if o.Clusters < 3 {
-			o.Clusters = 3
-		}
-	}
-	if o.ZipfExponent == 0 {
-		o.ZipfExponent = 1.2
-	}
-	if o.ClusterSigma == 0 {
-		shorter := math.Min(grid.Length, grid.Width)
-		o.ClusterSigma = 0.05 * shorter
-	}
-	switch {
-	case o.BackgroundFrac < 0:
-		o.BackgroundFrac = 0
-	case o.BackgroundFrac == 0:
-		o.BackgroundFrac = 0.1
-	}
-	return o
-}
-
 // UsersWithOptions generates n user positions inside the grid area under
-// the given distribution, fat-tailed tuning and seed.
+// the given distribution, options and seed.
 func UsersWithOptions(grid geom.Grid, n int, dist Distribution, seed int64, opts UserOptions) ([]geom.Point2, error) {
 	return UsersRand(rand.New(rand.NewSource(seed)), grid, n, dist, opts)
 }
@@ -118,7 +83,7 @@ func UsersRand(r *rand.Rand, grid geom.Grid, n int, dist Distribution, opts User
 	case SingleHotspot:
 		out = hotspotUsers(r, grid, n)
 	case FatTailed:
-		out = fatTailedUsers(r, grid, n, opts.withDefaults(grid, n))
+		out = fatTailedUsers(r, grid, n)
 	default:
 		return nil, fmt.Errorf("workload: unknown distribution %v", dist)
 	}
@@ -174,21 +139,32 @@ func hotspotUsers(r *rand.Rand, grid geom.Grid, n int) []geom.Point2 {
 	return out
 }
 
+// The fat-tailed generator's shape, matching the paper's qualitative
+// description: cluster masses follow a Zipf law with this exponent, and
+// this fraction of the users is scattered uniformly outside the clusters.
+const (
+	zipfExponent   = 1.2
+	backgroundFrac = 0.1
+)
+
 // fatTailedUsers draws cluster masses from a truncated Zipf law so that the
 // largest clusters hold most users, then scatters a background fraction
-// uniformly.
-func fatTailedUsers(r *rand.Rand, grid geom.Grid, n int, opts UserOptions) []geom.Point2 {
-	background := int(math.Round(float64(n) * opts.BackgroundFrac))
+// uniformly. There are max(3, n/250) clusters, and users spread around a
+// cluster center with a standard deviation of 5% of the shorter area side.
+func fatTailedUsers(r *rand.Rand, grid geom.Grid, n int) []geom.Point2 {
+	clusters := max(3, n/250)
+	sigma := 0.05 * math.Min(grid.Length, grid.Width)
+	background := int(math.Round(float64(n) * backgroundFrac))
 	clustered := n - background
 
 	// Cluster masses: weight of cluster c is 1/(c+1)^alpha, normalized.
-	weights := make([]float64, opts.Clusters)
+	weights := make([]float64, clusters)
 	var sum float64
 	for c := range weights {
-		weights[c] = 1 / math.Pow(float64(c+1), opts.ZipfExponent)
+		weights[c] = 1 / math.Pow(float64(c+1), zipfExponent)
 		sum += weights[c]
 	}
-	counts := make([]int, opts.Clusters)
+	counts := make([]int, clusters)
 	assigned := 0
 	for c := range counts {
 		counts[c] = int(float64(clustered) * weights[c] / sum)
@@ -196,11 +172,11 @@ func fatTailedUsers(r *rand.Rand, grid geom.Grid, n int, opts UserOptions) []geo
 	}
 	// Distribute rounding leftovers to the heaviest clusters.
 	for i := 0; assigned < clustered; i++ {
-		counts[i%opts.Clusters]++
+		counts[i%clusters]++
 		assigned++
 	}
 
-	centers := make([]geom.Point2, opts.Clusters)
+	centers := make([]geom.Point2, clusters)
 	for c := range centers {
 		centers[c] = geom.Point2{X: r.Float64() * grid.Length, Y: r.Float64() * grid.Width}
 	}
@@ -209,8 +185,8 @@ func fatTailedUsers(r *rand.Rand, grid geom.Grid, n int, opts UserOptions) []geo
 	for c, count := range counts {
 		for i := 0; i < count; i++ {
 			out = append(out, grid.Clamp(geom.Point2{
-				X: centers[c].X + r.NormFloat64()*opts.ClusterSigma,
-				Y: centers[c].Y + r.NormFloat64()*opts.ClusterSigma,
+				X: centers[c].X + r.NormFloat64()*sigma,
+				Y: centers[c].Y + r.NormFloat64()*sigma,
 			}))
 		}
 	}

@@ -103,26 +103,6 @@ func TestFatTailedIsSkewed(t *testing.T) {
 	}
 }
 
-func TestUsersWithOptions(t *testing.T) {
-	grid := testGrid()
-	users, err := UsersWithOptions(grid, 400, FatTailed, 5, UserOptions{
-		Clusters:       2,
-		ZipfExponent:   2.0,
-		ClusterSigma:   100,
-		BackgroundFrac: -1, // exactly zero background
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(users) != 400 {
-		t.Fatalf("got %d users", len(users))
-	}
-	// With two tight clusters and no background the Gini should be extreme.
-	if g := GiniCoefficient(grid, users); g < 0.8 {
-		t.Errorf("Gini %g, want >= 0.8 for two tight clusters", g)
-	}
-}
-
 func TestCapacities(t *testing.T) {
 	caps, err := Capacities(20, 50, 300, 99)
 	if err != nil {
