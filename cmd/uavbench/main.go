@@ -20,6 +20,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	uavnet "github.com/uav-coverage/uavnet"
@@ -28,32 +29,45 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "uavbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("uavbench", flag.ExitOnError)
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate: 4 | 5 | 6 | 6a | 6b | all | ablation | hetero")
-		scale      = flag.String("scale", "paper", "paper | quick")
-		seeds      = flag.Int("seeds", 1, "number of seeds to average over")
-		s          = flag.Int("s", 3, "approAlg anchor parameter for Figs. 4 and 5")
-		smax       = flag.Int("smax", 4, "largest s for Fig. 6")
-		workers    = flag.Int("workers", 0, "approAlg worker goroutines (0 = all cores)")
-		maxSubsets = flag.Int("max-subsets", 0, "approAlg anchor-subset cap (0 = exhaustive)")
-		solver     = flag.String("solver", "enum", "replace the enumeration in Figs. 4-6: enum | anneal | tabu | grasp | genetic | portfolio")
-		budget     = flag.Int64("budget", 0, "evaluations per -solver member (0 = default)")
-		csvPath    = flag.String("csv", "", "also write results as CSV to this file (one block per figure)")
-		quiet      = flag.Bool("q", false, "suppress per-run progress")
-		literal    = flag.Bool("literal", false, "run approAlg exactly as the paper's pseudocode (ground leftover UAVs)")
-		chart      = flag.Bool("chart", false, "also render each figure as an ASCII line chart")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with 'go tool pprof')")
-		memProfile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		timeout    = flag.Duration("timeout", 0, "abort the whole campaign after this long (0 = none)")
+		fig        = fs.String("fig", "all", "figure to regenerate: 4 | 5 | 6 | 6a | 6b | all | ablation | hetero")
+		scale      = fs.String("scale", "paper", "paper | quick")
+		seeds      = fs.Int("seeds", 1, "number of seeds to average over")
+		s          = fs.Int("s", 3, "approAlg anchor parameter for Figs. 4 and 5")
+		smax       = fs.Int("smax", 4, "largest s for Fig. 6")
+		workers    = fs.Int("workers", 0, "approAlg worker goroutines (0 = all cores)")
+		maxSubsets = fs.Int("max-subsets", 0, "approAlg anchor-subset cap (0 = exhaustive)")
+		solver     = fs.String("solver", "enum", "replace the enumeration in Figs. 4-6: enum | anneal | tabu | grasp | genetic | portfolio")
+		budget     = fs.Int64("budget", 0, "evaluations per -solver member (0 = default)")
+		csvPath    = fs.String("csv", "", "also write results as CSV to this file (one block per figure)")
+		quiet      = fs.Bool("q", false, "suppress per-run progress")
+		literal    = fs.Bool("literal", false, "run approAlg exactly as the paper's pseudocode (ground leftover UAVs)")
+		chart      = fs.Bool("chart", false, "also render each figure as an ASCII line chart")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file (inspect with 'go tool pprof')")
+		memProfile = fs.String("memprofile", "", "write an allocation profile to this file on exit")
+		timeout    = fs.Duration("timeout", 0, "abort the whole campaign after this long (0 = none)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch {
+	case !slices.Contains([]string{"4", "5", "6", "6a", "6b", "all", "ablation", "hetero"}, *fig):
+		return fmt.Errorf("unknown -fig %q: want 4, 5, 6, 6a, 6b, all, ablation or hetero", *fig)
+	case *scale != "paper" && *scale != "quick":
+		return fmt.Errorf("unknown -scale %q: want paper or quick", *scale)
+	case *seeds < 1 || *smax < 1:
+		return fmt.Errorf("-seeds and -smax must be at least 1, got %d and %d", *seeds, *smax)
+	case *timeout < 0:
+		return fmt.Errorf("-timeout must be non-negative, got %v", *timeout)
+	}
 	// The sweeps give -max-subsets to the enumeration and -budget to a
 	// metaheuristic only: refuse a flag set a solver would, not drop a flag.
 	if err := (uavnet.Options{S: *s, Workers: *workers, MaxSubsets: *maxSubsets,
@@ -195,7 +209,7 @@ func figureSettings(scale string, smax int) (uavnet.ScenarioSpec, []int, []int, 
 	case "quick":
 		base := uavnet.ScenarioSpec{AreaSide: 2000, CellSide: 500, N: 300, K: 8, CMin: 10, CMax: 60}
 		return base, []int{2, 4, 6, 8}, []int{100, 200, 300}, ss
-	default: // paper
+	default: // paper; run refuses any other scale
 		base := uavnet.ScenarioSpec{} // Section IV-A defaults
 		ks := []int{2, 4, 6, 8, 10, 12, 14, 16, 18, 20}
 		ns := []int{1000, 1500, 2000, 2500, 3000}

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
 
 func TestFigureSettingsScales(t *testing.T) {
 	paperBase, ks, ns, ss := figureSettings("paper", 4)
@@ -26,5 +31,30 @@ func TestFigureSettingsScales(t *testing.T) {
 	}
 	if len(qss) != 2 {
 		t.Errorf("smax=2 should yield two s values, got %v", qss)
+	}
+}
+
+// TestRefusesBadFlagsBeforeRunning gives each flag value uavbench refuses
+// with a -csv path that names no file yet: a campaign that started before
+// checking the flags would run (at paper scale, for minutes) and write it.
+func TestRefusesBadFlagsBeforeRunning(t *testing.T) {
+	csv := filepath.Join(t.TempDir(), "out.csv")
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-fig", "7"}, "unknown -fig"},
+		{[]string{"-scale", "huge"}, "unknown -scale"},
+		{[]string{"-seeds", "0"}, "must be at least 1"},
+		{[]string{"-smax", "0"}, "must be at least 1"},
+		{[]string{"-timeout", "-1s"}, "must be non-negative"},
+	} {
+		err := run(append([]string{"-csv", csv, "-q"}, c.flags...))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want %q", c.flags, err, c.want)
+		}
+	}
+	if _, err := os.Stat(csv); !os.IsNotExist(err) {
+		t.Errorf("a refused campaign wrote %s (stat: %v)", csv, err)
 	}
 }

@@ -94,6 +94,26 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Every flag is checked before the scenario is read or generated.
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments after flags: %v", fs.Args())
+	}
+	if *timeout < 0 || *progressIntv < 0 {
+		return fmt.Errorf("-timeout and -progress must be non-negative, got %v and %v", *timeout, *progressIntv)
+	}
+	names := []string{*alg}
+	if *alg == "all" {
+		names = uavnet.AlgorithmNames()
+	} else if !slices.Contains(uavnet.AlgorithmNames(), *alg) {
+		return fmt.Errorf("unknown -alg %q: want all or one of %v", *alg, uavnet.AlgorithmNames())
+	}
+	var gw uavnet.Gateway
+	if *gatewayAt != "" {
+		var err error
+		if gw, err = parseGateway(*gatewayAt); err != nil {
+			return err
+		}
+	}
 
 	opts := uavnet.Options{
 		S: *s, Workers: *workers, MaxSubsets: *maxSubsets, GroundLeftovers: *literal,
@@ -114,6 +134,16 @@ func run(args []string) error {
 	aggOpts := uavnet.AggregateOptions{CellSide: *aggCell}
 	if err := aggOpts.Validate(); err != nil {
 		return err
+	}
+	if *aggCell != 0 {
+		for _, name := range names {
+			if name != "approAlg" {
+				return fmt.Errorf("-agg-cell supports only approAlg; %s needs a per-user instance", name)
+			}
+		}
+		if *refine {
+			return fmt.Errorf("-agg-cell and -refine are incompatible: pathloss refinement needs a per-user instance")
+		}
 	}
 
 	// SIGINT stops the solver gracefully: workers drain, the best-so-far
@@ -136,20 +166,8 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	names := []string{*alg}
-	if *alg == "all" {
-		names = uavnet.AlgorithmNames()
-	}
 	var in *uavnet.Instance
 	if *aggCell != 0 {
-		for _, name := range names {
-			if name != "approAlg" {
-				return fmt.Errorf("-agg-cell supports only approAlg; %s needs a per-user instance", name)
-			}
-		}
-		if *refine {
-			return fmt.Errorf("-agg-cell and -refine are incompatible: pathloss refinement needs a per-user instance")
-		}
 		in, err = uavnet.NewAggregateInstance(sc, aggOpts)
 	} else {
 		in, err = uavnet.NewInstance(sc)
@@ -188,10 +206,7 @@ func run(args []string) error {
 		switch {
 		case *gatewayAt != "" && name == "approAlg":
 			// approAlg plans the gateway in: its cells become required anchors.
-			gw, err := parseGateway(*gatewayAt)
-			if err != nil {
-				return err
-			}
+			var err error
 			dep, err = uavnet.DeployToGatewayContext(ctx, in, gw, opts)
 			if err != nil && dep == nil {
 				return fmt.Errorf("%s: %w", name, err)
@@ -206,10 +221,6 @@ func run(args []string) error {
 			runErr = errors.Join(runErr, err)
 			if *gatewayAt != "" && dep.Status != uavnet.StatusStopped {
 				// Baselines are gateway-oblivious; retrofit a relay chain.
-				gw, err := parseGateway(*gatewayAt)
-				if err != nil {
-					return err
-				}
 				dep, err = uavnet.ConnectToGateway(in, dep, gw)
 				if err != nil {
 					return fmt.Errorf("%s: gateway: %w", name, err)

@@ -85,3 +85,29 @@ func TestRefusesBadAggCellBeforeReadingScenario(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusesBadFlagsBeforeReadingScenario gives each flag value uavdeploy
+// refuses and a scenario path that names no file: a run that read the
+// scenario before checking the flags would fail on the missing file instead,
+// and one that ignored a flag would solve.
+func TestRefusesBadFlagsBeforeReadingScenario(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-alg", "bogus"}, "unknown -alg"},
+		{[]string{"-gateway", "1;2"}, "bad -gateway"},
+		{[]string{"-agg-cell", "250", "-alg", "MCS"}, "supports only approAlg"},
+		{[]string{"-agg-cell", "250", "-alg", "all"}, "supports only approAlg"},
+		{[]string{"-agg-cell", "250", "-refine"}, "incompatible"},
+		{[]string{"-timeout", "-5s"}, "must be non-negative"},
+		{[]string{"-progress", "-1s"}, "must be non-negative"},
+		{[]string{"stray"}, "unexpected arguments"},
+	} {
+		err := run(append([]string{"-scenario", missing}, c.flags...))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want %q", c.flags, err, c.want)
+		}
+	}
+}

@@ -56,3 +56,19 @@ func TestRefusesBadAggCellBeforeScenario(t *testing.T) {
 		t.Errorf("a refused run wrote %s (stat: %v)", out, err)
 	}
 }
+
+// TestRefusesBadSnapBeforeWriting gives -snap sides the snap grid refuses:
+// no scenario file may be written, where a side that was skipped would have
+// written the unsnapped scenario.
+func TestRefusesBadSnapBeforeWriting(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "scenario.json")
+	for _, side := range []string{"-250", "NaN", "Inf", "-Inf", "7"} {
+		err := run([]string{"-out", out, "-n", "100", "-k", "4", "-snap", side})
+		if err == nil || !strings.Contains(err.Error(), "snap grid") {
+			t.Errorf("-snap %s: err = %v, want the snap grid rule", side, err)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused run wrote %s (stat: %v)", out, err)
+	}
+}

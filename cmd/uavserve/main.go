@@ -48,7 +48,7 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "uavserve:", err)
 		os.Exit(1)
 	}
@@ -78,17 +78,27 @@ func newHTTPServer(ctx context.Context, addr string, h http.Handler, header, idl
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("uavserve", flag.ExitOnError)
 	var (
-		dir             = flag.String("dir", "", "durable job directory (required)")
-		addr            = flag.String("addr", ":8080", "listen address")
-		workers         = flag.Int("workers", 2, "concurrent solver jobs")
-		checkpointEvery = flag.Duration("checkpoint-every", 15*time.Second, "durable checkpoint cadence per running job")
-		progressEvery   = flag.Duration("progress-every", time.Second, "SSE progress snapshot cadence")
+		dir             = fs.String("dir", "", "durable job directory (required)")
+		addr            = fs.String("addr", ":8080", "listen address")
+		workers         = fs.Int("workers", 2, "concurrent solver jobs")
+		checkpointEvery = fs.Duration("checkpoint-every", 15*time.Second, "durable checkpoint cadence per running job")
+		progressEvery   = fs.Duration("progress-every", time.Second, "SSE progress snapshot cadence")
 	)
-	flag.Parse()
-	if *dir == "" {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	// server.Config reads zero values as its defaults; a flag states its
+	// value, so one the server would replace is refused instead.
+	switch {
+	case *dir == "":
 		return errors.New("-dir is required")
+	case *workers < 1:
+		return fmt.Errorf("-workers must be at least 1, got %d", *workers)
+	case *checkpointEvery <= 0 || *progressEvery <= 0:
+		return fmt.Errorf("-checkpoint-every and -progress-every must be positive, got %v and %v", *checkpointEvery, *progressEvery)
 	}
 
 	logger := log.New(os.Stderr, "uavserve: ", log.LstdFlags)

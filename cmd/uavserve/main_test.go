@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -87,5 +89,31 @@ func TestSSEOutlivesHeaderTimeout(t *testing.T) {
 	}
 	if got != events {
 		t.Fatalf("the stream delivered %d of %d events over %v", got, events, events*timeout)
+	}
+}
+
+// TestRefusesBadFlagsBeforeServing gives each flag value uavserve refuses
+// with a -dir that names no directory yet: a server that started before
+// checking the flags would create it, and one that took the value would run
+// with server.New's default instead.
+func TestRefusesBadFlagsBeforeServing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "jobs")
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-workers", "0"}, "-workers must be at least 1"},
+		{[]string{"-workers", "-2"}, "-workers must be at least 1"},
+		{[]string{"-checkpoint-every", "0s"}, "must be positive"},
+		{[]string{"-checkpoint-every", "-1s"}, "must be positive"},
+		{[]string{"-progress-every", "0s"}, "must be positive"},
+	} {
+		err := run(append([]string{"-dir", dir, "-addr", "127.0.0.1:0"}, c.flags...))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want %q", c.flags, err, c.want)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("a refused server created %s (stat: %v)", dir, err)
 	}
 }

@@ -173,6 +173,9 @@ func workerCmd(args []string) error {
 	if fs.NArg() > 0 {
 		return fmt.Errorf("unexpected arguments after flags: %v", fs.Args())
 	}
+	if *timeout < 0 || *progressIntv < 0 {
+		return fmt.Errorf("-timeout and -progress must be non-negative, got %v and %v", *timeout, *progressIntv)
+	}
 	if *shardStr == "" || *outPath == "" {
 		return fmt.Errorf("worker needs -scenario, -shard, and -out")
 	}

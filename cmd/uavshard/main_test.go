@@ -246,3 +246,29 @@ func TestRefusesBadAggCellBeforeReadingScenario(t *testing.T) {
 		t.Errorf("a refused command wrote %s (stat: %v)", out, err)
 	}
 }
+
+// TestWorkerRefusesBadFlagsBeforeReadingScenario gives a worker each run
+// flag it refuses and a scenario path that names no file: a worker that read
+// the scenario first would fail on the missing file instead, and one that
+// ignored the flag would solve the shard.
+func TestWorkerRefusesBadFlagsBeforeReadingScenario(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "part.ckpt")
+	missing := filepath.Join(dir, "missing.json")
+	for _, c := range []struct {
+		flags []string
+		want  string
+	}{
+		{[]string{"-timeout", "-5s"}, "must be non-negative"},
+		{[]string{"-progress", "-1s"}, "must be non-negative"},
+		{[]string{"stray"}, "unexpected arguments"},
+	} {
+		err := workerCmd(append([]string{"-scenario", missing, "-shard", "0/2", "-out", out}, c.flags...))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("worker %v: err = %v, want %q", c.flags, err, c.want)
+		}
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused worker wrote %s (stat: %v)", out, err)
+	}
+}

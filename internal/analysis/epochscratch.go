@@ -12,7 +12,7 @@ import (
 //
 //	//uavlint:scratch epoch=<field> tables=<f1>[,<f2>...]
 //
-// (core.evalScratch, match.Matcher). The protocol, from DESIGN.md §9: a
+// (core.SubsetEvaluator, match.Matcher). The protocol, from DESIGN.md §9: a
 // scratch table is never cleared between uses; instead the owner bumps an
 // epoch counter, a slot is "set" by storing the current epoch, and "is it
 // set?" is exactly "does it equal the current epoch?". That makes any other

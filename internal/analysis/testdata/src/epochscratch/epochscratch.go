@@ -1,8 +1,8 @@
 // Fixture for the epochscratch analyzer.
 package fixture
 
-// scratch mirrors core.evalScratch: tables are never cleared, an epoch bump
-// invalidates every stamp at once.
+// scratch mirrors core.SubsetEvaluator: tables are never cleared, an epoch
+// bump invalidates every stamp at once.
 //
 //uavlint:scratch epoch=epoch tables=claimed,used
 type scratch struct {

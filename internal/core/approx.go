@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"github.com/uav-coverage/uavnet/internal/assign"
-	"github.com/uav-coverage/uavnet/internal/graph"
-	"github.com/uav-coverage/uavnet/internal/match"
 )
 
 // Options configure the approximation algorithm (Algorithm 2).
@@ -372,7 +370,7 @@ func Approx(ctx context.Context, in *Instance, opts Options) (*Deployment, error
 				if cand := (CheckpointBest{Idx: idx, Served: res.Served}); !res.Feasible || !cand.better(out.best) {
 					continue
 				}
-				// res.Locs aliases the evaluator's scratch and is overwritten
+				// res.Locs aliases a buffer of the evaluator and is overwritten
 				// by the next evaluation; keep a copy in the worker's buffer.
 				bestLocs = append(bestLocs[:0], res.Locs...)
 				out.best = CheckpointBest{Idx: idx, Served: res.Served, Locs: bestLocs, NSel: res.NSel}
@@ -518,121 +516,6 @@ func EmptyDeployment(in *Instance, algorithm string) *Deployment {
 	return dep
 }
 
-// evaluate runs the per-subset body of Algorithm 2 (lines 5-23) on one
-// anchor subset and counts the evaluation: greedy placement of up to L_max
-// UAVs under M1 /\ M2, MST-based relay connection, feasibility check
-// q_j <= K, and full evaluation. pruned reports a subset that the
-// requirement filter or the sound pruning rule skipped. All working memory
-// comes from the evaluator's scratch, so the call allocates nothing in
-// steady state; the returned res.Locs aliases the scratch arena and must be
-// copied by callers that retain it past the next evaluation.
-func (e *SubsetEvaluator) evaluate(anchors []int) (res EvalResult, pruned bool, err error) {
-	e.evals++
-	in, opts, oracle, scr := e.in, e.opts, e.oracle, e.scr
-	k := in.Scenario.K()
-
-	// Requirement filter: the subset must touch a required cell (if any).
-	if len(opts.RequiredCells) > 0 {
-		found := false
-	outer:
-		for _, a := range anchors {
-			for _, r := range opts.RequiredCells {
-				if a == r {
-					found = true
-					break outer
-				}
-			}
-		}
-		if !found {
-			return res, true, nil
-		}
-	}
-
-	// Anchors in different components can never form a connected network;
-	// such subsets are infeasible regardless of pruning settings. The sound
-	// pruning rule additionally skips subsets whose anchors alone already
-	// need more than K nodes to connect: any connected subgraph containing
-	// two anchors at hop distance h has at least h+1 nodes, and the anchors
-	// always end up in V'_j ⊆ V_j, so the q_j <= K check must fail.
-	maxHop := 0
-	for i := 0; i < len(anchors); i++ {
-		for j := i + 1; j < len(anchors); j++ {
-			d := in.Hop[anchors[i]][anchors[j]]
-			if d == graph.Unreachable {
-				return res, !opts.DisablePrune, nil
-			}
-			if d > maxHop {
-				maxHop = d
-			}
-		}
-	}
-	if !opts.DisablePrune && maxHop+1 > k {
-		return res, true, nil
-	}
-
-	// Hop distances from the anchor set define matroid M2: the element-wise
-	// minimum of the anchors' precomputed hop rows, which is the
-	// multi-source BFS distance. The scratch's M2 view aliases scr.dist.
-	in.Paths.MultiSourceDistInto(anchors, scr.dist)
-
-	// The greedy's ground set is every cell within hmax hops of the anchors;
-	// RunHop keeps only the M2-feasible ones on its heap.
-	if err := oracle.engine.Reset(); err != nil {
-		return res, false, err
-	}
-	selected, err := scr.runner.RunHop(scr.order, scr.m2, e.budget.LMax, oracle)
-	if err != nil {
-		return res, false, err
-	}
-	if len(selected) == 0 {
-		return res, false, nil
-	}
-
-	// Connect V'_j: MST over the hop metric, then union of shortest paths
-	// read from the instance's precomputed path oracle.
-	nodes, err := scr.connectLocations(in, selected)
-	if err != nil {
-		return res, false, err
-	}
-	if len(nodes) > k {
-		return res, false, nil // q_j > K: infeasible subset (line 16)
-	}
-
-	// Deploy remaining UAVs (by decreasing capacity) on relay nodes. nodes
-	// is sorted, so the filtered relay list arrives sorted too.
-	slotLoc := append(scr.slotLoc[:0], selected...)
-	for _, v := range selected {
-		scr.selMark[v] = true
-	}
-	relays := scr.relays[:0]
-	for _, v := range nodes {
-		if !scr.selMark[v] {
-			relays = append(relays, v)
-		}
-	}
-	for _, v := range selected {
-		scr.selMark[v] = false
-	}
-	scr.relays = relays
-	slotLoc = append(slotLoc, relays...)
-
-	if !opts.GroundLeftovers {
-		slotLoc = scr.extendWithLeftovers(in, slotLoc, e.caps)
-	}
-	scr.slotLoc = slotLoc
-
-	// Score the full placement by continuing the greedy's committed
-	// matching: the first len(selected) slots are already committed, so only
-	// the relay and leftover stations need augmenting. The matching value is
-	// independent of commit order, so this equals a from-scratch solve.
-	for slot := len(selected); slot < len(slotLoc); slot++ {
-		if _, err := oracle.Commit(slot, slotLoc[slot]); err != nil {
-			return res, false, err
-		}
-	}
-	return EvalResult{Feasible: true, Served: oracle.engine.Served(), Locs: slotLoc, NSel: len(selected)}, false, nil
-}
-
 // finalizeDeployment maps a winning slot placement — locs[r] is the cell of
 // the r-th largest-capacity UAV, the first nsel chosen by the greedy phase —
 // back to the scenario's original UAV order and computes the final
@@ -655,93 +538,4 @@ func finalizeDeployment(in *Instance, locs []int, nsel int) (*Deployment, error)
 		dep.LocationOf[in.ByCapacity[r]] = loc
 	}
 	return dep, nil
-}
-
-// gainEngine is the incremental what-if/commit contract the placement
-// oracle drives. match.Matcher (per-user instances) and
-// match.WeightedMatcher (aggregated ones) satisfy it.
-type gainEngine interface {
-	Reset() error
-	Served() int
-	Gain(capacity int, eligible []int) (int, error)
-	Commit(capacity int, eligible []int) (int, error)
-}
-
-// placementOracle adapts a gainEngine to the matroid.Oracle interface: the
-// marginal gain of placing the round-th largest-capacity UAV at a location
-// is the increase in optimally-served users (or, on aggregated instances,
-// optimally-served demand units — the same quantity after expansion).
-type placementOracle struct {
-	in     *Instance
-	caps   []int
-	engine gainEngine
-	// matcher is the engine on per-user instances; it carries the reach
-	// bitset RoundBound popcounts.
-	matcher *match.Matcher
-	// wmatcher is the engine on aggregated instances: the weighted b-matcher
-	// over demand cells. Its GainBound is the weighted counterpart of the
-	// unit matcher's.
-	wmatcher *match.WeightedMatcher
-}
-
-func newPlacementOracle(in *Instance, caps []int) (*placementOracle, error) {
-	o := &placementOracle{in: in, caps: caps}
-	if in.Aggregated() {
-		wm, err := match.NewWeightedMatcher(in.Weights, len(caps))
-		if err != nil {
-			return nil, err
-		}
-		o.wmatcher = wm
-		o.engine = wm
-		return o, nil
-	}
-	m, err := match.NewMatcher(in.Scenario.N(), len(caps))
-	if err != nil {
-		return nil, err
-	}
-	o.matcher = m
-	o.engine = m
-	return o, nil
-}
-
-func (o *placementOracle) eligible(round, loc int) []int {
-	uav := o.in.ByCapacity[round]
-	return o.in.EligibleUsers(uav, loc)
-}
-
-// Gain implements matroid.Oracle.
-func (o *placementOracle) Gain(round, loc int) (int, error) {
-	return o.engine.Gain(o.caps[round], o.eligible(round, loc))
-}
-
-// Commit implements matroid.Oracle.
-func (o *placementOracle) Commit(round, loc int) (int, error) {
-	return o.engine.Commit(o.caps[round], o.eligible(round, loc))
-}
-
-// Bound implements matroid.Bounder: a placement can never serve more users
-// than the first-round capacity allows or than are eligible at the location
-// (eligible demand weight, on aggregated instances). Both quantities are
-// static, so this is a valid initial upper bound for the lazy greedy.
-func (o *placementOracle) Bound(loc int) int {
-	class := o.in.ClassOf[o.in.ByCapacity[0]]
-	n := o.in.eligTotal(class, loc)
-	if o.caps[0] < n {
-		return o.caps[0]
-	}
-	return n
-}
-
-// RoundBound implements matroid.DynamicBounder: it popcounts the
-// location's eligibility mask against the matcher's still-augmentable user
-// set, bounding the gain in a few word operations (see
-// match.Matcher.GainBound for why that set, not merely the unserved one, is
-// the sound choice). Sound bounds of any tightness leave the selection
-// identical.
-func (o *placementOracle) RoundBound(round, loc int) int {
-	class := o.in.ClassOf[o.in.ByCapacity[round]]
-	if o.wmatcher != nil {
-		return o.wmatcher.GainBound(o.caps[round], o.in.EligMask[class][loc])
-	}
-	return o.matcher.GainBound(o.caps[round], o.in.EligMask[class][loc])
 }

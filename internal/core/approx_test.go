@@ -379,7 +379,7 @@ func TestConnectorWithinGUpper(t *testing.T) {
 		for a := range in.Hop {
 			in.Hop[a] = in.Paths.DistRow(a)
 		}
-		scr := &evalScratch{nodeMark: make([]bool, lineLen)}
+		ev := &SubsetEvaluator{in: in, nodeMark: make([]bool, lineLen)}
 		dist := lg.MultiSourceBFS(anchors)
 		q := QValues(l, p)
 		hm := len(q) - 1
@@ -401,7 +401,7 @@ func TestConnectorWithinGUpper(t *testing.T) {
 				selected = append(selected, v)
 			}
 		}
-		nodes, err := scr.connectLocations(in, selected)
+		nodes, err := ev.connectLocations(selected)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -12,30 +12,32 @@ import (
 // leftoversReference is extendWithLeftovers with the candidate scan written
 // the plain way: every cell in index order, kept when it is free and
 // adjacent to the network, replaced only by a strictly larger gain. Ties go
-// to the smallest cell by construction, with no visit-order argument.
-func leftoversReference(scr *evalScratch, in *Instance, slotLoc []int, caps []int) []int {
+// to the smallest cell by construction, with no visit-order argument. It
+// keeps its claims in e's tables, so e must not be the evaluator under test.
+func leftoversReference(e *SubsetEvaluator, slotLoc []int) []int {
+	in := e.in
 	k := in.Scenario.K()
 	if len(slotLoc) >= k {
 		return slotLoc
 	}
-	scr.epoch++
-	clear(scr.claimed)
+	e.epoch++
+	clear(e.claimed)
 	for slot, loc := range slotLoc {
-		scr.used[loc] = scr.epoch
-		scr.claimUsers(in, slot, loc, caps[slot])
+		e.used[loc] = e.epoch
+		e.claimUsers(slot, loc)
 	}
 	for slot := len(slotLoc); slot < k; slot++ {
 		uav := in.ByCapacity[slot]
 		bestLoc, bestGain := -1, 0
 		for c := 0; c < in.Scenario.M(); c++ {
-			if scr.used[c] == scr.epoch || !slices.ContainsFunc(slotLoc, func(v int) bool { return slices.Contains(in.LocGraph.Neighbors(v), c) }) {
+			if e.used[c] == e.epoch || !slices.ContainsFunc(slotLoc, func(v int) bool { return slices.Contains(in.LocGraph.Neighbors(v), c) }) {
 				continue
 			}
 			gain := 0
 			for _, u := range in.EligibleUsers(uav, c) {
-				gain += scr.claimAvail(in, u)
+				gain += e.claimAvail(u)
 			}
-			if gain = min(gain, caps[slot]); gain > bestGain {
+			if gain = min(gain, e.caps[slot]); gain > bestGain {
 				bestLoc, bestGain = c, gain
 			}
 		}
@@ -43,8 +45,8 @@ func leftoversReference(scr *evalScratch, in *Instance, slotLoc []int, caps []in
 			break
 		}
 		slotLoc = append(slotLoc, bestLoc)
-		scr.used[bestLoc] = scr.epoch
-		scr.claimUsers(in, slot, bestLoc, caps[slot])
+		e.used[bestLoc] = e.epoch
+		e.claimUsers(slot, bestLoc)
 	}
 	return slotLoc
 }
@@ -85,16 +87,14 @@ func TestExtendWithLeftoversMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, in := range []*Instance{perUser, aggregated} {
-			caps := make([]int, sc.K())
-			for rr, uav := range in.ByCapacity {
-				caps[rr] = sc.UAVs[uav].Capacity
-			}
-			oracle, err := newPlacementOracle(in, caps)
+			ev, err := NewSubsetEvaluator(in, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			scr := newEvalScratch(in, []int{sc.K()}, oracle)
-			ref := newEvalScratch(in, []int{sc.K()}, oracle)
+			ref, err := NewSubsetEvaluator(in, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for rep := 0; rep < 40; rep++ {
 				start := []int{r.Intn(sc.M())}
 				for size := 1 + r.Intn(sc.K()-1); len(start) < size; {
@@ -103,8 +103,8 @@ func TestExtendWithLeftoversMatchesReference(t *testing.T) {
 						start = append(start, nb)
 					}
 				}
-				got := scr.extendWithLeftovers(in, slices.Clone(start), caps)
-				want := leftoversReference(ref, in, slices.Clone(start), caps)
+				got := ev.extendWithLeftovers(slices.Clone(start))
+				want := leftoversReference(ref, slices.Clone(start))
 				if !slices.Equal(got, want) {
 					t.Fatalf("trial %d (aggregated %v): network %v extends to %v, reference %v",
 						trial, in.Aggregated(), start, got, want)

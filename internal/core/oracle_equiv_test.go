@@ -8,6 +8,7 @@ import (
 
 	"github.com/uav-coverage/uavnet/internal/assign"
 	"github.com/uav-coverage/uavnet/internal/core"
+	"github.com/uav-coverage/uavnet/internal/match"
 	"github.com/uav-coverage/uavnet/internal/verify"
 )
 
@@ -47,6 +48,13 @@ func (e *solveEngine) Commit(capacity int, eligible []int) (int, error) {
 	e.p.Eligible = append(e.p.Eligible, eligible)
 	e.served += g
 	return g, nil
+}
+
+// GainBound is the bound a matcher with no committed station gives: the
+// capacity, or every eligible user, whichever is fewer. It is sound at every
+// round, since a station never serves more.
+func (e *solveEngine) GainBound(capacity int, eligMask match.Bitset) int {
+	return min(capacity, match.AndCount(eligMask, eligMask))
 }
 
 // nextSubset advances c, a sorted subset of {0..m-1}, to its lexicographic

@@ -372,6 +372,21 @@ func (c *Checkpoint) ValidateCommon(kind string, in *Instance, s int, opts Optio
 	return nil
 }
 
+// CommonCheckpoint returns a checkpoint of the given kind stamped with the
+// fields ValidateCommon checks: the kind, the instance fingerprint, the
+// effective s, and the options both kinds echo (Seed, DisablePrune,
+// GroundLeftovers). Each solver fills in its own fields.
+func CommonCheckpoint(kind string, in *Instance, s int, opts Options) *Checkpoint {
+	return &Checkpoint{
+		Algorithm:           kind,
+		ScenarioFingerprint: in.Fingerprint(),
+		S:                   s,
+		Seed:                opts.Seed,
+		DisablePrune:        opts.DisablePrune,
+		GroundLeftovers:     opts.GroundLeftovers,
+	}
+}
+
 // validate rejects a checkpoint that was not produced by an identical run:
 // same scenario, same effective options, same enumeration space. seed of
 // Options is passed through opts.
@@ -454,20 +469,11 @@ func (c *Checkpoint) validate(in *Instance, s int, opts Options, total int64, sa
 // holes materialize as Remaining. best.Idx < 0 means no feasible subset was
 // found in the processed set.
 func newCheckpoint(in *Instance, s int, opts Options, total int64, sampled bool, remaining []Span, evaluated, pruned int64, best CheckpointBest) *Checkpoint {
-	c := &Checkpoint{
-		Algorithm:           KindEnum,
-		ScenarioFingerprint: in.Fingerprint(),
-		S:                   s,
-		Seed:                opts.Seed,
-		MaxSubsets:          opts.MaxSubsets,
-		DisablePrune:        opts.DisablePrune,
-		GroundLeftovers:     opts.GroundLeftovers,
-		RequiredCells:       append([]int(nil), opts.RequiredCells...),
-		Total:               total,
-		Sampled:             sampled,
-		Evaluated:           evaluated,
-		Pruned:              pruned,
-	}
+	c := CommonCheckpoint(KindEnum, in, s, opts)
+	c.MaxSubsets = opts.MaxSubsets
+	c.RequiredCells = append([]int(nil), opts.RequiredCells...)
+	c.Total, c.Sampled = total, sampled
+	c.Evaluated, c.Pruned = evaluated, pruned
 	r := opts.Shard.Range(total)
 	if opts.Shard.sharded() {
 		c.Shard = &ShardRange{Index: opts.Shard.Index, Count: opts.Shard.Count, Start: r.Start, End: r.End}

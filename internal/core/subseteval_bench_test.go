@@ -190,7 +190,7 @@ func BenchmarkConnectLocations(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := ev.scr.connectLocations(ev.in, selected); err != nil {
+			if _, err := ev.connectLocations(selected); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -60,6 +60,159 @@ func (o dynCapOracle) RoundBound(round, e int) int {
 	return min(o.caps[round], o.uncovered(e)) + o.slack
 }
 
+// roundClassOracle is capCoverOracle with one coverage family per class:
+// round r's element e covers covers[class[r]][e], the shape of a fleet whose
+// UAVs carry different radios. caps is non-increasing, so a gain cannot rise
+// while the class holds; at a class change it can, and Rekey reports those
+// rounds. Bound reads round 0's class, so it is sound up to the first
+// re-key only.
+type roundClassOracle struct {
+	covers  [][][]int
+	class   []int
+	caps    []int
+	covered []bool
+}
+
+func (o *roundClassOracle) Gain(round, e int) (int, error) {
+	g := 0
+	for _, it := range o.covers[o.class[round]][e] {
+		if !o.covered[it] {
+			g++
+		}
+	}
+	return min(o.caps[round], g), nil
+}
+
+func (o *roundClassOracle) Commit(round, e int) (int, error) {
+	g := 0
+	for _, it := range o.covers[o.class[round]][e] {
+		if g == o.caps[round] {
+			break
+		}
+		if !o.covered[it] {
+			o.covered[it] = true
+			g++
+		}
+	}
+	return g, nil
+}
+
+func (o *roundClassOracle) Rekey(round int) bool { return o.class[round] != o.class[round-1] }
+
+func (o *roundClassOracle) Bound(e int) int { return min(o.caps[0], len(o.covers[o.class[0]][e])) }
+
+// roundClassDyn adds a dynamic bound, exact plus slack.
+type roundClassDyn struct {
+	*roundClassOracle
+	slack int
+}
+
+func (o roundClassDyn) RoundBound(round, e int) int {
+	g, _ := o.Gain(round, e)
+	return g + o.slack
+}
+
+// TestRekeyMatchesNaive holds Run and RunHop to NaiveGreedy on oracles whose
+// gains switch with the round's class, under random hop-count matroids and
+// with each bound shape: none, static, static plus dynamic. The same
+// oracles with Rekey hidden must select differently on some trials, or the
+// instances never make a carried key unsound.
+func TestRekeyMatchesNaive(t *testing.T) {
+	t.Parallel()
+	r := rand.New(rand.NewSource(53))
+	var runner LazyRunner
+	stale := 0
+	for trial := 0; trial < 3000; trial++ {
+		n, nItems, classes := 2+r.Intn(20), 1+r.Intn(20), 1+r.Intn(3)
+		rounds := 1 + r.Intn(n)
+		base := roundClassOracle{covers: make([][][]int, classes), class: make([]int, rounds), caps: make([]int, rounds)}
+		for c := range base.covers {
+			base.covers[c] = make([][]int, n)
+			for e := range base.covers[c] {
+				for it := 0; it < nItems; it++ {
+					if r.Intn(3) == 0 {
+						base.covers[c][e] = append(base.covers[c][e], it)
+					}
+				}
+			}
+		}
+		capacity := 1 + r.Intn(8)
+		for rr := range base.caps {
+			base.class[rr], base.caps[rr] = r.Intn(classes), capacity
+			if capacity > 1 && r.Intn(2) == 0 {
+				capacity--
+			}
+		}
+		hmax := r.Intn(3)
+		m := HopCount{Dist: make([]int, n), Q: make([]int, hmax+1)}
+		for e := range m.Dist {
+			m.Dist[e] = r.Intn(hmax+3) - 1 // Unreachable up to hmax+1
+		}
+		for h := range m.Q {
+			m.Q[h] = 1 + r.Intn(n)
+		}
+		fresh := func() *roundClassOracle {
+			o := base
+			o.covered = make([]bool, nItems)
+			return &o
+		}
+		slack := r.Intn(3)
+		shape := func(o *roundClassOracle) Oracle {
+			switch trial % 3 {
+			case 0:
+				return struct {
+					Oracle
+					Rekeyer
+				}{o, o}
+			case 1:
+				return o
+			}
+			return roundClassDyn{o, slack}
+		}
+
+		universe := make([]int, n)
+		for e := range universe {
+			universe[e] = e
+		}
+		naive, err := NaiveGreedy(universe, rounds, m.CanAdd, fresh())
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make([]int, len(m.Q))
+		feasible := func(sel []int, e int) bool { return m.CanAddInto(sel, e, counts) }
+		lazy, err := runner.Run(universe, rounds, feasible, shape(fresh()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lazy = slices.Clone(lazy)
+		o := shape(fresh())
+		hop, err := runner.RunHop(Presort(n, o), m, rounds, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(hop, naive) || !slices.Equal(lazy, naive) {
+			t.Fatalf("trial %d: classes %v caps %v dist %v Q %v: RunHop %v, Run %v, NaiveGreedy %v",
+				trial, base.class, base.caps, m.Dist, m.Q, hop, lazy, naive)
+		}
+
+		hidden := fresh()
+		without, err := runner.RunHop(Presort(n, hidden), m, rounds, struct {
+			Oracle
+			Bounder
+		}{hidden, hidden})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(without, naive) {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no trial selects differently with Rekey hidden; the instances never need a re-key")
+	}
+	t.Logf("%d of 3000 trials select differently with Rekey hidden", stale)
+}
+
 // hopCase is one greedy instance under a single hop-count matroid.
 type hopCase struct {
 	m       HopCount

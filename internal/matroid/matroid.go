@@ -107,8 +107,9 @@ func (m HopCount) Limit(counts []int) int {
 
 // Oracle answers marginal-gain queries for the lazy greedy. Gains must be
 // consistent with a monotone submodular objective: the gain of an element
-// must not increase as the committed set grows (rounds advance). Commit
-// realizes a selection; after Commit the oracle's committed set grows by e.
+// must not increase as the committed set grows (rounds advance), except at a
+// round where the oracle's Rekey reports true (see Rekeyer). Commit realizes
+// a selection; after Commit the oracle's committed set grows by e.
 type Oracle interface {
 	// Gain returns the marginal objective gain of adding element e to the
 	// committed set at the given round (0-based selection index).
@@ -118,10 +119,11 @@ type Oracle interface {
 }
 
 // Bounder is an optional Oracle extension: Bound(e) returns a static upper
-// bound on the marginal gain of element e that is valid at every round
-// (e.g. min(capacity, reachable users) for UAV placement). When an oracle
-// implements Bounder, the lazy greedy seeds its priority queue with these bounds
-// instead of +infinity, skipping exact evaluations of hopeless elements.
+// bound on the marginal gain of element e that is valid at every round up to
+// the first re-key (e.g. min(capacity, reachable users) for UAV placement).
+// When an oracle implements Bounder, the lazy greedy seeds its priority queue
+// with these bounds instead of +infinity, skipping exact evaluations of
+// hopeless elements.
 type Bounder interface {
 	Bound(e int) int
 }
@@ -141,6 +143,18 @@ type Bounder interface {
 // decide how many exact evaluations are skipped.
 type DynamicBounder interface {
 	RoundBound(round, e int) int
+}
+
+// Rekeyer is an optional Oracle extension for objectives whose gains may
+// rise at some rounds: UAV placement, where round r places the r-th UAV and
+// a UAV with another radio is eligible for other users. A key carried over
+// from an earlier round bounds an element's gain only while gains cannot
+// rise, so when Rekey(round) reports true at the start of round (round >=
+// 1), the greedy re-keys every heap entry — to RoundBound(round, e) when the
+// oracle is a DynamicBounder, to +infinity otherwise — and marks it stale.
+// Keys, the static Bound included, need hold only until the next re-key.
+type Rekeyer interface {
+	Rekey(round int) bool
 }
 
 // pqItem is one lazy-greedy priority-queue entry.
@@ -236,7 +250,9 @@ type LazyRunner struct {
 //
 // Lazy evaluation is exact for monotone submodular objectives: a gain bound
 // computed at an earlier round upper-bounds the true current gain, so when a
-// freshly evaluated element still tops the queue it is the true argmax.
+// freshly evaluated element still tops the queue it is the true argmax. At a
+// round where a Rekeyer oracle reports that gains may have risen, every key
+// is replaced by a bound for that round first, so the argmax stays exact.
 //
 // The returned slice is owned by the runner and only valid until the next
 // Run call; callers that retain it must copy.
@@ -247,6 +263,7 @@ func (lr *LazyRunner) Run(ground []int, rounds int, feasible func(selected []int
 	q := lr.q[:0]
 	bounder, hasBounds := o.(Bounder)
 	dyn, _ := o.(DynamicBounder)
+	rk, _ := o.(Rekeyer)
 	maxElem := -1
 	for _, e := range ground {
 		bound := math.MaxInt32
@@ -267,6 +284,9 @@ func (lr *LazyRunner) Run(ground []int, rounds int, feasible func(selected []int
 	var runErr error
 rounds:
 	for round := 0; round < rounds; round++ {
+		if round > 0 && rk != nil && rk.Rekey(round) {
+			q.rekey(round, dyn)
+		}
 		for len(q) > 0 {
 			it := q.pop()
 			if lr.mark[it.elem] {
@@ -333,6 +353,19 @@ func (q *pq) refresh(it pqItem, round int, o Oracle, dyn DynamicBounder) error {
 	return nil
 }
 
+// rekey replaces every entry's key with a bound valid at round — the
+// dynamic bound when dyn is non-nil, +infinity otherwise — marks it stale,
+// and restores the heap order (see Rekeyer).
+func (q pq) rekey(round int, dyn DynamicBounder) {
+	for i := range q {
+		q[i].bound, q[i].round = math.MaxInt32, -1
+		if dyn != nil {
+			q[i].bound = dyn.RoundBound(round, q[i].elem)
+		}
+	}
+	q.init()
+}
+
 // Presorted is the universe 0..n-1 of a lazy greedy in its initial heap
 // order: static bound descending, element ascending. A sorted array is a
 // valid heap, so RunHop seeds its heap by filtering one — no heapify, no
@@ -372,6 +405,7 @@ func Presort(n int, o Oracle) Presorted {
 // commits, each round, the feasible unselected element of largest exact
 // gain, ties going to the smaller element under the (bound desc, element
 // asc) order; how infeasible elements leave the heap does not enter into it.
+// Both re-key at the same rounds (see Rekeyer).
 // Only the number of Gain and RoundBound calls may differ, and a Gain never
 // changes what a later Commit or Gain returns.
 //
@@ -396,11 +430,15 @@ func (lr *LazyRunner) RunHop(p Presorted, m HopCount, rounds int, o Oracle) ([]i
 		}
 	}
 	dyn, _ := o.(DynamicBounder)
+	rk, _ := o.(Rekeyer)
 
 	selected := lr.selected[:0]
 	var runErr error
 rounds:
 	for round := 0; round < rounds; round++ {
+		if round > 0 && rk != nil && rk.Rekey(round) {
+			q.rekey(round, dyn)
+		}
 		for len(q) > 0 {
 			it := q.pop()
 			if it.round == round {

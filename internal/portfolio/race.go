@@ -205,17 +205,9 @@ func Race(ctx context.Context, in *core.Instance, opts core.Options) (*core.Depl
 	// checkpointed budget accounting.
 	var cp *core.Checkpoint
 	if stopped {
-		cp = &core.Checkpoint{
-			Algorithm:           core.KindPortfolio,
-			ScenarioFingerprint: in.Fingerprint(),
-			S:                   s,
-			Seed:                opts.Seed,
-			DisablePrune:        opts.DisablePrune,
-			GroundLeftovers:     opts.GroundLeftovers,
-			Solver:              opts.Solver,
-			Budget:              budget,
-			Members:             make([]core.SolverState, len(solvers)),
-		}
+		cp = core.CommonCheckpoint(core.KindPortfolio, in, s, opts)
+		cp.Solver, cp.Budget = opts.Solver, budget
+		cp.Members = make([]core.SolverState, len(solvers))
 		for i, sv := range solvers {
 			if cp.Members[i], err = sv.State(); err != nil {
 				return nil, err

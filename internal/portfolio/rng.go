@@ -25,11 +25,9 @@ func mix(x uint64) uint64 {
 }
 
 func (s *splitmix) Uint64() uint64 {
+	z := mix(s.state)
 	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 func (s *splitmix) Int63() int64 { return int64(s.Uint64() >> 1) }

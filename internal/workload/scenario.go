@@ -36,8 +36,9 @@ type Params struct {
 	Distribution Distribution
 	// Seed drives user placement and fleet sampling.
 	Seed int64
-	// SnapSide, when positive, snaps user positions to the centers of a grid
-	// with this side (UserOptions.SnapSide) — the demand-homogeneous regime
+	// SnapSide, when non-zero, snaps user positions to the centers of a grid
+	// with this side (UserOptions.SnapSide, which refuses a side that is not
+	// positive or does not divide the area) — the demand-homogeneous regime
 	// in which aggregation is exact. Zero leaves positions continuous.
 	SnapSide float64
 }

@@ -47,13 +47,14 @@ func (d Distribution) String() string {
 
 // UserOptions tune the generated positions.
 type UserOptions struct {
-	// SnapSide, when positive, snaps every generated position to the center
-	// of its cell on a square grid with this side (which must divide the
-	// area like a hovering-grid side). Snapped scenarios make every demand
-	// cell's members co-located, the homogeneity condition under which
-	// core.NewAggregateInstance is exact — the differential suite and the
-	// million-user benchmarks generate their workloads this way. Applies to
-	// every distribution.
+	// SnapSide, when non-zero, snaps every generated position to the center
+	// of its cell on a square grid with this side, which must be positive
+	// and divide the area like a hovering-grid side; any other non-zero
+	// value is refused before a position is drawn. Snapped scenarios make
+	// every demand cell's members co-located, the homogeneity condition
+	// under which core.NewAggregateInstance is exact — the differential
+	// suite and the million-user benchmarks generate their workloads this
+	// way. Applies to every distribution.
 	SnapSide float64
 }
 
@@ -76,6 +77,13 @@ func UsersRand(r *rand.Rand, grid geom.Grid, n int, dist Distribution, opts User
 	if n < 0 {
 		return nil, fmt.Errorf("workload: negative user count %d", n)
 	}
+	snap := grid
+	snap.Side = opts.SnapSide
+	if opts.SnapSide != 0 {
+		if err := snap.Validate(); err != nil {
+			return nil, fmt.Errorf("workload: invalid snap grid: %w", err)
+		}
+	}
 	var out []geom.Point2
 	switch dist {
 	case Uniform:
@@ -87,28 +95,15 @@ func UsersRand(r *rand.Rand, grid geom.Grid, n int, dist Distribution, opts User
 	default:
 		return nil, fmt.Errorf("workload: unknown distribution %v", dist)
 	}
-	if opts.SnapSide > 0 {
-		if err := snapUsers(grid, opts.SnapSide, out); err != nil {
-			return nil, err
+	if opts.SnapSide != 0 {
+		// Binning uses the same CellOf arithmetic the aggregation layer
+		// uses, so a snapped position and its demand cell never disagree.
+		for i, p := range out {
+			col, row := snap.CellAt(snap.CellOf(p))
+			out[i] = snap.Center(col, row)
 		}
 	}
 	return out, nil
-}
-
-// snapUsers moves each position to the center of its cell on a grid with
-// side snapSide, binning with the same CellOf arithmetic the aggregation
-// layer uses so a snapped position and its demand cell can never disagree.
-func snapUsers(grid geom.Grid, snapSide float64, positions []geom.Point2) error {
-	snap := grid
-	snap.Side = snapSide
-	if err := snap.Validate(); err != nil {
-		return fmt.Errorf("workload: invalid snap grid: %w", err)
-	}
-	for i, p := range positions {
-		col, row := snap.CellAt(snap.CellOf(p))
-		positions[i] = snap.Center(col, row)
-	}
-	return nil
 }
 
 func uniformUsers(r *rand.Rand, grid geom.Grid, n int) []geom.Point2 {

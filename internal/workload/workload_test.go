@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/uav-coverage/uavnet/internal/geom"
@@ -73,6 +74,50 @@ func TestUsersErrors(t *testing.T) {
 	}
 	if _, err := UsersWithOptions(grid, 10, Distribution(99), 0, UserOptions{}); err == nil {
 		t.Error("unknown distribution should fail")
+	}
+}
+
+// TestSnapSideRefusedBeforeDrawing gives UsersRand snap sides that are not
+// a positive divisor of the area. Each is refused, and before the first
+// draw: the random source is left where it was. A side that is skipped
+// rather than refused would return unsnapped users.
+func TestSnapSideRefusedBeforeDrawing(t *testing.T) {
+	grid := testGrid()
+	want := rand.New(rand.NewSource(5)).Int63()
+	for _, side := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -250, 7} {
+		r := rand.New(rand.NewSource(5))
+		if users, err := UsersRand(r, grid, 100, Uniform, UserOptions{SnapSide: side}); err == nil {
+			t.Errorf("snap side %v: %d users, want an error", side, len(users))
+		}
+		if got := r.Int63(); got != want {
+			t.Errorf("snap side %v: users were drawn before the side was refused", side)
+		}
+	}
+}
+
+// TestSnapMovesEachDrawToItsCellCenter holds a valid snap side to the draws
+// without one: the same positions, each moved to the center of its cell on
+// the snap grid (250 m, the million-user benchmark's side, and 3000 m).
+func TestSnapMovesEachDrawToItsCellCenter(t *testing.T) {
+	grid := testGrid()
+	for _, side := range []float64{250, 3000} {
+		for _, dist := range []Distribution{FatTailed, Uniform, SingleHotspot} {
+			raw, err := UsersWithOptions(grid, 300, dist, 11, UserOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snapped, err := UsersWithOptions(grid, 300, dist, 11, UserOptions{SnapSide: side})
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := grid
+			snap.Side = side
+			for i, p := range raw {
+				if want := snap.Center(snap.CellAt(snap.CellOf(p))); snapped[i] != want {
+					t.Fatalf("side %v, %v, user %d: snapped to %v, want %v", side, dist, i, snapped[i], want)
+				}
+			}
+		}
 	}
 }
 
