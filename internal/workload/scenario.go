@@ -103,8 +103,11 @@ func BuildScenario(p Params) (*core.Scenario, error) {
 		UAVRange: p.UAVRange,
 		Channel:  channel.DefaultParams(),
 	}
-	for _, pos := range positions {
-		sc.Users = append(sc.Users, core.User{Pos: pos, MinRateBps: p.MinRateBps})
+	// Sized once: appending a million users leaves several times the slice
+	// in garbage and makes the peak heap depend on when a collection runs.
+	sc.Users = make([]core.User, len(positions))
+	for i, pos := range positions {
+		sc.Users[i] = core.User{Pos: pos, MinRateBps: p.MinRateBps}
 	}
 	for i, c := range caps {
 		sc.UAVs = append(sc.UAVs, core.UAV{
