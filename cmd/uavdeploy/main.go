@@ -20,16 +20,40 @@
 // Run control (approAlg, enumeration or -solver):
 //
 //	uavdeploy -scenario big.json -timeout 30s -checkpoint run.ckpt
+//	uavdeploy -scenario big.json -stop-after 5000 -checkpoint run.ckpt
 //	uavdeploy -scenario big.json -resume run.ckpt     # continue to completion
 //	uavdeploy -scenario big.json -progress 2s         # periodic status lines
 //
-// A run interrupted by SIGINT or -timeout prints its best-so-far deployment,
-// writes the -checkpoint file if one was given, and exits non-zero; resuming
-// from that checkpoint produces the same deployment as an uninterrupted run.
+// A run cut by SIGINT, -timeout or -stop-after prints its best-so-far
+// deployment, writes the -checkpoint file if one was given, and exits
+// non-zero; resuming from that checkpoint produces the same deployment as an
+// uninterrupted run. -stop-after N cuts at a fixed point: the enumeration at
+// enumeration index N, a -solver race each member once its own evaluation
+// count reaches N.
 //
 // -workers N evaluates anchor subsets on N goroutines; the deployment is
-// byte-identical for every worker count. To split the enumeration across
-// processes or machines, see cmd/uavshard.
+// byte-identical for every worker count.
+//
+// Sharding splits the approAlg enumeration across processes or machines
+// (DESIGN.md §13):
+//
+//	uavdeploy -scenario sc.json -shard 0/2 -checkpoint part0.ckpt
+//	uavdeploy -scenario sc.json -shard 1/2 -checkpoint part1.ckpt
+//	uavdeploy -scenario sc.json -resume part0.ckpt,part1.ckpt -out dep.json
+//
+// -shard i/N solves the i-th of N contiguous ranges of the anchor-subset
+// index space and writes its partial checkpoint to -checkpoint whether it
+// finishes or is cut; a cut shard continues with the same -shard and
+// -resume. A comma-separated -resume merges shard checkpoints: a complete
+// set is the deployment, byte-identical to a single-process run, and an
+// incomplete set resumes from the merged state and finishes the missing
+// ranges in this process. The flags that shape the enumeration (-s,
+// -max-subsets, -seed, -literal, -agg-cell) must agree across the shards
+// and the merge: the checkpoints carry them, and a mismatch, a duplicate
+// shard, a gap or an overlap is refused.
+//
+// -seed seeds the -max-subsets sample and the -solver RNGs as well as an
+// inline scenario; a resume takes its checkpoint's seed.
 //
 // Large m (metaheuristic portfolio):
 //
@@ -40,9 +64,9 @@
 // budgeted local search (anneal | tabu | grasp | genetic | portfolio = race
 // all four). -budget caps the anchor-subset evaluations per member (0 = a
 // sensible default); same seed + same budget reproduces the deployment
-// byte-for-byte. -timeout/-checkpoint/-resume work as for the enumeration:
-// the checkpoint file is the same format, tagged "portfolio", and freezes
-// every member's search state.
+// byte-for-byte. -timeout/-stop-after/-checkpoint/-resume work as for the
+// enumeration: the checkpoint file is the same format, tagged "portfolio",
+// and freezes every member's search state.
 package main
 
 import (
@@ -50,9 +74,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -78,16 +104,18 @@ func run(args []string) error {
 		budget       = fs.Int64("budget", 0, "evaluations per solver member for -solver (0 = default; the enumeration takes none)")
 		n            = fs.Int("n", 500, "users when generating inline")
 		k            = fs.Int("k", 8, "UAVs when generating inline")
-		seed         = fs.Int64("seed", 1, "seed when generating inline; also drives the -solver RNGs")
+		seed         = fs.Int64("seed", 1, "seed when generating inline; also seeds the -max-subsets sample and the -solver RNGs (a resume takes its checkpoint's)")
 		showMap      = fs.Bool("map", true, "print the ASCII placement map")
 		literal      = fs.Bool("literal", false, "run approAlg exactly as the paper's pseudocode (ground leftover UAVs)")
 		refine       = fs.Bool("refine", false, "refine the assignment to minimize total pathloss")
 		gatewayAt    = fs.String("gateway", "", "gateway position as \"x,y\" meters; builds a relay chain to it")
 		verifyDep    = fs.Bool("verify", false, "run the feasibility oracle on every deployment; exit non-zero on violations")
 		timeout      = fs.Duration("timeout", 0, "abort the run after this long, keeping the best-so-far deployment (0 = none)")
+		stopAfter    = fs.Int64("stop-after", 0, "stop at this work count, keeping the best-so-far deployment: an enumeration index, or each -solver member's evaluations (0 = none)")
 		progressIntv = fs.Duration("progress", 0, "print approAlg progress to stderr at this interval (0 = off)")
-		ckptPath     = fs.String("checkpoint", "", "write a resumable checkpoint here when the run is stopped early")
-		resumePath   = fs.String("resume", "", "resume an approAlg run (enumeration or -solver) from this checkpoint file")
+		shardStr     = fs.String("shard", "", "solve shard \"i/N\" (0-based) of the approAlg enumeration; needs -checkpoint")
+		ckptPath     = fs.String("checkpoint", "", "write a resumable checkpoint here when the run is stopped early, and a -shard run's partial checkpoint always")
+		resumeList   = fs.String("resume", "", "resume an approAlg run (enumeration or -solver) from this checkpoint file; a comma-separated list of shard checkpoints is merged and finished")
 		aggCell      = fs.Float64("agg-cell", 0, "aggregate users into weighted demand cells with this side in meters before solving (approAlg only; 0 = per-user)")
 		outPath      = fs.String("out", "", "write the final deployment as JSON here")
 	)
@@ -114,19 +142,53 @@ func run(args []string) error {
 			return err
 		}
 	}
+	var resumePaths []string
+	if *resumeList != "" {
+		resumePaths = strings.Split(*resumeList, ",")
+		if slices.Contains(resumePaths, "") {
+			return fmt.Errorf("bad -resume %q: empty file name in the list", *resumeList)
+		}
+	}
 
 	opts := uavnet.Options{
 		S: *s, Workers: *workers, MaxSubsets: *maxSubsets, GroundLeftovers: *literal,
-		Solver: *solver, SolverBudget: *budget,
+		Solver: *solver, SolverBudget: *budget, StopAfter: *stopAfter, Seed: *seed,
 	}
-	if !opts.SolverIsEnum() {
-		if *alg != "approAlg" {
-			return fmt.Errorf("-solver replaces the approAlg enumeration; it needs -alg approAlg")
+	if opts.SolverIsEnum() && opts.MaxSubsets == 0 {
+		// An exhaustive enumeration draws nothing at random: seed 0 keeps its
+		// checkpoints the same whichever -seed generated the scenario.
+		opts.Seed = 0
+	}
+	if !opts.SolverIsEnum() && *alg != "approAlg" {
+		return fmt.Errorf("-solver replaces the approAlg enumeration; it needs -alg approAlg")
+	}
+	if *shardStr != "" || len(resumePaths) > 1 {
+		door := "-shard"
+		if *shardStr == "" {
+			door = "a several-file -resume"
 		}
-		// -seed drives the solver RNGs. The enumeration has no seed flag of
-		// its own: a fresh run keeps Seed zero, a resumed one the
-		// checkpoint's.
-		opts.Seed = *seed
+		// Shards split the approAlg enumeration's index space and nothing
+		// else; the merge rebuilds exactly that run.
+		switch {
+		case *alg != "approAlg":
+			return fmt.Errorf("%s splits the approAlg enumeration; it needs -alg approAlg, not %s", door, *alg)
+		case *gatewayAt != "":
+			return fmt.Errorf("%s splits the approAlg enumeration; it does not take -gateway", door)
+		case !opts.SolverIsEnum():
+			return fmt.Errorf("%s splits the approAlg enumeration; it does not take -solver %s", door, *solver)
+		}
+	}
+	if *shardStr != "" {
+		var err error
+		if opts.Shard, err = parseShard(*shardStr); err != nil {
+			return err
+		}
+		switch {
+		case *ckptPath == "":
+			return fmt.Errorf("-shard needs -checkpoint: the shard's partial checkpoint is its result")
+		case len(resumePaths) > 1:
+			return fmt.Errorf("-shard resumes one shard's own checkpoint; merge several without -shard")
+		}
 	}
 	if err := opts.Validate(); err != nil {
 		return err
@@ -186,48 +248,70 @@ func run(args []string) error {
 		opts.ProgressInterval = *progressIntv
 		opts.Progress = printProgress
 	}
-	if *resumePath != "" {
-		cp, err := uavnet.LoadCheckpoint(*resumePath)
-		if err != nil {
-			return err
+	// merged is the deployment of a complete set of shard checkpoints,
+	// which leaves nothing to solve.
+	var merged *uavnet.Deployment
+	if len(resumePaths) > 0 {
+		cps := make([]*uavnet.Checkpoint, len(resumePaths))
+		for i, p := range resumePaths {
+			if cps[i], err = uavnet.LoadCheckpoint(p); err != nil {
+				return err
+			}
 		}
-		opts.Resume = cp
 		if opts.SolverIsEnum() {
-			opts.Seed = cp.Seed
+			opts.Seed = cps[0].Seed
 		}
-		done, total := cp.Frontier()
-		fmt.Printf("resuming %s checkpoint %s at %d / %d\n", cp.Algorithm, *resumePath, done, total)
+		cp := cps[0]
+		if len(cps) > 1 {
+			dep, err := uavnet.MergeCheckpoints(in, opts, cps)
+			if err != nil {
+				return err
+			}
+			if dep.Status != uavnet.StatusStopped {
+				merged = dep
+			}
+			cp = dep.Checkpoint
+		}
+		if merged != nil {
+			fmt.Printf("merged %d shard checkpoints: every subset is done\n", len(cps))
+		} else {
+			opts.Resume = cp
+			done, total := cp.Frontier()
+			fmt.Printf("resuming %s checkpoint %s at %d / %d\n", cp.Algorithm, *resumeList, done, total)
+		}
 	}
 
-	var runErr error
+	var stopped error
 	for _, name := range names {
 		start := time.Now()
-		var dep *uavnet.Deployment
+		dep, runErr := merged, error(nil)
 		switch {
+		case merged != nil: // nothing left to solve
 		case *gatewayAt != "" && name == "approAlg":
 			// approAlg plans the gateway in: its cells become required anchors.
-			var err error
-			dep, err = uavnet.DeployToGatewayContext(ctx, in, gw, opts)
-			if err != nil && dep == nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			runErr = errors.Join(runErr, err)
+			dep, runErr = uavnet.DeployToGatewayContext(ctx, in, gw, opts)
 		default:
-			var err error
-			dep, err = uavnet.DeployWithContext(ctx, name, in, opts)
-			if err != nil && dep == nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
-			runErr = errors.Join(runErr, err)
-			if *gatewayAt != "" && dep.Status != uavnet.StatusStopped {
-				// Baselines are gateway-oblivious; retrofit a relay chain.
-				dep, err = uavnet.ConnectToGateway(in, dep, gw)
-				if err != nil {
-					return fmt.Errorf("%s: gateway: %w", name, err)
-				}
+			dep, runErr = uavnet.DeployWithContext(ctx, name, in, opts)
+		}
+		if runErr != nil && dep == nil {
+			return fmt.Errorf("%s: %w", name, runErr)
+		}
+		// A stopped run and a finished shard carry a checkpoint, which a
+		// refined deployment does not.
+		status, cp := dep.Status, dep.Checkpoint
+		if cp != nil && *ckptPath != "" {
+			if err := uavnet.SaveCheckpoint(*ckptPath, cp); err != nil {
+				return fmt.Errorf("%s: checkpoint: %w", name, err)
 			}
 		}
-		if *refine && dep.Status != uavnet.StatusStopped {
+		if *gatewayAt != "" && name != "approAlg" {
+			// Baselines are gateway-oblivious; retrofit a relay chain.
+			var err error
+			if dep, err = uavnet.ConnectToGateway(in, dep, gw); err != nil {
+				return fmt.Errorf("%s: gateway: %w", name, err)
+			}
+		}
+		if *refine && status != uavnet.StatusStopped {
 			refined, totalPL, err := uavnet.RefineAssignment(in, dep)
 			if err != nil {
 				return fmt.Errorf("%s: refine: %w", name, err)
@@ -238,17 +322,23 @@ func run(args []string) error {
 		}
 		elapsed := time.Since(start)
 		report(in, dep, elapsed, *showMap)
-		if dep.Status == uavnet.StatusStopped {
-			switch {
-			case *ckptPath != "" && dep.Checkpoint != nil:
-				if err := uavnet.SaveCheckpoint(*ckptPath, dep.Checkpoint); err != nil {
-					return fmt.Errorf("%s: checkpoint: %w", name, err)
-				}
-				done, total := dep.Checkpoint.Frontier()
-				fmt.Printf("run stopped at %d / %d; resume with -resume %s\n\n", done, total, *ckptPath)
-			default:
-				fmt.Printf("run stopped early; pass -checkpoint to make it resumable\n\n")
+		switch status {
+		case uavnet.StatusPartial:
+			r := cp.Range()
+			fmt.Printf("shard %s done: subsets [%d, %d) of %d; partial checkpoint written to %s\n\n",
+				*shardStr, r.Start, r.End, cp.Total, *ckptPath)
+		case uavnet.StatusStopped:
+			why := fmt.Sprintf("-stop-after %d", *stopAfter)
+			if runErr != nil {
+				why = runErr.Error() // SIGINT or -timeout
 			}
+			msg := fmt.Sprintf("run stopped (%s); pass -checkpoint to make it resumable", why)
+			if *ckptPath != "" {
+				done, total := cp.Frontier()
+				msg = fmt.Sprintf("run stopped at %d / %d (%s); continue with -resume %s", done, total, why, *ckptPath)
+			}
+			fmt.Printf("%s\n\n", msg)
+			stopped = errors.Join(stopped, fmt.Errorf("%s: %s", name, msg))
 		}
 		if *verifyDep && dep.Served > 0 {
 			rep := uavnet.Verify(in, dep)
@@ -263,7 +353,7 @@ func run(args []string) error {
 			}
 		}
 	}
-	return runErr
+	return stopped
 }
 
 // printProgress renders one Options.Progress snapshot to stderr.
@@ -287,11 +377,27 @@ func isSolverAlg(name string) bool {
 	return slices.Contains(uavnet.SolverNames(), solver)
 }
 
-// parseGateway parses an "x,y" position in meters.
+// parseShard parses "i/N" strictly.
+func parseShard(s string) (uavnet.ShardSpec, error) {
+	is, ns, ok := strings.Cut(s, "/")
+	if ok {
+		i, err1 := strconv.Atoi(is)
+		n, err2 := strconv.Atoi(ns)
+		if err1 == nil && err2 == nil && n >= 1 && i >= 0 && i < n {
+			return uavnet.ShardSpec{Index: i, Count: n}, nil
+		}
+	}
+	return uavnet.ShardSpec{}, fmt.Errorf("bad -shard %q (want \"i/N\" with 0 <= i < N)", s)
+}
+
+// parseGateway parses an "x,y" position in meters: two finite numbers
+// around one comma, spaces allowed.
 func parseGateway(s string) (uavnet.Gateway, error) {
-	var x, y float64
-	if _, err := fmt.Sscanf(s, "%f,%f", &x, &y); err != nil {
-		return uavnet.Gateway{}, fmt.Errorf("bad -gateway %q (want \"x,y\"): %w", s, err)
+	xs, ys, _ := strings.Cut(s, ",")
+	x, errX := strconv.ParseFloat(strings.TrimSpace(xs), 64)
+	y, errY := strconv.ParseFloat(strings.TrimSpace(ys), 64)
+	if errX != nil || errY != nil || math.IsNaN(x) || math.IsNaN(y) || math.IsInf(x, 0) || math.IsInf(y, 0) {
+		return uavnet.Gateway{}, fmt.Errorf("bad -gateway %q (want \"x,y\": two finite numbers of meters)", s)
 	}
 	return uavnet.Gateway{Pos: uavnet.Point{X: x, Y: y}}, nil
 }

@@ -1,7 +1,10 @@
 package main
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -77,37 +80,315 @@ func TestVerifyCleanDeployment(t *testing.T) {
 // that read the scenario before checking the side would fail on the missing
 // file, and one that ignored the side would solve per user.
 func TestRefusesBadAggCellBeforeReadingScenario(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing.json")
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.json")
+	part := filepath.Join(dir, "part.ckpt")
 	for _, side := range []string{"-250", "NaN", "Inf", "-Inf"} {
-		err := run([]string{"-scenario", missing, "-agg-cell", side})
-		if err == nil || !strings.Contains(err.Error(), "demand-cell side") {
-			t.Errorf("-agg-cell %s: err = %v, want the demand-cell side rule", side, err)
+		for _, door := range [][]string{nil, {"-shard", "0/2", "-checkpoint", part}, {"-resume", part + "," + part}} {
+			err := run(append([]string{"-scenario", missing, "-agg-cell", side}, door...))
+			if err == nil || !strings.Contains(err.Error(), "demand-cell side") {
+				t.Errorf("-agg-cell %s %v: err = %v, want the demand-cell side rule", side, door, err)
+			}
 		}
+	}
+	if _, err := os.Stat(part); !os.IsNotExist(err) {
+		t.Errorf("a refused run wrote %s (stat: %v)", part, err)
 	}
 }
 
 // TestRefusesBadFlagsBeforeReadingScenario gives each flag value uavdeploy
 // refuses and a scenario path that names no file: a run that read the
 // scenario before checking the flags would fail on the missing file instead,
-// and one that ignored a flag would solve.
+// and one that ignored a flag would solve and write its files.
 func TestRefusesBadFlagsBeforeReadingScenario(t *testing.T) {
-	missing := filepath.Join(t.TempDir(), "missing.json")
-	for _, c := range []struct {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing.json")
+	ckpt := filepath.Join(dir, "part.ckpt")
+	out := filepath.Join(dir, "dep.json")
+	shard := []string{"-shard", "0/2", "-checkpoint", ckpt}
+	merge := []string{"-resume", ckpt + "," + ckpt}
+	type row struct {
 		flags []string
 		want  string
-	}{
+	}
+	rows := []row{
 		{[]string{"-alg", "bogus"}, "unknown -alg"},
-		{[]string{"-gateway", "1;2"}, "bad -gateway"},
 		{[]string{"-agg-cell", "250", "-alg", "MCS"}, "supports only approAlg"},
 		{[]string{"-agg-cell", "250", "-alg", "all"}, "supports only approAlg"},
 		{[]string{"-agg-cell", "250", "-refine"}, "incompatible"},
 		{[]string{"-timeout", "-5s"}, "must be non-negative"},
 		{[]string{"-progress", "-1s"}, "must be non-negative"},
 		{[]string{"stray"}, "unexpected arguments"},
-	} {
-		err := run(append([]string{"-scenario", missing}, c.flags...))
+		{[]string{"-shard", "2/2", "-checkpoint", ckpt}, "bad -shard"},
+		{[]string{"-shard", "1"}, "bad -shard"},
+		{[]string{"-shard", "0/2"}, "-shard needs -checkpoint"},
+		{append([]string{"-alg", "MCS"}, shard...), "needs -alg approAlg"},
+		{append([]string{"-alg", "all"}, shard...), "needs -alg approAlg"},
+		{append([]string{"-gateway", "1,2"}, shard...), "does not take -gateway"},
+		{append([]string{"-solver", "anneal"}, shard...), "does not take -solver"},
+		{append([]string{"-alg", "MCS"}, merge...), "needs -alg approAlg"},
+		{append([]string{"-gateway", "1,2"}, merge...), "does not take -gateway"},
+		{append([]string{"-solver", "portfolio"}, merge...), "does not take -solver"},
+		{append(shard, merge...), "merge several without -shard"},
+		{[]string{"-resume", ckpt + ","}, "bad -resume"},
+		{[]string{"-resume", "," + ckpt}, "bad -resume"},
+	}
+	for _, gw := range []string{"1;2", "100", "100,", ",200", "100,200junk", "100,200,300", "100 200",
+		"x,1", "NaN,0", "0,NaN", "Inf,0", "0,-Inf", "1e999,0"} {
+		rows = append(rows, row{[]string{"-gateway", gw}, "bad -gateway"})
+	}
+	// Options.Validate's rules, with and without a shard.
+	for flag, field := range map[string]string{"-s": "S", "-workers": "Workers", "-max-subsets": "MaxSubsets", "-stop-after": "StopAfter"} {
+		for _, door := range [][]string{nil, shard} {
+			rows = append(rows, row{append([]string{flag, "-1"}, door...), "core: " + field + " must be non-negative"})
+		}
+	}
+	for _, c := range rows {
+		err := run(append([]string{"-scenario", missing, "-out", out}, c.flags...))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%v: err = %v, want %q", c.flags, err, c.want)
 		}
+	}
+	for _, path := range []string{ckpt, out} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("a refused run wrote %s (stat: %v)", path, err)
+		}
+	}
+}
+
+func TestParseShard(t *testing.T) {
+	good := map[string]uavnet.ShardSpec{
+		"0/1":  {Index: 0, Count: 1},
+		"0/4":  {Index: 0, Count: 4},
+		"3/4":  {Index: 3, Count: 4},
+		"7/16": {Index: 7, Count: 16},
+	}
+	for in, want := range good {
+		got, err := parseShard(in)
+		if err != nil || got != want {
+			t.Errorf("parseShard(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"", "3", "/", "1/", "/4", "4/4", "5/4", "-1/4", "0/0", "0/-2", "a/4", "0/b", "0/4/2", "0 /4"} {
+		if got, err := parseShard(in); err == nil {
+			t.Errorf("parseShard(%q) = %v, want error", in, got)
+		}
+	}
+}
+
+// TestParseGateway lists the forms -gateway accepts; the forms it refuses
+// are rows of TestRefusesBadFlagsBeforeReadingScenario.
+func TestParseGateway(t *testing.T) {
+	good := map[string]uavnet.Point{
+		"100,200":       {X: 100, Y: 200},
+		" 100 , 200 ":   {X: 100, Y: 200},
+		"-1.5,2e3":      {X: -1.5, Y: 2000},
+		"0,0":           {},
+		"1e308,1e308":   {X: 1e308, Y: 1e308},
+		"\t7,\t-0.25\t": {X: 7, Y: -0.25},
+	}
+	for in, want := range good {
+		got, err := parseGateway(in)
+		if err != nil || got.Pos != want {
+			t.Errorf("parseGateway(%q) = %v, %v; want %v", in, got.Pos, err, want)
+		}
+	}
+}
+
+// writeTestScenario generates a small 9-cell scenario and saves it, returning
+// the path and the precomputed instance for reference runs. At s = 2 its
+// enumeration has C(9,2) = 36 subsets.
+func writeTestScenario(t *testing.T, dir string) (string, *uavnet.Instance) {
+	t.Helper()
+	sc, err := uavnet.GenerateScenario(uavnet.ScenarioSpec{
+		AreaSide: 1500, CellSide: 500, N: 40, K: 3, CMin: 10, CMax: 25, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "scenario.json")
+	if err := uavnet.SaveScenario(path, sc); err != nil {
+		t.Fatal(err)
+	}
+	in, err := uavnet.NewInstance(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path, in
+}
+
+// referenceDeployment solves the instance in one process and renders it the
+// way SaveDeployment would, for byte comparison against the CLI output.
+func referenceDeployment(t *testing.T, in *uavnet.Instance, opts uavnet.Options) []byte {
+	t.Helper()
+	dep, err := uavnet.DeployInstance(in, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := uavnet.MarshalDeployment(dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(data, '\n')
+}
+
+// mustMatchFile fails unless the file at path holds want.
+func mustMatchFile(t *testing.T, path string, want []byte) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Errorf("%s differs from the reference run:\n got: %s\nwant: %s", filepath.Base(path), got, want)
+	}
+}
+
+// shardRun runs one shard of the s = 2 enumeration of the scenario at scPath
+// with the extra flags, writing its partial checkpoint to part.
+func shardRun(scPath, shard, part string, extra ...string) error {
+	return run(append([]string{"-scenario", scPath, "-s", "2", "-workers", "1", "-map=false",
+		"-shard", shard, "-checkpoint", part}, extra...))
+}
+
+// TestShardsThenResumeMatchSingleProcess runs three shards, exhaustive and
+// sampled, and merges them with a several-file -resume, which takes the
+// checkpoints' seed: no -seed is passed to it.
+func TestShardsThenResumeMatchSingleProcess(t *testing.T) {
+	dir := t.TempDir()
+	scPath, in := writeTestScenario(t, dir)
+	for _, c := range []struct {
+		name          string
+		shard, resume []string
+		want          uavnet.Options
+	}{
+		{"exhaustive", nil, nil, uavnet.Options{S: 2}},
+		{"sampled", []string{"-max-subsets", "20", "-seed", "5"}, []string{"-max-subsets", "20"}, uavnet.Options{S: 2, MaxSubsets: 20, Seed: 5}},
+	} {
+		const shards = 3
+		parts := make([]string, shards)
+		for i := range parts {
+			parts[i] = filepath.Join(dir, fmt.Sprintf("%s%d.ckpt", c.name, i))
+			if err := shardRun(scPath, fmt.Sprintf("%d/%d", i, shards), parts[i], c.shard...); err != nil {
+				t.Fatalf("%s shard %d/%d: %v", c.name, i, shards, err)
+			}
+		}
+		depPath := filepath.Join(dir, c.name+".json")
+		if err := run(append([]string{"-scenario", scPath, "-s", "2", "-map=false", "-verify",
+			"-resume", strings.Join(parts, ","), "-out", depPath}, c.resume...)); err != nil {
+			t.Fatalf("%s several-file -resume: %v", c.name, err)
+		}
+		mustMatchFile(t, depPath, referenceDeployment(t, in, c.want))
+	}
+}
+
+func TestShardStopResumeThenMerge(t *testing.T) {
+	dir := t.TempDir()
+	scPath, in := writeTestScenario(t, dir)
+	part0 := filepath.Join(dir, "part0.ckpt")
+	part1 := filepath.Join(dir, "part1.ckpt")
+
+	// Shard 0/2 owns [0, 18); -stop-after 3 cuts it there.
+	err := shardRun(scPath, "0/2", part0, "-stop-after", "3")
+	if err == nil || !strings.Contains(err.Error(), "-resume") {
+		t.Fatalf("cut shard error = %v, want a hint to -resume", err)
+	}
+	cp, err := uavnet.LoadCheckpoint(part0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Cursor != 3 || cp.Complete() {
+		t.Fatalf("cut shard checkpoint: cursor %d, complete %v; want 3, false", cp.Cursor, cp.Complete())
+	}
+
+	// Resume shard 0 to the end of its range, run shard 1, merge.
+	if err := shardRun(scPath, "0/2", part0, "-resume", part0); err != nil {
+		t.Fatalf("resumed shard: %v", err)
+	}
+	if err := shardRun(scPath, "1/2", part1); err != nil {
+		t.Fatalf("shard 1/2: %v", err)
+	}
+	depPath := filepath.Join(dir, "merged.json")
+	if err := run([]string{"-scenario", scPath, "-s", "2", "-map=false",
+		"-resume", part0 + "," + part1, "-out", depPath}); err != nil {
+		t.Fatalf("several-file -resume: %v", err)
+	}
+	mustMatchFile(t, depPath, referenceDeployment(t, in, uavnet.Options{S: 2}))
+}
+
+// TestResumeFinishesUnfinishedShards merges three shard checkpoints, two of
+// them cut, and finishes their holes in the same process; the same merge
+// cut again leaves a checkpoint listing what is still unprocessed.
+func TestResumeFinishesUnfinishedShards(t *testing.T) {
+	dir := t.TempDir()
+	scPath, in := writeTestScenario(t, dir)
+	want := referenceDeployment(t, in, uavnet.Options{S: 2})
+
+	// Shards of 3 own [0, 12), [12, 24) and [24, 36); cut the first at 3
+	// and the last at 27.
+	parts := make([]string, 3)
+	for i, stop := range []string{"3", "0", "27"} {
+		parts[i] = filepath.Join(dir, fmt.Sprintf("part%d.ckpt", i))
+		err := shardRun(scPath, fmt.Sprintf("%d/3", i), parts[i], "-stop-after", stop)
+		if (err != nil) != (stop != "0") {
+			t.Fatalf("shard %d/3 -stop-after %s: err = %v", i, stop, err)
+		}
+	}
+	list := strings.Join(parts, ",")
+
+	cut := filepath.Join(dir, "merged.ckpt")
+	err := run([]string{"-scenario", scPath, "-s", "2", "-map=false",
+		"-resume", list, "-stop-after", "6", "-checkpoint", cut})
+	if err == nil || !strings.Contains(err.Error(), "-resume "+cut) {
+		t.Fatalf("cut merge error = %v, want a hint to -resume %s", err, cut)
+	}
+	cp, err := uavnet.LoadCheckpoint(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, holes := cp.RemainingSpans(), []uavnet.Span{{Start: 6, End: 12}, {Start: 27, End: 36}}; !slices.Equal(got, holes) {
+		t.Errorf("cut merge left %v unprocessed, want %v", got, holes)
+	}
+	resumed := filepath.Join(dir, "resumed.json")
+	if err := run([]string{"-scenario", scPath, "-s", "2", "-map=false",
+		"-resume", cut, "-out", resumed}); err != nil {
+		t.Fatalf("-resume of the cut merge: %v", err)
+	}
+	mustMatchFile(t, resumed, want)
+
+	finished := filepath.Join(dir, "finished.json")
+	if err := run([]string{"-scenario", scPath, "-s", "2", "-map=false", "-verify",
+		"-resume", list, "-out", finished}); err != nil {
+		t.Fatalf("several-file -resume: %v", err)
+	}
+	mustMatchFile(t, finished, want)
+}
+
+// TestStopAfterThenResume cuts each solver at a fixed work count: the run
+// exits non-zero with a -resume hint, and resuming gives the uninterrupted
+// run's bytes.
+func TestStopAfterThenResume(t *testing.T) {
+	dir := t.TempDir()
+	scPath, _ := writeTestScenario(t, dir)
+	for _, solver := range [][]string{{"-solver", "enum"}, {"-solver", "portfolio", "-budget", "40"}} {
+		base := append([]string{"-scenario", scPath, "-s", "2", "-map=false"}, solver...)
+		full := filepath.Join(dir, solver[1]+"-full.json")
+		if err := run(append(base, "-out", full)); err != nil {
+			t.Fatalf("%v: %v", solver, err)
+		}
+		ckpt := filepath.Join(dir, solver[1]+".ckpt")
+		err := run(append(base, "-stop-after", "10", "-checkpoint", ckpt))
+		if err == nil || !strings.Contains(err.Error(), "-resume "+ckpt) {
+			t.Fatalf("%v -stop-after 10: err = %v, want a hint to -resume %s", solver, err, ckpt)
+		}
+		resumed := filepath.Join(dir, solver[1]+"-resumed.json")
+		if err := run(append(base, "-resume", ckpt, "-out", resumed)); err != nil {
+			t.Fatalf("%v -resume: %v", solver, err)
+		}
+		want, err := os.ReadFile(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustMatchFile(t, resumed, want)
 	}
 }

@@ -52,6 +52,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected arguments after flags: %v", fs.Args())
+	}
 	aggOpts := uavnet.AggregateOptions{CellSide: *aggCell}
 	if err := aggOpts.Validate(); err != nil {
 		return err

@@ -72,3 +72,17 @@ func TestRefusesBadSnapBeforeWriting(t *testing.T) {
 		t.Errorf("a refused run wrote %s (stat: %v)", out, err)
 	}
 }
+
+// TestRefusesStrayArguments gives uavgen a positional argument after its
+// flags: it must refuse before writing, where it used to write the file and
+// exit 0.
+func TestRefusesStrayArguments(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "scenario.json")
+	err := run([]string{"-out", out, "-n", "10", "-k", "2", "stray-arg"})
+	if err == nil || !strings.Contains(err.Error(), "unexpected arguments") {
+		t.Errorf("err = %v, want the unexpected arguments refusal", err)
+	}
+	if _, err := os.Stat(out); !os.IsNotExist(err) {
+		t.Errorf("a refused run wrote %s (stat: %v)", out, err)
+	}
+}

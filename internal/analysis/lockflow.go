@@ -326,8 +326,8 @@ func (w *flowWalker) expr(e ast.Expr, held map[string]bool, inLit bool) {
 		w.checkGuardedAccess(e, held, inLit)
 		w.expr(e.X, held, inLit)
 	case *ast.UnaryExpr:
-		if e.Op == token.ARROW {
-			w.noteCtxDoneRecv(e.X)
+		if e.Op == token.ARROW && isCtxDoneCall(w.info, e.X) {
+			w.out.ctxDone = true
 		}
 		w.expr(e.X, held, inLit)
 	case *ast.ParenExpr:
@@ -376,9 +376,7 @@ func (w *flowWalker) recordCall(call *ast.CallExpr, held map[string]bool, inLit 
 					}
 				}
 			}
-		case "Done":
-			w.noteCtxDoneRecv(call) // bare e.Done() call: covered by the recv path
-		case "Err":
+		case "Done", "Err":
 			if isContextExpr(w.info, sel.X) {
 				w.out.ctxDone = true
 			}
@@ -397,21 +395,6 @@ func (w *flowWalker) recordCall(call *ast.CallExpr, held map[string]bool, inLit 
 		held:   keysOf(held),
 		inLit:  inLit,
 	})
-}
-
-// noteCtxDoneRecv records a receive from a context's Done() channel.
-func (w *flowWalker) noteCtxDoneRecv(e ast.Expr) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Done" {
-		return
-	}
-	if isContextExpr(w.info, sel.X) {
-		w.out.ctxDone = true
-	}
 }
 
 // isContextExpr reports whether e's static type is context.Context.

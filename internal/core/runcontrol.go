@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 )
@@ -259,7 +260,7 @@ func (c *Checkpoint) Range() Span {
 // Complete reports whether every index of the checkpoint's range has been
 // processed — nothing is left to resume.
 //
-//uavlint:allow testonly -- the shard tests of core, verify and cmd/uavshard read merged checkpoints with it
+//uavlint:allow testonly -- the shard tests of core, verify and cmd/uavdeploy read merged checkpoints with it
 func (c *Checkpoint) Complete() bool { return len(c.remaining()) == 0 }
 
 // RemainingSpans returns a copy of the checkpoint's unprocessed sub-ranges,
@@ -314,7 +315,9 @@ func (c *Checkpoint) Marshal() ([]byte, error) {
 // different version, and a silently-dropped field here would resume a
 // different run than the one frozen — the validate pass can only cross-check
 // fields it actually decoded. For the same reason a checkpoint of one kind
-// carrying the other kind's fields is rejected: no solver would read them.
+// carrying the other kind's fields is rejected, and so is anything after the
+// checkpoint object: a concatenated or hand-edited file would resume its
+// first object without a word.
 // The portfolio members' Extra blobs stay raw JSON; each member validates
 // its own on resume.
 func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
@@ -323,6 +326,9 @@ func UnmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("core: bad checkpoint: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("core: bad checkpoint: data after the checkpoint object")
 	}
 	var foreign bool
 	switch c.Algorithm {

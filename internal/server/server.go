@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -222,17 +223,30 @@ func decodeScenario(version int, raw json.RawMessage) (*uavnet.Scenario, error) 
 	return uavnet.UnmarshalScenario(envelope)
 }
 
-// decodeStrictBody decodes an HTTP body into v, rejecting unknown fields: a
-// misspelled option must 400 with the field name, never solve a subtly
-// different problem.
+// decodeStrictBody decodes an HTTP body into v by decodeStrict: a misspelled
+// option must 400 with the field name, never solve a subtly different
+// problem.
 func decodeStrictBody(r *http.Request, v any) error {
 	data, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 256<<20))
 	if err != nil {
 		return err
 	}
+	return decodeStrict(data, v)
+}
+
+// decodeStrict decodes the one JSON value in data into v, rejecting unknown
+// fields and anything after the value, so that neither a field this version
+// cannot interpret nor a second, concatenated object is dropped in silence.
+func decodeStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 // --- Handlers ---

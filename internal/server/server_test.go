@@ -755,6 +755,41 @@ func TestRescanRejectsCorruptJobDir(t *testing.T) {
 	}
 }
 
+// TestRescanRejectsTrailingJobRecord appends a second object to a valid
+// job.json: rescan must refuse the directory, where a decoder that stopped
+// after the first object went on to read the job.
+func TestRescanRejectsTrailingJobRecord(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dir, "deadbeef"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	rec := `{"id":"deadbeef","options":{},"created":""}` + "\n" + `{"id":"deadbeef","options":{"seed":7}}`
+	if err := os.WriteFile(filepath.Join(dir, "deadbeef", jobFile), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Dir: dir}); err == nil || !strings.Contains(err.Error(), "data after the JSON value") {
+		t.Errorf("job.json with trailing data accepted at rescan: %v", err)
+	}
+}
+
+// TestSubmitRejectsTrailingData posts a valid job body followed by more
+// bytes: the server must answer 400 rather than solve the first object.
+func TestSubmitRejectsTrailingData(t *testing.T) {
+	srv, _ := newTestServer(t, t.TempDir(), 1, time.Second)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body := submitBody(t, quickScenario(t, 1), JobOptions{})
+	for _, tail := range []string{`{"junk":true}`, "xyz"} {
+		resp, data := postJSON(t, ts.URL+"/v1/jobs", append(append([]byte(nil), body...), tail...))
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "data after the JSON value") {
+			t.Errorf("body + %q: status %d body %s", tail, resp.StatusCode, data)
+		}
+	}
+	if resp, data := postJSON(t, ts.URL+"/v1/jobs", append(body, " \n"...)); resp.StatusCode != http.StatusCreated {
+		t.Errorf("body + trailing white space: status %d body %s", resp.StatusCode, data)
+	}
+}
+
 func TestSubmitRejectsInvalidScenario(t *testing.T) {
 	srv, _ := newTestServer(t, t.TempDir(), 1, time.Second)
 	ts := httptest.NewServer(srv.Handler())

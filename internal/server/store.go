@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -75,18 +74,16 @@ func (s *Server) writeJSON(id, name string, v any) error {
 	return s.writeFile(id, name, append(data, '\n'))
 }
 
-// readStrictJSON loads a server-written JSON file, rejecting unknown fields:
-// a field this version cannot interpret means the file was edited or written
-// by an incompatible version, and dropping it silently could resurrect a job
-// under the wrong options.
+// readStrictJSON loads a server-written JSON file by decodeStrict: a field
+// this version cannot interpret, or data after the object, means the file was
+// edited or written by an incompatible version, and dropping either silently
+// could resurrect a job under the wrong options.
 func readStrictJSON(path string, v any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(data, v); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil

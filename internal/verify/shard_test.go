@@ -24,7 +24,7 @@ func roundtripCheckpoint(t *testing.T, seed int64, cp *core.Checkpoint) *core.Ch
 	return out
 }
 
-// TestShardMergeByteIdentical is the corpus-level contract behind uavshard:
+// TestShardMergeByteIdentical is the corpus-level contract behind sharding:
 // for every corpus scenario, in both exhaustive and sampled modes, splitting
 // the enumeration into shards — interrupting some of them mid-range and
 // resuming them to completion — and merging the partial checkpoints must

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/uav-coverage/uavnet/internal/atomicfile"
@@ -30,16 +31,19 @@ func MarshalScenario(sc *Scenario) ([]byte, error) {
 // UnmarshalScenario decodes and validates a scenario produced by
 // MarshalScenario. Decoding is strict: a field name the format does not
 // define — a typo'd key, a stale field from another version — is an error,
-// not a silent drop. Scenarios arrive from untrusted clients (the uavserve
-// POST body is exactly this format), and an option silently ignored is the
-// worst possible failure mode: the caller gets a valid-looking answer to a
-// different question.
+// not a silent drop, and so is anything after the scenario object. Scenarios
+// arrive from untrusted clients (the uavserve POST body is exactly this
+// format), and an option silently ignored is the worst possible failure mode:
+// the caller gets a valid-looking answer to a different question.
 func UnmarshalScenario(data []byte) (*Scenario, error) {
 	var f scenarioFile
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&f); err != nil {
 		return nil, fmt.Errorf("uavnet: bad scenario JSON: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("uavnet: bad scenario JSON: data after the scenario object")
 	}
 	if f.Version != scenarioFileVersion {
 		return nil, fmt.Errorf("uavnet: unsupported scenario version %d (want %d)", f.Version, scenarioFileVersion)

@@ -132,6 +132,54 @@ func TestLoadCheckpointRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestStrictLoadersRejectTrailingData appends a second object, or bytes
+// that are not JSON at all, after a valid scenario and a valid checkpoint:
+// both loaders must refuse the input, where a decoder that stopped after the
+// first value loaded it. Trailing white space stays allowed.
+func TestStrictLoadersRejectTrailingData(t *testing.T) {
+	t.Parallel()
+	sc, err := uavnet.GenerateScenario(uavnet.ScenarioSpec{N: 60, K: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scData, err := uavnet.MarshalScenario(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := uavnet.NewInstance(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := uavnet.DeployInstanceContext(context.Background(), in, uavnet.Options{StopAfter: 1, Workers: 1})
+	if err != nil || dep.Checkpoint == nil {
+		t.Fatalf("StopAfter run: %v, checkpoint %v", err, dep.Checkpoint)
+	}
+	cpData, err := dep.Checkpoint.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/run.ckpt"
+	for _, tail := range []string{` {"junk":true} trailing garbage`, "xyz", "\n\t "} {
+		_, scErr := uavnet.UnmarshalScenario(append(append([]byte(nil), scData...), tail...))
+		if err := writeFile(t, path, append(append([]byte(nil), cpData...), tail...)); err != nil {
+			t.Fatal(err)
+		}
+		_, cpErr := uavnet.LoadCheckpoint(path)
+		if strings.TrimSpace(tail) == "" {
+			if scErr != nil || cpErr != nil {
+				t.Errorf("trailing white space refused: scenario %v, checkpoint %v", scErr, cpErr)
+			}
+			continue
+		}
+		if scErr == nil || !strings.Contains(scErr.Error(), "data after the scenario object") {
+			t.Errorf("scenario + %q: err = %v, want the trailing-data refusal", tail, scErr)
+		}
+		if cpErr == nil || !strings.Contains(cpErr.Error(), "data after the checkpoint object") {
+			t.Errorf("checkpoint + %q: err = %v, want the trailing-data refusal", tail, cpErr)
+		}
+	}
+}
+
 // TestLoadPortfolioCheckpointRejectsUnknownFields covers the portfolio kind
 // of the one checkpoint loader, whose member Extra blobs stay raw JSON
 // (member-validated) while the envelope is strict.
