@@ -75,43 +75,79 @@ func TestVerifyCleanDeployment(t *testing.T) {
 	}
 }
 
+// refusal is one command line uavdeploy must refuse and the text its error
+// must carry.
+type refusal struct {
+	flags []string
+	want  string
+}
+
+// checkRefusals runs each row after base, whose -scenario names no file, and
+// wants its error; a run that read the scenario before checking the flags
+// would fail on the missing file instead. None of the paths in written may
+// exist afterwards.
+func checkRefusals(t *testing.T, base []string, rows []refusal, written ...string) {
+	t.Helper()
+	for _, c := range rows {
+		err := run(append(slices.Clone(base), c.flags...))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%v: err = %v, want %q", c.flags, err, c.want)
+		}
+	}
+	for _, path := range written {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("a refused run wrote %s (stat: %v)", path, err)
+		}
+	}
+}
+
 // TestRefusesBadAggCellBeforeReadingScenario gives -agg-cell sides that
 // demand aggregation refuses and a scenario path that names no file: a run
 // that read the scenario before checking the side would fail on the missing
 // file, and one that ignored the side would solve per user.
 func TestRefusesBadAggCellBeforeReadingScenario(t *testing.T) {
 	dir := t.TempDir()
-	missing := filepath.Join(dir, "missing.json")
-	part := filepath.Join(dir, "part.ckpt")
+	out := filepath.Join(dir, "dep.json")
+	var rows []refusal
 	for _, side := range []string{"-250", "NaN", "Inf", "-Inf"} {
-		for _, door := range [][]string{nil, {"-shard", "0/2", "-checkpoint", part}, {"-resume", part + "," + part}} {
-			err := run(append([]string{"-scenario", missing, "-agg-cell", side}, door...))
-			if err == nil || !strings.Contains(err.Error(), "demand-cell side") {
-				t.Errorf("-agg-cell %s %v: err = %v, want the demand-cell side rule", side, door, err)
-			}
+		rows = append(rows, refusal{[]string{"-agg-cell", side}, "demand-cell side"})
+	}
+	checkRefusals(t, []string{"-scenario", filepath.Join(dir, "missing.json"), "-out", out}, rows, out)
+}
+
+// TestShardRefusesBadAggCellBeforeReadingScenario is the -agg-cell refusal
+// for a shard and for a several-file -resume: one that ignored the side
+// would write a per-user checkpoint or deployment.
+func TestShardRefusesBadAggCellBeforeReadingScenario(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "part.ckpt")
+	out := filepath.Join(dir, "dep.json")
+	var rows []refusal
+	for _, side := range []string{"-250", "NaN", "Inf", "-Inf"} {
+		for _, door := range shardDoors(ckpt) {
+			rows = append(rows, refusal{append([]string{"-agg-cell", side}, door...), "demand-cell side"})
 		}
 	}
-	if _, err := os.Stat(part); !os.IsNotExist(err) {
-		t.Errorf("a refused run wrote %s (stat: %v)", part, err)
+	checkRefusals(t, []string{"-scenario", filepath.Join(dir, "missing.json"), "-out", out}, rows, ckpt, out)
+}
+
+// shardDoors are the two ways into a sharded enumeration: solving shard 0/2
+// into ckpt, and merging ckpt with itself.
+func shardDoors(ckpt string) [][]string {
+	return [][]string{
+		{"-shard", "0/2", "-checkpoint", ckpt},
+		{"-resume", ckpt + "," + ckpt},
 	}
 }
 
 // TestRefusesBadFlagsBeforeReadingScenario gives each flag value uavdeploy
 // refuses and a scenario path that names no file: a run that read the
 // scenario before checking the flags would fail on the missing file instead,
-// and one that ignored a flag would solve and write its files.
+// and one that ignored a flag would solve and write its deployment.
 func TestRefusesBadFlagsBeforeReadingScenario(t *testing.T) {
 	dir := t.TempDir()
-	missing := filepath.Join(dir, "missing.json")
-	ckpt := filepath.Join(dir, "part.ckpt")
 	out := filepath.Join(dir, "dep.json")
-	shard := []string{"-shard", "0/2", "-checkpoint", ckpt}
-	merge := []string{"-resume", ckpt + "," + ckpt}
-	type row struct {
-		flags []string
-		want  string
-	}
-	rows := []row{
+	rows := []refusal{
 		{[]string{"-alg", "bogus"}, "unknown -alg"},
 		{[]string{"-agg-cell", "250", "-alg", "MCS"}, "supports only approAlg"},
 		{[]string{"-agg-cell", "250", "-alg", "all"}, "supports only approAlg"},
@@ -119,41 +155,66 @@ func TestRefusesBadFlagsBeforeReadingScenario(t *testing.T) {
 		{[]string{"-timeout", "-5s"}, "must be non-negative"},
 		{[]string{"-progress", "-1s"}, "must be non-negative"},
 		{[]string{"stray"}, "unexpected arguments"},
-		{[]string{"-shard", "2/2", "-checkpoint", ckpt}, "bad -shard"},
-		{[]string{"-shard", "1"}, "bad -shard"},
-		{[]string{"-shard", "0/2"}, "-shard needs -checkpoint"},
-		{append([]string{"-alg", "MCS"}, shard...), "needs -alg approAlg"},
-		{append([]string{"-alg", "all"}, shard...), "needs -alg approAlg"},
-		{append([]string{"-gateway", "1,2"}, shard...), "does not take -gateway"},
-		{append([]string{"-solver", "anneal"}, shard...), "does not take -solver"},
-		{append([]string{"-alg", "MCS"}, merge...), "needs -alg approAlg"},
-		{append([]string{"-gateway", "1,2"}, merge...), "does not take -gateway"},
-		{append([]string{"-solver", "portfolio"}, merge...), "does not take -solver"},
-		{append(shard, merge...), "merge several without -shard"},
-		{[]string{"-resume", ckpt + ","}, "bad -resume"},
-		{[]string{"-resume", "," + ckpt}, "bad -resume"},
 	}
 	for _, gw := range []string{"1;2", "100", "100,", ",200", "100,200junk", "100,200,300", "100 200",
 		"x,1", "NaN,0", "0,NaN", "Inf,0", "0,-Inf", "1e999,0"} {
-		rows = append(rows, row{[]string{"-gateway", gw}, "bad -gateway"})
+		rows = append(rows, refusal{[]string{"-gateway", gw}, "bad -gateway"})
 	}
-	// Options.Validate's rules, with and without a shard.
 	for flag, field := range map[string]string{"-s": "S", "-workers": "Workers", "-max-subsets": "MaxSubsets", "-stop-after": "StopAfter"} {
-		for _, door := range [][]string{nil, shard} {
-			rows = append(rows, row{append([]string{flag, "-1"}, door...), "core: " + field + " must be non-negative"})
+		rows = append(rows, refusal{[]string{flag, "-1"}, "core: " + field + " must be non-negative"})
+	}
+	checkRefusals(t, []string{"-scenario", filepath.Join(dir, "missing.json"), "-out", out}, rows, out)
+}
+
+// TestShardRefusesBadFlagsBeforeReadingScenario gives a shard and a
+// several-file -resume each flag they refuse and a scenario path that names
+// no file: one that read the scenario first would fail on the missing file
+// instead, and one that ignored the flag would solve and write its
+// checkpoint or deployment.
+func TestShardRefusesBadFlagsBeforeReadingScenario(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "part.ckpt")
+	out := filepath.Join(dir, "dep.json")
+	doors := shardDoors(ckpt)
+	shard, merge := doors[0], doors[1]
+	rows := []refusal{
+		{[]string{"-shard", "2/2", "-checkpoint", ckpt}, "bad -shard"},
+		{[]string{"-shard", "1"}, "bad -shard"},
+		{[]string{"-shard", "0/2"}, "-shard needs -checkpoint"},
+		{append(slices.Clone(shard), merge...), "merge several without -shard"},
+		{[]string{"-resume", ckpt + ","}, "bad -resume"},
+		{[]string{"-resume", "," + ckpt}, "bad -resume"},
+	}
+	for _, door := range doors {
+		rows = append(rows,
+			refusal{append([]string{"-alg", "MCS"}, door...), "needs -alg approAlg"},
+			refusal{append([]string{"-alg", "all"}, door...), "needs -alg approAlg"},
+			refusal{append([]string{"-gateway", "1,2"}, door...), "does not take -gateway"},
+			refusal{append([]string{"-solver", "anneal"}, door...), "does not take -solver"},
+			refusal{append([]string{"-solver", "portfolio"}, door...), "does not take -solver"},
+			refusal{append([]string{"-timeout", "-5s"}, door...), "must be non-negative"},
+			refusal{append([]string{"-progress", "-1s"}, door...), "must be non-negative"},
+			refusal{append(slices.Clone(door), "stray"), "unexpected arguments"},
+		)
+	}
+	checkRefusals(t, []string{"-scenario", filepath.Join(dir, "missing.json"), "-out", out}, rows, ckpt, out)
+}
+
+// TestShardRefusesOptionsBeforeBuildingInstance gives a shard and a
+// several-file -resume each option Options.Validate refuses and a scenario
+// path that names no file: one that built the instance before checking its
+// options would fail on the missing file.
+func TestShardRefusesOptionsBeforeBuildingInstance(t *testing.T) {
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "part.ckpt")
+	out := filepath.Join(dir, "dep.json")
+	var rows []refusal
+	for flag, field := range map[string]string{"-s": "S", "-workers": "Workers", "-max-subsets": "MaxSubsets", "-stop-after": "StopAfter"} {
+		for _, door := range shardDoors(ckpt) {
+			rows = append(rows, refusal{append([]string{flag, "-1"}, door...), "core: " + field + " must be non-negative"})
 		}
 	}
-	for _, c := range rows {
-		err := run(append([]string{"-scenario", missing, "-out", out}, c.flags...))
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("%v: err = %v, want %q", c.flags, err, c.want)
-		}
-	}
-	for _, path := range []string{ckpt, out} {
-		if _, err := os.Stat(path); !os.IsNotExist(err) {
-			t.Errorf("a refused run wrote %s (stat: %v)", path, err)
-		}
-	}
+	checkRefusals(t, []string{"-scenario", filepath.Join(dir, "missing.json"), "-out", out}, rows, ckpt, out)
 }
 
 func TestParseShard(t *testing.T) {
